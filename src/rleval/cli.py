@@ -115,7 +115,6 @@ def cmd_analyze(args) -> int:
         stride=args.stride,
         ks_mode=args.ks_mode,
         average_return_mode=args.average_return_mode,
-        jobs=args.jobs,
     )
     emit_bundle(report, args.out)
     analyzed = report.provenance["runs_analyzed"]
@@ -209,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--average-return-mode", choices=("episodes", "curve_points"), default="episodes"
     )
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze)
 

@@ -16,8 +16,7 @@ import numpy as np
 from ._fmt import fmt_shortest
 from ._yamlio import dump_canonical, load_strict
 from .errors import DataError, ValidationError
-from .rng import DOMAIN_SYNTH, SeededRng, derive_key, validate_seed
-from . import backends
+from .rng import DOMAIN_SYNTH, SeededRng
 
 RUN_LOG_HEADER = "step,return"
 META_SUFFIX = ".meta.yaml"
@@ -46,10 +45,6 @@ class RunLog:
     @property
     def returns(self):
         return np.array([r for _, r in self.episodes], dtype=np.float64)
-
-    @property
-    def end_steps(self):
-        return np.array([s for s, _ in self.episodes], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -220,10 +215,7 @@ class SynthSpec:
 def synthesize_runs(spec: SynthSpec, seed: int):
     """Deterministic synthetic run logs; run i draws from Philox stream i."""
     spec.validate()
-    validate_seed(seed)
-    key0, key1 = derive_key(seed)
-    from .special import std_normal_quantile
-
+    rng = SeededRng(seed, DOMAIN_SYNTH)
     ends = list(spec.episode_end_steps())
     if not ends:
         raise ValidationError("total_steps shorter than one episode")
@@ -231,12 +223,7 @@ def synthesize_runs(spec: SynthSpec, seed: int):
     n = len(ends)
     for i in range(spec.run_count):
         if spec.noise_scale > 0.0:
-            nblocks = (2 * n + 3) // 4
-            words = backends.philox_u32_blocks(key0, key1, DOMAIN_SYNTH, i, 0, nblocks)
-            words = words.reshape(-1)[: 2 * n].astype(np.uint64)
-            u64 = (words[0::2] << np.uint64(32)) | words[1::2]
-            u = ((u64 >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
-            noise = spec.noise_scale * std_normal_quantile(u)
+            noise = spec.noise_scale * rng.standard_normal(n)
         else:
             noise = np.zeros(n)
         episodes = tuple(

@@ -1,14 +1,10 @@
 """End-to-end analysis: exclusions, curves, averages, bootstrap, normality,
 fits, KS, verdicts, report.
 
-Family fits are independent; with jobs > 1 they run on a thread pool and
-are reassembled in family order, so output bytes do not depend on the
-degree of parallelism. Every random draw derives from the one master seed:
-the bootstrap uses it directly, each family's fitting seed mixes the family
-index into it.
+Every stage runs serially in one thread; family fits run in family order.
+Every random draw derives from the one master seed: the bootstrap uses it
+directly, each family's fitting seed mixes the family index into it.
 """
-
-from concurrent.futures import ThreadPoolExecutor
 
 from .config import config_hash
 from .distributions import FAMILY_NAMES, fit_mle, get_family, with_gof
@@ -46,11 +42,8 @@ def run_analysis(
     stride: int = DEFAULT_STRIDE,
     ks_mode: str = "exact",
     average_return_mode: str = "episodes",
-    jobs: int = 1,
 ) -> AnalysisReport:
     validate_seed(seed)
-    if jobs < 1:
-        raise ValidationError(f"jobs must be >= 1, got {jobs}")
     families = [get_family(f).name for f in families]
     if len(set(families)) != len(families):
         raise ValidationError("duplicate family names requested")
@@ -75,17 +68,14 @@ def run_analysis(
     )
     normality = dagostino_pearson(boot.means, alpha=alpha)
 
-    def fit_one(item):
-        index, name = item
-        fit = fit_mle(name, boot.means, fitting_seed=fitting_seed_for(seed, index))
-        return with_gof(fit, boot.means, mode=ks_mode)
-
-    tasks = list(enumerate(families))
-    if jobs > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            fits = tuple(pool.map(fit_one, tasks))
-    else:
-        fits = tuple(fit_one(task) for task in tasks)
+    fits = tuple(
+        with_gof(
+            fit_mle(name, boot.means, fitting_seed=fitting_seed_for(seed, index)),
+            boot.means,
+            mode=ks_mode,
+        )
+        for index, name in enumerate(families)
+    )
 
     verdicts = ()
     if reported is not None:

@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import __version__, backends
+from . import __version__
 from ._fmt import fmt_fixed, fmt_shortest
 from ._yamlio import dump_canonical
 from .distributions import fit_record
@@ -52,7 +52,6 @@ def build_provenance(
     return {
         "tool": "rleval",
         "tool_version": __version__,
-        "backend": backends.BACKEND_NAME,
         "rng": "philox4x32-10",
         "config_name": config_name,
         "config_digest": config_digest,

@@ -1,9 +1,9 @@
 """Seeded bootstrap of the sample mean.
 
 Resampling is keyed by a master seed: resample i draws its indices from
-Philox stream i in the bootstrap domain, so the means vector is identical
-whether resamples are computed sequentially or in parallel, and identical
-across platforms and backends.
+Philox stream i in the bootstrap domain (the kernel is
+`rleval.rng.bootstrap_means`), so the means vector depends only on the
+sample, the resample count and the seed, and is identical across platforms.
 """
 
 import math
@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backends
+from . import rng
 from ._fmt import fmt_shortest
 from .errors import ValidationError
-from .rng import DOMAIN_BOOTSTRAP, derive_key
 
 DEFAULT_RESAMPLES = 10_000
 DEFAULT_CONFIDENCE = 0.95
@@ -84,8 +83,8 @@ def bootstrap_means(
         raise ValidationError("bootstrap sample must be finite")
     if resample_count < 1:
         raise ValidationError(f"resample_count must be >= 1, got {resample_count}")
-    key0, key1 = derive_key(seed)
-    means = backends.bootstrap_means(arr, resample_count, key0, key1, DOMAIN_BOOTSTRAP)
+    key0, key1 = rng.derive_key(seed)
+    means = rng.bootstrap_means(arr, resample_count, key0, key1, rng.DOMAIN_BOOTSTRAP)
     ci_low, ci_high = percentile_ci(means, confidence)
     return BootstrapDistribution(
         source_sample=tuple(float(v) for v in arr),

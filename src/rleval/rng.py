@@ -1,19 +1,26 @@
 """Seeded deterministic random numbers.
 
-All randomness in the toolkit flows through SeededRng, a facade over the
-Philox4x32-10 counter generator in `rleval.backends`. The same seed yields
-the same stream on every platform and process run; there is no global or
-time-based state anywhere.
+All randomness in the toolkit flows through this module: SeededRng for
+generic draws and `bootstrap_means` for the resampling kernel. Both run on
+the Philox4x32-10 counter generator (Salmon et al., 2011), a bijective
+keyed mixing of a 128-bit counter into four 32-bit words, ten rounds. The
+same seed yields the same stream on every platform and process run; there
+is no global or time-based state anywhere.
 
 Key derivation: the 64-bit seed is diffused through splitmix64 and split
-into the two 32-bit Philox key words. Consumers are separated by a domain
-tag plus a stream id (see `rleval.backends.pure` for the counter layout),
-so independent draws never overlap.
+into the two 32-bit Philox key words. Counter layout:
+
+    word0 = block index, low 32 bits
+    word1 = block index, high 32 bits
+    word2 = stream id   (e.g. bootstrap resample index, run index)
+    word3 = domain tag  (keeps unrelated consumers on disjoint streams)
+
+Everything here is integer arithmetic plus IEEE-754 double adds performed
+in a defined order, so the output is bit-identical across platforms.
 """
 
 import numpy as np
 
-from . import backends
 from .errors import ValidationError
 
 MAX_SEED = 2**64 - 1
@@ -26,6 +33,16 @@ DOMAIN_SAMPLE = 3
 DOMAIN_FIT = 4
 
 _M64 = (1 << 64) - 1
+
+_M0 = np.uint64(0xD2511F53)
+_M1 = np.uint64(0xCD9E8D57)
+_W0 = np.uint64(0x9E3779B9)
+_W1 = np.uint64(0xBB67AE85)
+_MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+# Bound on the uint64 scratch held by one vectorised philox call.
+_MAX_BLOCKS_PER_CALL = 1 << 20
 
 
 def splitmix64(value: int) -> int:
@@ -52,6 +69,75 @@ def validate_seed(seed) -> int:
     return seed
 
 
+def _philox_rounds(c0, c1, c2, c3, key0, key1):
+    """Ten Philox4x32 rounds over uint64 arrays holding 32-bit values."""
+    k0 = np.uint64(key0)
+    k1 = np.uint64(key1)
+    for _ in range(10):
+        p0 = _M0 * c0
+        p1 = _M1 * c2
+        hi0 = p0 >> _SHIFT32
+        lo0 = p0 & _MASK32
+        hi1 = p1 >> _SHIFT32
+        lo1 = p1 & _MASK32
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        k0 = (k0 + _W0) & _MASK32
+        k1 = (k1 + _W1) & _MASK32
+    return c0, c1, c2, c3
+
+
+def philox_u32_blocks(key0, key1, domain, stream, block_start, nblocks):
+    """Generate `nblocks` consecutive counter blocks, 4 uint32 words each."""
+    out = np.empty((nblocks, 4), dtype=np.uint32)
+    done = 0
+    while done < nblocks:
+        take = min(nblocks - done, _MAX_BLOCKS_PER_CALL)
+        idx = np.arange(block_start + done, block_start + done + take, dtype=np.uint64)
+        c0 = idx & _MASK32
+        c1 = idx >> _SHIFT32
+        c2 = np.full(take, stream, dtype=np.uint64)
+        c3 = np.full(take, domain, dtype=np.uint64)
+        o0, o1, o2, o3 = _philox_rounds(c0, c1, c2, c3, key0, key1)
+        out[done : done + take, 0] = o0.astype(np.uint32)
+        out[done : done + take, 1] = o1.astype(np.uint32)
+        out[done : done + take, 2] = o2.astype(np.uint32)
+        out[done : done + take, 3] = o3.astype(np.uint32)
+        done += take
+    return out
+
+
+def bootstrap_means(sample, n_resamples, key0, key1, domain):
+    """Means of `n_resamples` with-replacement resamples of `sample`.
+
+    Resample i draws len(sample) indices from its own stream (stream id = i,
+    block j supplies draws 4j..4j+3). Index draw: (u32 * n) >> 32. The mean
+    accumulates in draw order.
+    """
+    src = np.ascontiguousarray(sample, dtype=np.float64)
+    n = src.shape[0]
+    blocks_per = (n + 3) // 4
+    means = np.empty(n_resamples, dtype=np.float64)
+    # Chunk over resamples to bound scratch memory.
+    chunk = max(1, _MAX_BLOCKS_PER_CALL // max(1, blocks_per))
+    n_u64 = np.uint64(n)
+    for start in range(0, n_resamples, chunk):
+        stop = min(start + chunk, n_resamples)
+        streams = np.arange(start, stop, dtype=np.uint64)
+        c0 = np.tile(np.arange(blocks_per, dtype=np.uint64), stop - start)
+        c1 = np.zeros_like(c0)
+        c2 = np.repeat(streams, blocks_per)
+        c3 = np.full_like(c0, domain)
+        o0, o1, o2, o3 = _philox_rounds(c0, c1, c2, c3, key0, key1)
+        lanes = np.stack([o0, o1, o2, o3], axis=1).reshape(stop - start, blocks_per * 4)
+        draws = lanes[:, :n]
+        idx = ((draws * n_u64) >> _SHIFT32).astype(np.intp)
+        acc = np.zeros(stop - start, dtype=np.float64)
+        for j in range(n):
+            acc += src[idx[:, j]]
+        means[start:stop] = acc / n
+    return means
+
+
 class SeededRng:
     """Deterministic generator with explicit stream handling.
 
@@ -75,13 +161,8 @@ class SeededRng:
 
     def _u32_on(self, stream: int, count: int) -> np.ndarray:
         nblocks = (count + 3) // 4
-        blocks = backends.philox_u32_blocks(
-            self._key0, self._key1, self._domain, stream, 0, nblocks
-        )
+        blocks = philox_u32_blocks(self._key0, self._key1, self._domain, stream, 0, nblocks)
         return blocks.reshape(-1)[:count]
-
-    def u32(self, count: int) -> np.ndarray:
-        return self._u32_on(self.take_stream(), count)
 
     def uniform01(self, count: int) -> np.ndarray:
         """Doubles in the open interval (0, 1), 52 random bits each.

@@ -88,16 +88,6 @@ def erfc(x):
     return res.reshape(arr.shape)
 
 
-def std_normal_pdf(x):
-    arr, scalar = _wrap(x)
-    return _unwrap(np.exp(-0.5 * arr * arr) / _SQRT_2PI, scalar)
-
-
-def std_normal_logpdf(x):
-    arr, scalar = _wrap(x)
-    return _unwrap(-0.5 * arr * arr - math.log(_SQRT_2PI), scalar)
-
-
 def std_normal_cdf(x):
     """Phi(x) = erfc(-x / sqrt(2)) / 2; complementary form, no cancellation."""
     arr, scalar = _wrap(x)
@@ -169,18 +159,8 @@ def std_normal_quantile(p):
 
 
 # ---------------------------------------------------------------------------
-# log-gamma, regularized incomplete gamma and beta
+# regularized incomplete gamma and beta
 # ---------------------------------------------------------------------------
-
-
-def ln_gamma(x):
-    arr, scalar = _wrap(x)
-    if np.any(np.atleast_1d(arr) <= 0.0):
-        raise NumericError("ln_gamma requires x > 0")
-    if scalar:
-        return math.lgamma(float(arr))
-    flat = np.atleast_1d(arr).ravel()
-    return np.array([math.lgamma(v) for v in flat]).reshape(arr.shape)
 
 
 def _igam_series(a, x):

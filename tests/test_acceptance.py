@@ -294,9 +294,9 @@ noise_scale: 9.0
         runs = sorted(str(p) for p in (tmp_path / "runs").glob("synth-*.csv"))
         base = ["analyze", str(tmp_path / "config.yaml"), *runs,
                 "--seed", "99", "--resamples", "2000", "--reported", "105.0"]
-        assert cli_main([*base, "--jobs", "1", "--out", str(tmp_path / "b1")]) == 0
-        assert cli_main([*base, "--jobs", "1", "--out", str(tmp_path / "b2")]) == 0
-        assert cli_main([*base, "--jobs", "7", "--out", str(tmp_path / "b3")]) == 0
+        assert cli_main([*base, "--out", str(tmp_path / "b1")]) == 0
+        assert cli_main([*base, "--out", str(tmp_path / "b2")]) == 0
+        assert cli_main([*base, "--out", str(tmp_path / "b3")]) == 0
         identical = True
         for path in sorted((tmp_path / "b1").rglob("*")):
             if not path.is_file():
@@ -305,7 +305,7 @@ noise_scale: 9.0
             blob = path.read_bytes()
             identical = identical and blob == (tmp_path / "b2" / rel).read_bytes()
             identical = identical and blob == (tmp_path / "b3" / rel).read_bytes()
-    _report(8, "analyze bundles are byte-identical (incl. parallel)", identical,
+    _report(8, "analyze bundles are byte-identical", identical,
             f"{timer.elapsed:.1f}s")
 
 

@@ -1,17 +1,18 @@
-"""Counter-RNG contracts: scalar-oracle agreement, backend parity, stream
-separation, and determinism of the derived draws."""
+"""Counter-RNG contracts: scalar-oracle agreement, stream separation, and
+determinism of the derived draws."""
 
 import numpy as np
 import pytest
 
 import oracles
-from rleval import backends
 from rleval.errors import ValidationError
 from rleval.rng import (
     DOMAIN_BOOTSTRAP,
     MAX_SEED,
     SeededRng,
+    bootstrap_means,
     derive_key,
+    philox_u32_blocks,
     splitmix64,
     validate_seed,
 )
@@ -19,7 +20,7 @@ from rleval.rng import (
 
 def test_philox_matches_scalar_oracle():
     key = derive_key(987654321)
-    blocks = backends.philox_u32_blocks(key[0], key[1], 5, 17, 2**33 - 2, 16)
+    blocks = philox_u32_blocks(key[0], key[1], 5, 17, 2**33 - 2, 16)
     for i in range(16):
         block_index = 2**33 - 2 + i
         ref = oracles.philox4x32_ref(
@@ -28,39 +29,19 @@ def test_philox_matches_scalar_oracle():
         assert list(blocks[i]) == ref
 
 
-def test_backend_parity():
-    names = backends.available_backends()
-    if len(names) < 2:
-        pytest.skip("compiled core not built")
-    key = derive_key(31337)
-    sample = np.array([3.25, -1.5, 88.0, 0.125, 7.75, 2.5, -9.0, 4.5, 1.0, 60.0])
-    outputs = []
-    for name in names:
-        impl = backends.get_backend(name)
-        outputs.append(
-            (
-                impl.philox_u32_blocks(key[0], key[1], 2, 9, 0, 4096),
-                impl.bootstrap_means(sample, 5000, key[0], key[1], DOMAIN_BOOTSTRAP),
-            )
-        )
-    for blocks, means in outputs[1:]:
-        assert np.array_equal(outputs[0][0], blocks)
-        assert np.array_equal(outputs[0][1], means)
-
-
 def test_bootstrap_matches_scalar_oracle():
     key = derive_key(55)
     sample = [10.0, 11.5, 9.25, 14.0, 8.5]
-    mine = backends.bootstrap_means(np.array(sample), 64, key[0], key[1], DOMAIN_BOOTSTRAP)
+    mine = bootstrap_means(np.array(sample), 64, key[0], key[1], DOMAIN_BOOTSTRAP)
     ref = oracles.bootstrap_means_ref(sample, 64, key, DOMAIN_BOOTSTRAP)
     assert list(mine) == ref
 
 
 def test_streams_are_disjoint():
     key = derive_key(1)
-    a = backends.philox_u32_blocks(key[0], key[1], 0, 0, 0, 64)
-    b = backends.philox_u32_blocks(key[0], key[1], 0, 1, 0, 64)
-    c = backends.philox_u32_blocks(key[0], key[1], 1, 0, 0, 64)
+    a = philox_u32_blocks(key[0], key[1], 0, 0, 0, 64)
+    b = philox_u32_blocks(key[0], key[1], 0, 1, 0, 64)
+    c = philox_u32_blocks(key[0], key[1], 1, 0, 0, 64)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 

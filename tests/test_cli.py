@@ -102,15 +102,15 @@ class TestAnalyze:
         assert exit_info.value.code == 1
         assert "--seed" in capsys.readouterr().err
 
-    def test_byte_identical_bundles_across_jobs(self, workspace):
+    def test_byte_identical_bundles_across_repeats(self, workspace):
         args = [
             "analyze", str(workspace / "config.yaml"), *_run_paths(workspace),
             "--seed", "7", "--resamples", "1000", "--reported", "95.0",
             "--families", "normal,loggamma",
         ]
-        assert main([*args, "--jobs", "1", "--out", str(workspace / "b1")]) == 0
-        assert main([*args, "--jobs", "1", "--out", str(workspace / "b2")]) == 0
-        assert main([*args, "--jobs", "4", "--out", str(workspace / "b3")]) == 0
+        assert main([*args, "--out", str(workspace / "b1")]) == 0
+        assert main([*args, "--out", str(workspace / "b2")]) == 0
+        assert main([*args, "--out", str(workspace / "b3")]) == 0
         files = sorted(
             str(p.relative_to(workspace / "b1"))
             for p in (workspace / "b1").rglob("*") if p.is_file()
