@@ -8,6 +8,7 @@ naive full rescans) and shares no code with the implementations it checks.
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 40
 
@@ -21,6 +22,22 @@ def phi_ref(x: float) -> float:
 
 def phi_sf_ref(x: float) -> float:
     return float(mp.ncdf(-mp.mpf(x)))
+
+
+def log_phi_ref(x: float) -> float:
+    return float(mp.log(mp.ncdf(x)))
+
+
+def erfc_ref(x: float) -> float:
+    return float(mp.erfc(x))
+
+
+def quantile_grid():
+    """The p grid of the quantile oracle fixture: deep lower tail to 1e-250,
+    upper tail to 1 - 1e-16."""
+    return np.concatenate(
+        [np.geomspace(1e-250, 0.5, 500), 1.0 - np.geomspace(1e-16, 0.5, 500)]
+    )
 
 
 def quantile_ref(p: float) -> float:

@@ -2,6 +2,7 @@
 plus the structural invariants (monotonicity, symmetry, complementarity)."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,11 +32,13 @@ class TestNormal:
         assert np.max(np.abs(sp.std_normal_cdf(xs) + sp.std_normal_sf(xs) - 1.0)) <= 1e-12
 
     def test_quantile_vs_oracle(self):
-        ps = np.concatenate(
-            [np.geomspace(1e-250, 0.5, 500), 1.0 - np.geomspace(1e-16, 0.5, 500)]
-        )
+        # mpmath erfinv at 400 digits, precomputed by
+        # data/make_quantile_oracle.py
+        ps = oracles.quantile_grid()
+        fixture = np.loadtxt(Path(__file__).parent / "data" / "quantile_oracle.txt")
+        assert np.array_equal(fixture[:, 0], ps)
         mine = sp.std_normal_quantile(ps)
-        ref = np.array([oracles.quantile_ref(p) for p in ps])
+        ref = fixture[:, 1]
         assert np.max(np.abs(mine - ref)) <= 1e-9
 
     def test_quantile_inverse_law(self):
@@ -60,9 +63,38 @@ class TestNormal:
         ref = np.array([float(np.log(oracles.phi_ref(v))) for v in xs])
         assert np.max(np.abs(mine - ref)) <= 1e-10 * np.maximum(1.0, np.abs(ref)).max()
 
+    def test_logcdf_pointwise(self):
+        xs = np.linspace(-38.0, 8.0, 1000)
+        mine = sp.std_normal_logcdf(xs)
+        ref = np.array([oracles.log_phi_ref(v) for v in xs])
+        assert np.all(np.abs(mine - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
     def test_scalar_returns_float(self):
         assert isinstance(sp.std_normal_cdf(1.0), float)
         assert isinstance(sp.std_normal_quantile(0.25), float)
+
+
+_LIMITS = {
+    # f: (f(-inf), f(+inf))
+    sp.erfc: (2.0, 0.0),
+    sp.std_normal_cdf: (0.0, 1.0),
+    sp.std_normal_sf: (1.0, 0.0),
+    sp.std_normal_logcdf: (-math.inf, 0.0),
+}
+
+
+@pytest.mark.parametrize("f", list(_LIMITS), ids=lambda f: f.__name__)
+def test_nonfinite_and_shapes(f):
+    lo, hi = _LIMITS[f]
+    out = f(np.array([[-math.inf, math.nan], [math.inf, 0.5]]))
+    assert out.shape == (2, 2)
+    assert out[0, 0] == lo and out[1, 0] == hi and math.isnan(out[0, 1])
+    assert out[1, 1] == f(np.array([0.5]))[0]
+    assert f(np.empty(0)).shape == (0,)
+    for value, want in [(-math.inf, lo), (math.inf, hi)]:
+        got = f(np.array(value))
+        assert isinstance(got, float) and got == want
+    assert math.isnan(f(np.array(math.nan)))
 
 
 class TestErfc:
@@ -70,6 +102,12 @@ class TestErfc:
         xs = np.linspace(-9.0, 9.0, 2000)
         ref = np.array([math.erfc(v) for v in xs])
         assert np.max(np.abs(sp.erfc(xs) - ref)) <= 5e-15
+
+    def test_relative_vs_oracle(self):
+        # erfc(26.5) ~ 3e-307 is still a normal double
+        xs = np.linspace(0.0, 26.5, 2000)
+        ref = np.array([oracles.erfc_ref(v) for v in xs])
+        assert np.max(np.abs(sp.erfc(xs) - ref) / ref) <= 1e-14
 
 
 class TestIncompleteGamma:
