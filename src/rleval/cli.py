@@ -61,7 +61,15 @@ def _read_config(path):
 
 
 def _load_runs(paths):
-    return [read_run_log_path(p) for p in paths]
+    """Read the run logs; a run id (the file stem) may appear only once,
+    since a repeated run would be counted twice and share one curve file."""
+    runs = [read_run_log_path(p) for p in paths]
+    seen = set()
+    for run in runs:
+        if run.run_id in seen:
+            raise ValidationError(f"run {run.run_id!r} is given more than once")
+        seen.add(run.run_id)
+    return runs
 
 
 def cmd_validate(args) -> int:

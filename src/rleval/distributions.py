@@ -5,10 +5,12 @@ loggamma, powernorm, skewnorm. Parameters follow the (shape(s), loc,
 scale) convention, z = (x - loc) / scale throughout, so published
 parameter rows in that convention load directly.
 
-Fitting is a penalized Nelder-Mead search over (shapes, loc, scale) with a
-moment-based initializer and three jittered restarts. Out-of-support data
-points contribute a large finite penalty scaled by the violation distance,
-which steers the simplex back into feasibility instead of aborting.
+Fitting is a penalized Nelder-Mead search over (shapes, loc, scale) from
+three starts: the moment-based initializer and two jitters of it. A start
+whose simplex does not converge is searched again from a fresh simplex at
+the point it reached. Out-of-support data points contribute a large finite
+penalty scaled by the violation distance, which steers the simplex back
+into feasibility instead of aborting.
 """
 
 import dataclasses
@@ -48,7 +50,7 @@ class Family:
         raise NotImplementedError
 
     def sf_z(self, z, shapes):
-        return 1.0 - self.cdf_z(z, shapes)
+        raise NotImplementedError
 
     def mean_z(self, shapes):
         """Standardized mean; None means 'integrate numerically'."""
@@ -367,28 +369,26 @@ def _z(fit, x):
     return (np.asarray(x, dtype=np.float64) - fit.loc) / fit.scale
 
 
-def cdf(fit, x):
-    z = _z(fit, x)
-    if fit.family.bounded:
-        out = np.where(
-            z <= 0.0, 0.0, np.where(z >= 1.0, 1.0, fit.family.cdf_z(np.clip(z, 0.0, 1.0), fit.shapes))
-        )
+def _tail_z(family, shapes, z, upper):
+    """cdf_z, or sf_z when `upper`, on the family's support: the limits
+    outside it, and clipped to [0, 1]."""
+    tail = family.sf_z if upper else family.cdf_z
+    if family.bounded:
+        below, above = (1.0, 0.0) if upper else (0.0, 1.0)
+        out = np.where(z <= 0.0, below, np.where(z >= 1.0, above, tail(np.clip(z, 0.0, 1.0), shapes)))
     else:
-        out = fit.family.cdf_z(z, fit.shapes)
-    out = np.clip(out, 0.0, 1.0)
+        out = tail(z, shapes)
+    return np.clip(out, 0.0, 1.0)
+
+
+def cdf(fit, x):
+    out = _tail_z(fit.family, fit.shapes, _z(fit, x), upper=False)
     return float(out) if np.ndim(x) == 0 else out
 
 
 def survival(fit, x):
     """1 - cdf, evaluated in complementary form (no cancellation)."""
-    z = _z(fit, x)
-    if fit.family.bounded:
-        out = np.where(
-            z <= 0.0, 1.0, np.where(z >= 1.0, 0.0, fit.family.sf_z(np.clip(z, 0.0, 1.0), fit.shapes))
-        )
-    else:
-        out = fit.family.sf_z(z, fit.shapes)
-    out = np.clip(out, 0.0, 1.0)
+    out = _tail_z(fit.family, fit.shapes, _z(fit, x), upper=True)
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -409,8 +409,7 @@ def mean(fit):
     closed = fit.family.mean_z(fit.shapes)
     if closed is not None:
         return fit.loc + fit.scale * closed
-    zlo = _quantile_z_scalar(fit, 1e-13)
-    zhi = _quantile_z_scalar(fit, 1.0 - 1e-13)
+    zlo, zhi = _inverse_z(fit, np.array([1e-13, 1.0 - 1e-13]))
     ez = special.integrate_fixed(
         lambda z: z * np.exp(fit.family.logpdf_z(z, fit.shapes)), zlo, zhi,
         panels=48, order=32,
@@ -418,102 +417,71 @@ def mean(fit):
     return fit.loc + fit.scale * ez
 
 
-def _quantile_z_scalar(fit, p, tol=1e-12):
-    lo, hi = fit.family.support_z(fit.shapes)
-    if not math.isfinite(lo):
-        lo, hi = -1.0, 1.0
-        while fit.family.cdf_z(lo, fit.shapes) > p:
-            lo *= 2.0
-            if lo < -1e12:
-                break
-        while fit.family.cdf_z(hi, fit.shapes) < p:
-            hi *= 2.0
-            if hi > 1e12:
-                break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if fit.family.cdf_z(mid, fit.shapes) < p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol * max(1.0, abs(mid)):
+_INVERSE_RTOL = 1e-12
+_INVERSE_MAX_ITER = 200
+
+
+def _inverse_z(fit, p):
+    """Standardized quantile: z with cdf_z(z) = p, for a 1-d array p in
+    (0, 1). Each element is solved on its smaller tail, cdf_z(z) = p for
+    p <= 1/2 and sf_z(z) = 1 - p above (1 - p is exact there), so a tail
+    probability keeps its relative accuracy."""
+    upper = p > 0.5
+    z = np.empty_like(p)
+    z[~upper] = _solve_tail(fit, p[~upper], upper=False)
+    z[upper] = _solve_tail(fit, 1.0 - p[upper], upper=True)
+    return z
+
+
+def _solve_tail(fit, q, upper):
+    """z with F(z) = q, F = sf_z if `upper` else cdf_z.
+
+    The bracket is the unit support of a bounded family, else [-1, 1]
+    doubled outward until it holds the root. Newton steps on log F - log q that leave the bracket become
+    bisections. An element stops when |F - q| <= 1e-12 q, or when no double
+    is left strictly inside its bracket.
+    """
+    family, shapes = fit.family, fit.shapes
+    sign = -1.0 if upper else 1.0  # sign * (F - q) increases with z
+    lo = np.full_like(q, 0.0 if family.bounded else -1.0)
+    hi = np.ones_like(q)
+    if not family.bounded:
+        for edge, inner, side in ((lo, hi, 1.0), (hi, lo, -1.0)):
+            idx = np.arange(q.size)
+            while idx.size:
+                f = _tail_z(family, shapes, edge[idx], upper)
+                idx = idx[side * sign * (f - q[idx]) > 0.0]
+                inner[idx] = edge[idx]
+                with np.errstate(over="ignore"):  # a root beyond +-DBL_MAX is +-inf
+                    edge[idx] *= 2.0
+
+    z = 0.5 * lo + 0.5 * hi
+    idx = np.arange(q.size)
+    for _ in range(_INVERSE_MAX_ITER):
+        if not idx.size:
             break
-    return 0.5 * (lo + hi)
-
-
-def _bisect_z(fit, probs, iters=200):
-    """Bracketed bisection for the standardized quantile at each prob."""
-    arr = np.asarray(probs, dtype=np.float64)
-    lo_s, hi_s = fit.family.support_z(fit.shapes)
-    if math.isfinite(lo_s):
-        lo = np.full_like(arr, lo_s)
-        hi = np.full_like(arr, hi_s)
-    else:
-        lo = np.full_like(arr, -1.0)
-        hi = np.full_like(arr, 1.0)
-        pmin = float(np.min(arr))
-        pmax = float(np.max(arr))
-        width = 1.0
-        for _ in range(80):
-            if fit.family.cdf_z(float(lo[0]), fit.shapes) <= pmin:
-                break
-            width *= 2.0
-            lo[:] = -width
-        width = 1.0
-        for _ in range(80):
-            if fit.family.cdf_z(float(hi[0]), fit.shapes) >= pmax:
-                break
-            width *= 2.0
-            hi[:] = width
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        below = fit.family.cdf_z(mid, fit.shapes) < arr
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.max(hi - lo) <= 1e-14 * max(1.0, float(np.max(np.abs(mid)))):
-            break
-    return lo, hi
-
-
-_GRID_EPS = 2.0**-53
-_tails = np.geomspace(1e-17, 0.5, 48)
-_QUANTILE_GRID = np.unique(
-    np.clip(np.concatenate([_tails, (1.0 - _tails)[::-1]]), _GRID_EPS, 1.0 - _GRID_EPS)
-)
+        zi, qi = z[idx], q[idx]
+        f = _tail_z(family, shapes, zi, upper)
+        below = sign * (f - qi) < 0.0
+        lo[idx[below]] = zi[below]
+        hi[idx[~below]] = zi[~below]
+        loi, hii = lo[idx], hi[idx]
+        with np.errstate(all="ignore"):
+            step = zi - sign * np.log(f / qi) * f / np.exp(family.logpdf_z(zi, shapes))
+        step = np.where(np.isfinite(step) & (step > loi) & (step < hii), step, 0.5 * loi + 0.5 * hii)
+        active = (np.abs(f - qi) > _INVERSE_RTOL * qi) & (step > loi) & (step < hii)
+        idx = idx[active]
+        z[idx] = step[active]
+    return z
 
 
 def quantile(fit, p):
-    """Inverse CDF: guaranteed-bracketed bisection, Newton-accelerated.
-
-    A coarse probability grid is inverted by pure bisection; each requested
-    probability is then seeded inside its grid bracket and polished with
-    safeguarded Newton steps (a step leaving the bracket degrades to a
-    bisection step). Stops at 1e-12 in probability.
-    """
+    """Inverse CDF, to 1e-12 relative in the smaller of p and 1 - p
+    (`_inverse_z`)."""
     arr = np.atleast_1d(np.asarray(p, dtype=np.float64))
-    if np.any((arr <= 0.0) | (arr >= 1.0)):
+    if not np.all((arr > 0.0) & (arr < 1.0)):
         raise NumericError("quantile requires 0 < p < 1")
-    gp = _QUANTILE_GRID
-    glo, ghi = _bisect_z(fit, gp)
-    gz = 0.5 * (glo + ghi)
-    k = np.clip(np.searchsorted(gp, arr), 1, gp.size - 1)
-    lo = gz[k - 1].copy()
-    hi = gz[k].copy()
-    plo = gp[k - 1]
-    phi = gp[k]
-    x = lo + (hi - lo) * ((arr - plo) / (phi - plo))
-    for _ in range(90):
-        f = fit.family.cdf_z(x, fit.shapes)
-        err = f - arr
-        if np.max(np.abs(err)) <= 1e-12:
-            break
-        lo = np.where(err < 0, x, lo)
-        hi = np.where(err > 0, x, hi)
-        with np.errstate(all="ignore"):
-            xn = x - err / np.exp(fit.family.logpdf_z(x, fit.shapes))
-        bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
-        x = np.where(bad, 0.5 * (lo + hi), xn)
-    out = fit.loc + fit.scale * x
+    out = fit.loc + fit.scale * _inverse_z(fit, arr.ravel()).reshape(arr.shape)
     return float(out[0]) if np.ndim(p) == 0 else out
 
 
@@ -540,10 +508,17 @@ class SimplexResult:
     iterations: int
 
 
-def nelder_mead(fn, x0, max_iter=5000, ftol_rel=1e-8, xtol=1e-6):
+_NM_MAX_ITER = 5000
+_NM_FTOL_REL = 1e-8
+_NM_XTOL = 1e-6
+_FIT_STARTS = 3  # the moment start plus two jittered ones
+
+
+def nelder_mead(fn, x0):
     """Plain simplex search (reflection 1, expansion 2, contraction 0.5,
-    shrink 0.5). Converged when both the relative objective spread and the
-    vertex spread fall under the documented tolerances."""
+    shrink 0.5). Converged when the objective spread falls under
+    _NM_FTOL_REL relative and the vertex spread under _NM_XTOL relative,
+    within _NM_MAX_ITER iterations."""
     x0 = np.asarray(x0, dtype=np.float64)
     n = x0.size
     simplex = [x0]
@@ -556,14 +531,14 @@ def nelder_mead(fn, x0, max_iter=5000, ftol_rel=1e-8, xtol=1e-6):
     fvals = np.array([fn(v) for v in simplex])
     iterations = 0
     converged = False
-    while iterations < max_iter:
+    while iterations < _NM_MAX_ITER:
         order = np.argsort(fvals, kind="stable")
         simplex = simplex[order]
         fvals = fvals[order]
         fspread = abs(fvals[-1] - fvals[0])
         xspread = np.max(np.abs(simplex[1:] - simplex[0]), axis=0)
-        if fspread <= ftol_rel * (abs(fvals[0]) + 1e-12) and np.all(
-            xspread <= xtol * (1.0 + np.abs(simplex[0]))
+        if fspread <= _NM_FTOL_REL * (abs(fvals[0]) + 1e-12) and np.all(
+            xspread <= _NM_XTOL * (1.0 + np.abs(simplex[0]))
         ):
             converged = True
             break
@@ -639,7 +614,7 @@ def _jitter_start(family, theta0, data, eta):
     return theta
 
 
-def fit_mle(family, data, fitting_seed=0, max_iter=5000, restarts=3):
+def fit_mle(family, data, fitting_seed=0):
     """Maximum-likelihood fit of one family.
 
     Non-convergence is reported through the `converged` flag, never raised.
@@ -665,16 +640,16 @@ def fit_mle(family, data, fitting_seed=0, max_iter=5000, restarts=3):
     nll = lambda theta: _penalized_nll(family, arr, theta)
     rng = SeededRng(fitting_seed, domain=DOMAIN_FIT)
     starts = [theta0]
-    for _ in range(max(0, restarts - 1)):
+    for _ in range(_FIT_STARTS - 1):
         eta = rng.standard_normal(theta0.size)
         starts.append(_jitter_start(family, theta0, arr, eta))
     best = None
     for start in starts:
-        result = nelder_mead(nll, start, max_iter=max_iter)
+        result = nelder_mead(nll, start)
         if not result.converged:
             # a fresh simplex at the found point usually collapses the
             # flat-ridge tumbling that Johnson-family likelihoods cause
-            polish = nelder_mead(nll, result.x, max_iter=max_iter)
+            polish = nelder_mead(nll, result.x)
             if polish.fval <= result.fval:
                 result = polish
         if best is None or result.fval < best.fval:

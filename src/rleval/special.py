@@ -12,6 +12,8 @@ gamma/beta 1e-10; Owen's T 1e-10. erfc, Phi, 1 - Phi and log Phi return
 their limits at +-inf and NaN for NaN.
 """
 
+import contextlib
+import ctypes
 import math
 
 import numpy as np
@@ -386,6 +388,9 @@ def reg_inc_beta(a, b, z):
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
+# T(h, a) is exactly 0.0 in doubles beyond h = 38.6: exp(-h^2 / 2) and
+# 1 - Phi(h) underflow. Clamping h there keeps h^2 and (a h)^2 finite.
+_OWENS_H_MAX = 40.0
 
 
 def _owens_quad(h, a):
@@ -406,7 +411,7 @@ def owens_t(h, a):
     a_arr, a_scalar = _wrap(a)
     scalar = h_scalar and a_scalar
     hh, aa = np.broadcast_arrays(np.atleast_1d(h_arr), np.atleast_1d(a_arr))
-    hh = np.abs(hh.astype(np.float64))
+    hh = np.minimum(np.abs(hh.astype(np.float64)), _OWENS_H_MAX)
     sign = np.sign(aa)
     av = np.abs(aa.astype(np.float64))
     out = np.empty_like(hh)
@@ -462,6 +467,58 @@ def kolmogorov_sf(x):
 
 _RESCALE = 1e140
 
+# OpenBLAS thread-count entry points under the names the numpy wheels and
+# system builds export them.
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+_blas_threads = []
+
+
+def _blas_thread_controls():
+    """(get, set) for numpy's OpenBLAS thread count, or None elsewhere."""
+    if not _blas_threads:
+        found = None
+        try:
+            # dlsym on numpy's core module also searches the BLAS it links.
+            core = getattr(np, "_core", None) or np.core
+            lib = ctypes.CDLL(core._multiarray_umath.__file__)
+        except (AttributeError, OSError):
+            lib = None
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS if lib else ():
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get_fn, set_fn = getattr(lib, get_name), getattr(lib, set_name)
+                get_fn.restype = ctypes.c_int
+                set_fn.argtypes = [ctypes.c_int]
+                found = (get_fn, set_fn)
+                break
+        _blas_threads.append(found)
+    return _blas_threads[0]
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Run the block with the BLAS on one thread, then restore its count.
+
+    The KS band matrices have at most 1200 rows (a few hundred at
+    n = 10000), where a second BLAS thread gains little and a cold or
+    CPU-contended thread pool made the exact p-value up to ten times
+    slower. Not safe against BLAS calls from concurrent threads.
+    """
+    controls = _blas_thread_controls()
+    if controls is None:
+        yield
+        return
+    get_fn, set_fn = controls
+    before = get_fn()
+    set_fn(1)
+    try:
+        yield
+    finally:
+        set_fn(before)
+
 
 def _rescale(mat, exp10):
     peak = np.max(np.abs(mat))
@@ -500,16 +557,17 @@ def _ks_exact_cdf(n, d):
     base = H
     exp_b = 0
     power = n
-    while power:
-        if power & 1:
-            result = result @ base
-            exp_r += exp_b
-            result, exp_r = _rescale(result, exp_r)
-        power >>= 1
-        if power:
-            base = base @ base
-            exp_b *= 2
-            base, exp_b = _rescale(base, exp_b)
+    with _single_threaded_blas():
+        while power:
+            if power & 1:
+                result = result @ base
+                exp_r += exp_b
+                result, exp_r = _rescale(result, exp_r)
+            power >>= 1
+            if power:
+                base = base @ base
+                exp_b *= 2
+                base, exp_b = _rescale(base, exp_b)
     s = result[k - 1, k - 1]
     for j in range(1, n + 1):
         s *= j / n

@@ -120,6 +120,22 @@ class TestAnalyze:
             assert a == (workspace / "b2" / rel).read_bytes(), rel
             assert a == (workspace / "b3" / rel).read_bytes(), rel
 
+    def test_duplicate_run_exit_1(self, workspace, capsys):
+        paths = _run_paths(workspace)
+        bundle = workspace / "dup"
+        code = main([
+            "analyze", str(workspace / "config.yaml"), paths[0], *paths[:-1],
+            "--seed", "7", "--resamples", "500", "--families", "normal",
+            "--out", str(bundle),
+        ])
+        assert code == 1
+        assert "'synth-00'" in capsys.readouterr().err
+        assert not bundle.exists()
+        code = main(["curves", str(workspace / "config.yaml"), paths[0], *paths[:-1],
+                     "--out", str(workspace / "dup_curves")])
+        assert code == 1
+        assert not (workspace / "dup_curves").exists()
+
     def test_run_count_mismatch_exit_1(self, workspace):
         code = main([
             "analyze", str(workspace / "config.yaml"), _run_paths(workspace)[0],

@@ -96,6 +96,20 @@ class TestStructure:
         ps = np.arange(0.01, 1.0, 0.01)
         assert np.max(np.abs(D.cdf(fit, D.quantile(fit, ps)) - ps)) <= 1e-8
 
+    # skewnorm is left out: its cdf, Phi(z) - 2 T(z, a), cancels in the lower
+    # tail (0.17 relative error at p = 1e-15), and the quantile solves
+    # against that cdf.
+    @pytest.mark.parametrize(
+        "name", ["normal", "beta", "johnsonsb", "johnsonsu", "loggamma", "powernorm"]
+    )
+    def test_quantile_tail_roundtrip(self, name):
+        fit, _ = _pair(name)
+        for p in np.geomspace(1e-15, 1e-3, 13):
+            assert abs(D.cdf(fit, D.quantile(fit, p)) - p) <= 1e-11 * p
+            upper = 1.0 - p
+            exact_sf = 1.0 - upper
+            assert abs(D.survival(fit, D.quantile(fit, upper)) - exact_sf) <= 1e-11 * exact_sf
+
     @pytest.mark.parametrize("name", sorted(REFERENCE))
     def test_pdf_integrates_to_one(self, name):
         fit, ref = _pair(name)

@@ -2,6 +2,7 @@
 plus the structural invariants (monotonicity, symmetry, complementarity)."""
 
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,17 @@ class TestOwensT:
         for h, a in [(0.3, 0.9), (1.7, 2.4), (2.2, 0.1)]:
             assert abs(sp.owens_t(-h, a) - sp.owens_t(h, a)) <= 1e-12
             assert abs(sp.owens_t(h, -a) + sp.owens_t(h, a)) <= 1e-12
+
+    @pytest.mark.parametrize("a", [2.0, 0.5])
+    def test_huge_h_vs_scipy(self, a):
+        scipy_special = pytest.importorskip("scipy.special")
+        h = np.array([np.inf, -np.inf, 1e300, -1e155, 45.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mine = sp.owens_t(h, a)
+        ref = scipy_special.owens_t(h, a)
+        assert np.array_equal(mine[:5], ref[:5])
+        assert abs(mine[5] - ref[5]) <= 1e-12
 
 
 class TestKolmogorov:
