@@ -5,12 +5,23 @@ loggamma, powernorm, skewnorm. Parameters follow the (shape(s), loc,
 scale) convention, z = (x - loc) / scale throughout, so published
 parameter rows in that convention load directly.
 
-Fitting is a penalized Nelder-Mead search over (shapes, loc, scale) from
-three starts: the moment-based initializer and two jitters of it. A start
-whose simplex does not converge is searched again from a fresh simplex at
-the point it reached. Out-of-support data points contribute a large finite
-penalty scaled by the violation distance, which steers the simplex back
-into feasibility instead of aborting.
+Fitting is a penalized Nelder-Mead search from three starts: the
+moment-based initializer and two jitters of it. A start whose simplex does
+not converge is searched again from a fresh simplex at the point it
+reached. Out-of-support data points contribute a large finite penalty
+scaled by the violation distance, which steers the simplex back into
+feasibility instead of aborting.
+
+The simplex runs in each family's search coordinates (`Family.to_search`
+and `from_search`, given the data's mean m and sd s), and the fit reports
+the decoded (shapes, loc, scale). Most families search their parameters
+as they are. Two have likelihoods that rise along curved ridges, where a
+simplex on the raw parameters runs out of iterations:
+
+- johnsonsu searches (a/b, 1/b, (mean - m)/s, log(sd/s)), with the
+  distribution's closed-form mean and sd. Its normal limit b -> inf is the
+  finite point 1/b = 0, and its lognormal limit keeps a finite mean and sd.
+- beta searches (log a, log b, (loc - m)/s, log(scale/s)).
 """
 
 import dataclasses
@@ -58,6 +69,16 @@ class Family:
 
     def init_params(self, data):
         raise NotImplementedError
+
+    def to_search(self, theta, m, s):
+        """The point `fit_mle` searches at for parameters theta, given the
+        data's mean m and sd s. The identity unless a family overrides it."""
+        return theta
+
+    def from_search(self, t, m, s):
+        """Inverse of `to_search`; may return non-finite parameters, which
+        the fit's objective rejects."""
+        return t
 
     def __repr__(self):
         return f"Family({self.name})"
@@ -131,6 +152,15 @@ class Beta(Family):
         common = max(m * (1.0 - m) / max(v, 1e-12) - 1.0, 0.2)
         return (max(m * common, 0.1), max((1.0 - m) * common, 0.1)), loc, scale
 
+    def to_search(self, theta, m, s):
+        a, b, loc, scale = theta
+        return np.array([math.log(a), math.log(b), (loc - m) / s, math.log(scale / s)])
+
+    def from_search(self, t, m, s):
+        with np.errstate(over="ignore"):
+            a, b, scale = np.exp([t[0], t[1], t[3]])
+        return np.array([a, b, m + s * t[2], s * scale])
+
 
 class JohnsonSB(Family):
     name = "johnsonsb"
@@ -165,6 +195,16 @@ class JohnsonSB(Family):
         return (-float(np.mean(u)) * b, b), loc, scale
 
 
+def _johnsonsu_moments(v, u):
+    """Mean and variance of the standardized Johnson SU with a = v/u and
+    b = 1/u: -e^(u^2/2) sinh v and expm1(u^2) (e^(u^2) cosh 2v + 1) / 2.
+    Overflow gives inf, or nan where it meets u = 0."""
+    with np.errstate(all="ignore"):
+        mean_z = -np.exp(0.5 * u * u) * np.sinh(v)
+        var_z = 0.5 * np.expm1(u * u) * (np.exp(u * u) * np.cosh(2.0 * v) + 1.0)
+    return mean_z, var_z
+
+
 class JohnsonSU(Family):
     name = "johnsonsu"
     shape_arity = 2
@@ -186,6 +226,10 @@ class JohnsonSU(Family):
         a, b = shapes
         return special.std_normal_sf(a + b * np.arcsinh(z))
 
+    def mean_z(self, shapes):
+        a, b = shapes
+        return float(_johnsonsu_moments(a / b, 1.0 / b)[0])
+
     def init_params(self, data):
         loc = float(np.median(data))
         scale = _iqr_scale(data)
@@ -193,6 +237,26 @@ class JohnsonSU(Family):
         spread = float(np.std(u)) or 1.0
         b = max(1.0 / spread, 0.1)
         return (-float(np.mean(u)) * b, b), loc, scale
+
+    # Search coordinates (v, u, mean', log sd') = (a/b, 1/b, (mean - m)/s,
+    # log(sd/s)), with the distribution's own mean and sd. The normal limit
+    # b -> inf is the point u = 0, and the likelihood is even in u, since
+    # (a, b) and (-a, -b) give one distribution.
+    def to_search(self, theta, m, s):
+        a, b, loc, scale = theta
+        mean_z, var_z = _johnsonsu_moments(a / b, 1.0 / b)
+        return np.array([
+            a / b, 1.0 / b, (loc + scale * mean_z - m) / s,
+            math.log(scale * math.sqrt(var_z) / s),
+        ])
+
+    def from_search(self, t, m, s):
+        v, u, mu, log_sd = t
+        u = abs(u)
+        mean_z, var_z = _johnsonsu_moments(v, u)
+        with np.errstate(all="ignore"):  # u = 0 decodes to b = inf
+            scale = s * np.exp(log_sd) / np.sqrt(var_z)
+            return np.array([v / u, 1.0 / u, m + s * mu - scale * mean_z, scale])
 
 
 class LogGamma(Family):
@@ -568,6 +632,8 @@ def nelder_mead(fn, x0):
 
 
 def _penalized_nll(family, data, theta):
+    if not np.all(np.isfinite(theta)):
+        return _INVALID_PENALTY
     k = family.shape_arity
     shapes = tuple(theta[:k])
     loc = theta[k]
@@ -637,7 +703,8 @@ def fit_mle(family, data, fitting_seed=0):
         raise NumericError(f"zero-variance data cannot be fit by {family.name}")
     shapes0, loc0, scale0 = family.init_params(arr)
     theta0 = np.array([*shapes0, loc0, scale0], dtype=np.float64)
-    nll = lambda theta: _penalized_nll(family, arr, theta)
+    m, s = float(np.mean(arr)), float(np.std(arr))
+    nll = lambda t: _penalized_nll(family, arr, family.from_search(t, m, s))
     rng = SeededRng(fitting_seed, domain=DOMAIN_FIT)
     starts = [theta0]
     for _ in range(_FIT_STARTS - 1):
@@ -645,7 +712,7 @@ def fit_mle(family, data, fitting_seed=0):
         starts.append(_jitter_start(family, theta0, arr, eta))
     best = None
     for start in starts:
-        result = nelder_mead(nll, start)
+        result = nelder_mead(nll, family.to_search(start, m, s))
         if not result.converged:
             # a fresh simplex at the found point usually collapses the
             # flat-ridge tumbling that Johnson-family likelihoods cause
@@ -654,11 +721,12 @@ def fit_mle(family, data, fitting_seed=0):
                 result = polish
         if best is None or result.fval < best.fval:
             best = result
+    theta = family.from_search(best.x, m, s)
     k = family.shape_arity
-    shapes = tuple(float(v) for v in best.x[:k])
-    loc = float(best.x[k])
-    scale = float(best.x[k + 1])
-    if scale <= 0.0 or not family.shapes_valid(shapes):
+    shapes = tuple(float(v) for v in theta[:k])
+    loc = float(theta[k])
+    scale = float(theta[k + 1])
+    if not np.all(np.isfinite(theta)) or scale <= 0.0 or not family.shapes_valid(shapes):
         raise NumericError(f"{family.name} fit ended outside the valid domain")
     if family.bounded:
         z = (arr - loc) / scale

@@ -1,4 +1,70 @@
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from rleval.distributions import FAMILY_NAMES, fit_mle
+from rleval.ingest import SynthSpec, synthesize_runs
+from rleval.metrics import run_average_return
+from rleval.pipeline import fitting_seed_for
+from rleval.resample import bootstrap_means
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+# The benchmark's fit-bound inputs (perfbench/workloads.py), rebuilt through
+# the library: the README quick-start spec, and ten one-run syntheses whose
+# plateaus are 60 + 40 * LN(0, 0.9). Both use data and analyze seed 7.
+WORKLOAD_SEED = 7
+WORKLOAD_RESAMPLES = 10000
+QUICKSTART_SPEC = {
+    "run_count": 10,
+    "total_steps": 150000,
+    "episode_steps": 100,
+    "start_level": 20.0,
+    "plateau_level": 135.0,
+    "ramp_steps": 60000,
+    "noise_scale": 25.0,
+}
+
+
+def _workload_runs(name, seed):
+    if name == "quickstart":
+        return synthesize_runs(SynthSpec.from_mapping(QUICKSTART_SPEC).validate(), seed)
+    rng = np.random.default_rng(seed)
+    plateaus = 60.0 + 40.0 * np.exp(0.9 * rng.standard_normal(10))
+    run_seeds = rng.integers(0, 2**32, size=10)
+    runs = []
+    for level, run_seed in zip(plateaus, run_seeds):
+        spec = {**QUICKSTART_SPEC, "run_count": 1, "plateau_level": round(float(level), 6)}
+        runs += synthesize_runs(SynthSpec.from_mapping(spec).validate(), int(run_seed))
+    return runs
+
+
+@pytest.fixture(scope="session")
+def workload_means():
+    """Bootstrap means that `analyze` fits on the quickstart and skewed-runs
+    benchmark inputs, keyed by workload name."""
+    return {
+        name: bootstrap_means(
+            [run_average_return(run) for run in _workload_runs(name, WORKLOAD_SEED)],
+            WORKLOAD_RESAMPLES,
+            seed=WORKLOAD_SEED,
+        ).means
+        for name in ("quickstart", "skewed-runs")
+    }
+
+
+@pytest.fixture(scope="session")
+def workload_fit(workload_means):
+    """workload_fit(workload, family): the fit `analyze` makes on those
+    means, computed once per session."""
+    cache = {}
+
+    def fit(workload, family):
+        if (workload, family) not in cache:
+            seed = fitting_seed_for(WORKLOAD_SEED, FAMILY_NAMES.index(family))
+            cache[workload, family] = fit_mle(family, workload_means[workload], fitting_seed=seed)
+        return cache[workload, family]
+
+    return fit

@@ -84,6 +84,13 @@ class TestStructure:
         )
         assert closed == pytest.approx(quad, abs=1e-9)
 
+    @pytest.mark.parametrize("shapes", [(12.79, 8.57), (-726.15, 68.20), (0.4, 2.5), (-1.3, 0.6)])
+    def test_johnsonsu_mean_closed_form(self, shapes):
+        family = D.get_family("johnsonsu")
+        closed = family.mean_z(shapes)
+        assert closed is not None
+        assert closed == pytest.approx(float(scipy_stats.johnsonsu.mean(*shapes)), rel=1e-12)
+
     @pytest.mark.parametrize("name", sorted(REFERENCE))
     def test_sf_cdf_complementary(self, name):
         fit, ref = _pair(name)
