@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 validation error, 2 numeric failure, 3 I/O error.
 """
 
 import argparse
+import hashlib
 import sys
 import warnings
 from pathlib import Path
@@ -60,16 +61,30 @@ def _read_config(path):
     return config
 
 
-def _load_runs(paths):
-    """Read the run logs; a run id (the file stem) may appear only once,
-    since a repeated run would be counted twice and share one curve file."""
-    runs = [read_run_log_path(p) for p in paths]
-    seen = set()
-    for run in runs:
-        if run.run_id in seen:
+def _load_runs(paths, config):
+    """Read the run logs. A run id (the file stem) may appear only once, and
+    two logs may not hold the same bytes: either way one run would be
+    counted twice. A sidecar `config_hash`, where present, must be the
+    config's."""
+    expected = config_hash(config)
+    runs, owners = {}, {}
+    for path in paths:
+        run = read_run_log_path(path)
+        digest = hashlib.sha256(Path(path).read_bytes()).digest()
+        if run.run_id in runs:
             raise ValidationError(f"run {run.run_id!r} is given more than once")
-        seen.add(run.run_id)
-    return runs
+        if digest in owners:
+            raise ValidationError(
+                f"runs {owners[digest]!r} and {run.run_id!r} have identical contents"
+            )
+        if run.config_hash is not None and run.config_hash != expected:
+            raise ValidationError(
+                f"run {run.run_id!r}: sidecar config_hash {run.config_hash} does not "
+                f"match the config's {expected}"
+            )
+        owners[digest] = run.run_id
+        runs[run.run_id] = run
+    return list(runs.values())
 
 
 def cmd_validate(args) -> int:
@@ -91,7 +106,7 @@ def cmd_validate(args) -> int:
 
 def cmd_curves(args) -> int:
     config = _read_config(args.config)
-    runs = _load_runs(args.runs)
+    runs = _load_runs(args.runs, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     curves = []
@@ -109,7 +124,7 @@ def cmd_curves(args) -> int:
 
 def cmd_analyze(args) -> int:
     config = _read_config(args.config)
-    runs = _load_runs(args.runs)
+    runs = _load_runs(args.runs, config)
     families = args.families.split(",") if args.families else list(FAMILY_NAMES)
     report = run_analysis(
         config,

@@ -136,6 +136,46 @@ class TestAnalyze:
         assert code == 1
         assert not (workspace / "dup_curves").exists()
 
+    def test_duplicate_content_exit_1(self, workspace, capsys):
+        paths = _run_paths(workspace)
+        twin = workspace / "elsewhere" / "twin-00.csv"
+        twin.parent.mkdir()
+        shutil.copyfile(paths[0], twin)
+        runs = [*paths[:-1], str(twin)]
+        bundle = workspace / "dup"
+        code = main(["analyze", str(workspace / "config.yaml"), *runs, "--seed", "7",
+                     "--resamples", "500", "--families", "normal", "--out", str(bundle)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'synth-00'" in err and "'twin-00'" in err
+        assert not bundle.exists()
+        code = main(["curves", str(workspace / "config.yaml"), *runs,
+                     "--out", str(workspace / "dup_curves")])
+        assert code == 1
+        assert "'twin-00'" in capsys.readouterr().err
+        assert not (workspace / "dup_curves").exists()
+
+    def test_sidecar_config_hash_mismatch_exit_1(self, workspace, capsys):
+        paths = _run_paths(workspace)
+        sidecar = Path(paths[0]).with_name("synth-00.meta.yaml")
+        meta = load_strict(sidecar.read_text())
+        config = str(workspace / "config.yaml")
+        assert main(["validate", config]) == 0
+        digest = capsys.readouterr().out.split()[0]
+        sidecar.write_text(dump_canonical({**meta, "config_hash": digest}))
+        assert main(["curves", config, *paths, "--out", str(workspace / "ok")]) == 0
+        sidecar.write_text(dump_canonical({**meta, "config_hash": "ab" * 32}))
+        bundle = workspace / "mismatch"
+        code = main(["analyze", config, *paths[:-1], "--seed", "7", "--resamples", "500",
+                     "--families", "normal", "--out", str(bundle)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'synth-00'" in err and "ab" * 32 in err and digest in err
+        assert not bundle.exists()
+        code = main(["curves", config, *paths, "--out", str(workspace / "mismatch_curves")])
+        assert code == 1
+        assert not (workspace / "mismatch_curves").exists()
+
     def test_run_count_mismatch_exit_1(self, workspace):
         code = main([
             "analyze", str(workspace / "config.yaml"), _run_paths(workspace)[0],

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from rleval import distributions as D
 from rleval import special
 from rleval.errors import NumericError, ValidationError
@@ -90,6 +91,14 @@ class TestStructure:
         closed = family.mean_z(shapes)
         assert closed is not None
         assert closed == pytest.approx(float(scipy_stats.johnsonsu.mean(*shapes)), rel=1e-12)
+
+    @pytest.mark.parametrize("shapes", [
+        (0.0, 0.3), (0.5, 0.1), (5.0, 0.05), (0.3, 0.02), (-1.62, 2.71), (1.0, 2.0),
+        (3.0, 10.0), (-50.0, 100.0),
+    ])
+    def test_johnsonsb_mean_vs_oracle(self, shapes):
+        fit = D.make_fit("johnsonsb", *shapes, 0.0, 1.0)
+        assert D.mean(fit) == pytest.approx(oracles.johnsonsb_mean_ref(*shapes), abs=1e-15)
 
     @pytest.mark.parametrize("name", sorted(REFERENCE))
     def test_sf_cdf_complementary(self, name):

@@ -215,6 +215,14 @@ class TestOwensT:
         assert abs(mine[5] - ref[5]) <= 1e-12
 
 
+def _at_tail_switch(n):
+    """The smallest d with sqrt(n) d >= the KS tail switch, as computed."""
+    d = sp._KS_TAIL_X0 / math.sqrt(n)
+    while math.sqrt(n) * d < sp._KS_TAIL_X0:
+        d = math.nextafter(d, 1.0)
+    return d
+
+
 class TestKolmogorov:
     def test_sf_at_zero(self):
         assert sp.kolmogorov_sf(0.0) == 1.0
@@ -243,6 +251,31 @@ class TestKolmogorov:
         ds = np.linspace(0.001, 0.2, 60)
         ps = [sp.ks_one_sample_pvalue(float(d), 500) for d in ds]
         assert all(a >= b - 1e-12 for a, b in zip(ps, ps[1:]))
+        # n = 10000, with pairs of neighbours at the tail switch and at
+        # sqrt(n) d = 3.2, where an asymptotic hand-off would jump by 2.6%
+        at = _at_tail_switch(10000)
+        pairs = [at * (1 - 1e-12), at, 0.032, math.nextafter(0.032, 1.0)]
+        ds = np.sort(np.concatenate((np.linspace(0.015, 0.035, 41), pairs)))
+        ps = [sp.ks_one_sample_pvalue(float(d), 10000) for d in ds]
+        assert all(a >= b - 1e-12 for a, b in zip(ps, ps[1:]))
+
+    def test_tail_vs_twice_smirnov(self):
+        smirnov = pytest.importorskip("scipy.special").smirnov
+        for n in (10, 20, 50, 100, 1000, 10000):
+            for d in np.linspace(_at_tail_switch(n), 8.0 / math.sqrt(n), 40):
+                if d < 1.0:
+                    ref = 2.0 * float(smirnov(n, d))
+                    got = sp.ks_one_sample_pvalue(float(d), n)
+                    assert got == pytest.approx(ref, rel=1e-10, abs=0.0), (n, d)
+
+    @pytest.mark.parametrize("n", [100, 1000, 10000])
+    def test_continuous_at_tail_switch(self, n):
+        at = _at_tail_switch(n)
+        below = at * (1 - 1e-12)
+        assert math.sqrt(n) * below < sp._KS_TAIL_X0
+        assert sp.ks_one_sample_pvalue(below, n) == pytest.approx(
+            sp.ks_one_sample_pvalue(at, n), rel=1e-9, abs=0.0
+        )
 
     def test_extremes(self):
         assert sp.ks_one_sample_pvalue(0.0, 10) == 1.0
