@@ -19,13 +19,7 @@ from . import __version__
 from ._fmt import fmt_shortest
 from ._yamlio import dump_canonical, load_strict
 from .config import config_hash, parse_config
-from .distributions import (
-    FAMILY_NAMES,
-    fit_from_record,
-    fit_mle,
-    fit_record,
-    with_gof,
-)
+from .distributions import FAMILY_NAMES, fit_from_record, fit_record
 from .errors import ConfigWarning, NumericError, RlevalError, ValidationError
 from .inference import make_verdict
 from .ingest import SynthSpec, read_run_log_path, synthesize_runs, write_run_dir
@@ -37,7 +31,7 @@ from .metrics import (
     write_band_csv,
     write_curve_csv,
 )
-from .pipeline import run_analysis
+from .pipeline import fit_family, run_analysis
 from .report import emit_bundle, render_probability_table, render_summary_table
 from .resample import read_means_csv
 
@@ -152,9 +146,7 @@ def cmd_analyze(args) -> int:
 def cmd_fit(args) -> int:
     with open(args.means, "r", encoding="utf-8") as fh:
         means = read_means_csv(fh)
-    fit = fit_mle(args.family, means, fitting_seed=args.seed)
-    fit = with_gof(fit, means, mode=args.ks_mode)
-    record = fit_record(fit)
+    record = fit_record(fit_family(args.family, means, args.seed, args.ks_mode))
     for key, value in record.items():
         if isinstance(value, list):
             value = "[" + ", ".join(fmt_shortest(v) for v in value) + "]"
@@ -264,8 +256,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except NumericError as exc:
         return _fail("numeric", str(exc), EXIT_NUMERIC)
-    except ValidationError as exc:
-        return _fail("validation", str(exc), EXIT_VALIDATION)
     except RlevalError as exc:
         return _fail("validation", str(exc), EXIT_VALIDATION)
     except OSError as exc:

@@ -6,11 +6,11 @@ scale) convention, z = (x - loc) / scale throughout, so published
 parameter rows in that convention load directly.
 
 Fitting is a penalized Nelder-Mead search from three starts: the
-moment-based initializer and two jitters of it. A start whose simplex does
-not converge is searched again from a fresh simplex at the point it
-reached. Out-of-support data points contribute a large finite penalty
-scaled by the violation distance, which steers the simplex back into
-feasibility instead of aborting.
+moment-based initializer and two jitters of it, one simplex each; the fit
+reports the best of the three and whether its simplex converged.
+Out-of-support data points contribute a large finite penalty scaled by
+the violation distance, which steers the simplex back into feasibility
+instead of aborting.
 
 The simplex runs in each family's search coordinates (`Family.to_search`
 and `from_search`, given the data's mean m and sd s), and the fit reports
@@ -287,11 +287,23 @@ class LogGamma(Family):
         c = shapes[0]
         return c * z - np.exp(z) - math.lgamma(c)
 
+    # Below this z, e^z < 1e-300 and P(c, e^z) = e^(c z) / Gamma(c + 1) to
+    # double precision; evaluated in z, it neither underflows with e^z nor
+    # meets the incomplete gamma series' 1e-300 floor on x.
+    _TINY_Z = math.log(1e-300)
+
+    def _log_tiny_cdf(self, z, c):
+        return np.minimum(z, self._TINY_Z) * c - math.lgamma(c + 1.0)
+
     def cdf_z(self, z, shapes):
-        return special.reg_inc_gamma_lower(shapes[0], np.exp(z))
+        c = shapes[0]
+        tail = np.exp(self._log_tiny_cdf(z, c))
+        return np.where(z < self._TINY_Z, tail, special.reg_inc_gamma_lower(c, np.exp(z)))
 
     def sf_z(self, z, shapes):
-        return special.reg_inc_gamma_upper(shapes[0], np.exp(z))
+        c = shapes[0]
+        tail = -np.expm1(self._log_tiny_cdf(z, c))
+        return np.where(z < self._TINY_Z, tail, special.reg_inc_gamma_upper(c, np.exp(z)))
 
     def init_params(self, data):
         # Profile a few shape candidates; psi/psi' are approximated, the
@@ -729,12 +741,6 @@ def fit_mle(family, data, fitting_seed=0):
     best = None
     for start in starts:
         result = nelder_mead(nll, family.to_search(start, m, s))
-        if not result.converged:
-            # a fresh simplex at the found point usually collapses the
-            # flat-ridge tumbling that Johnson-family likelihoods cause
-            polish = nelder_mead(nll, result.x)
-            if polish.fval <= result.fval:
-                result = polish
         if best is None or result.fval < best.fval:
             best = result
     theta = family.from_search(best.x, m, s)

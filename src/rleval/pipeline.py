@@ -1,9 +1,12 @@
 """End-to-end analysis: exclusions, curves, averages, bootstrap, normality,
 fits, KS, verdicts, report.
 
-Every stage runs serially in one thread; family fits run in family order.
-Every random draw derives from the one master seed: the bootstrap uses it
-directly, each family's fitting seed mixes the family index into it.
+Every stage runs serially in one thread; family fits run in the order
+given. Every random draw derives from the one master seed: the bootstrap
+uses it directly, and each family's fitting seed mixes the family's index
+in FAMILY_NAMES into it, so a family's fit does not depend on which other
+families are fitted or in which order (`fit_family`, which `rleval fit`
+calls too).
 """
 
 from .config import config_hash
@@ -24,8 +27,16 @@ from .rng import splitmix64, validate_seed
 
 
 def fitting_seed_for(master_seed: int, family_index: int) -> int:
-    """Per-family fitting seed; mixing keeps cells independent of ordering."""
+    """Fitting seed of the family at `family_index` in FAMILY_NAMES."""
     return splitmix64(master_seed ^ (0xF17 + family_index))
+
+
+def fit_family(name, means, seed: int, ks_mode: str = "exact"):
+    """The fit of family `name` to `means` under master seed `seed`, with its
+    KS statistic and p-value."""
+    validate_seed(seed)
+    seed = fitting_seed_for(seed, FAMILY_NAMES.index(get_family(name).name))
+    return with_gof(fit_mle(name, means, fitting_seed=seed), means, mode=ks_mode)
 
 
 def run_analysis(
@@ -68,14 +79,7 @@ def run_analysis(
     )
     normality = dagostino_pearson(boot.means, alpha=alpha)
 
-    fits = tuple(
-        with_gof(
-            fit_mle(name, boot.means, fitting_seed=fitting_seed_for(seed, index)),
-            boot.means,
-            mode=ks_mode,
-        )
-        for index, name in enumerate(families)
-    )
+    fits = tuple(fit_family(name, boot.means, seed, ks_mode) for name in families)
 
     verdicts = ()
     if reported is not None:

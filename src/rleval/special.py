@@ -126,24 +126,18 @@ def _calerf(y, scaled):
 def erfc(x):
     """Complementary error function, vector-capable."""
     arr, scalar = _wrap(x)
-    if scalar:
-        return math.erfc(float(arr))
     pos = _calerf(np.abs(arr), scaled=False)
-    return np.where(arr < 0, 2.0 - pos, pos)
+    return _unwrap(np.where(arr < 0, 2.0 - pos, pos), scalar)
 
 
 def std_normal_cdf(x):
     """Phi(x) = erfc(-x / sqrt(2)) / 2; complementary form, no cancellation."""
-    arr, scalar = _wrap(x)
-    res = 0.5 * erfc(-arr * _SQRT1_2) if not scalar else 0.5 * math.erfc(-float(arr) * _SQRT1_2)
-    return _unwrap(np.asarray(res), scalar)
+    return 0.5 * erfc(-np.asarray(x, dtype=np.float64) * _SQRT1_2)
 
 
 def std_normal_sf(x):
     """1 - Phi(x), computed as Phi(-x)."""
-    arr, scalar = _wrap(x)
-    res = 0.5 * erfc(arr * _SQRT1_2) if not scalar else 0.5 * math.erfc(float(arr) * _SQRT1_2)
-    return _unwrap(np.asarray(res), scalar)
+    return 0.5 * erfc(np.asarray(x, dtype=np.float64) * _SQRT1_2)
 
 
 def std_normal_logcdf(x):

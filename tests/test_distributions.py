@@ -26,6 +26,9 @@ REFERENCE = {
 }
 
 
+SMALL_C_LOGGAMMA = D.make_fit("loggamma", 0.01, 0.0, 1.0)
+
+
 def _pair(name):
     ref_cls, shapes, loc, scale = REFERENCE[name]
     return D.make_fit(name, *shapes, loc, scale), ref_cls(*shapes, loc=loc, scale=scale)
@@ -115,16 +118,34 @@ class TestStructure:
     # skewnorm is left out: its cdf, Phi(z) - 2 T(z, a), cancels in the lower
     # tail (0.17 relative error at p = 1e-15), and the quantile solves
     # against that cdf.
+    # loggamma-small-c's lower tail runs far below z = -745, where e^z
+    # underflows.
     @pytest.mark.parametrize(
-        "name", ["normal", "beta", "johnsonsb", "johnsonsu", "loggamma", "powernorm"]
+        "name",
+        ["normal", "beta", "johnsonsb", "johnsonsu", "loggamma", "powernorm", "loggamma-small-c"],
     )
     def test_quantile_tail_roundtrip(self, name):
-        fit, _ = _pair(name)
+        fit = SMALL_C_LOGGAMMA if name == "loggamma-small-c" else _pair(name)[0]
         for p in np.geomspace(1e-15, 1e-3, 13):
             assert abs(D.cdf(fit, D.quantile(fit, p)) - p) <= 1e-11 * p
             upper = 1.0 - p
             exact_sf = 1.0 - upper
             assert abs(D.survival(fit, D.quantile(fit, upper)) - exact_sf) <= 1e-11 * exact_sf
+
+    @pytest.mark.parametrize("c", [0.01, 0.1])
+    def test_loggamma_deep_lower_tail(self, c):
+        # where e^z < 1e-300, P(c, e^z) = e^(c z) / Gamma(c + 1) to double
+        # precision
+        import mpmath as mp
+
+        fit = D.make_fit("loggamma", c, 0.0, 1.0)
+        for z in (-650.0, -700.0, -800.0, -3000.0):
+            ref = mp.exp(mp.mpf(c) * z - mp.loggamma(mp.mpf(c) + 1))
+            assert D.cdf(fit, z) == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+            assert D.survival(fit, z) == pytest.approx(float(1 - ref), rel=1e-13, abs=0.0)
+        assert D.quantile(fit, 1e-15) == pytest.approx(
+            float((mp.log(mp.mpf(1e-15)) + mp.loggamma(mp.mpf(c) + 1)) / c), rel=1e-12
+        )
 
     @pytest.mark.parametrize("name", sorted(REFERENCE))
     def test_pdf_integrates_to_one(self, name):

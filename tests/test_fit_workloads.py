@@ -1,14 +1,21 @@
 """Maximum-likelihood fits on the bootstrap means of the benchmark's
 quickstart and skewed-runs inputs (the `workload_fit` fixture): each fit
 reaches scipy's maximum, the families with a normal limit reach the normal
-fit, and the families fitted in their raw parameters do not move."""
+fit, no fit moves, and `analyze` and `fit` make the same fit of a family
+whichever other families they are asked for."""
 
 import warnings
 
 import numpy as np
 import pytest
 
+from conftest import WORKLOAD_SEED, _workload_runs
 from rleval import distributions as D
+from rleval._yamlio import dump_canonical
+from rleval.cli import main
+from rleval.config import parse_config
+from rleval.pipeline import run_analysis
+from rleval.resample import write_means_csv
 
 scipy_stats = pytest.importorskip("scipy.stats")
 
@@ -47,42 +54,192 @@ def test_fit_reaches_normal_limit(workload, family, workload_fit):
     assert workload_fit(workload, family).log_likelihood >= normal.log_likelihood - LL_TOL
 
 
-# fit_record of the quickstart fits before the search coordinates were
-# added; families searched in their own (shapes, loc, scale) must not move.
-QUICKSTART_RECORDS = {
-    "normal": {
-        "family": "normal",
-        "parameters": [112.27157587810578, 0.23096873170577206],
-        "log_likelihood": 465.3440499881417,
-        "converged": True,
+# fit_record of every family's fit on both inputs, recorded before the
+# restart polish was deleted from fit_mle (it never ran on these inputs):
+# the fits must not move.
+WORKLOAD_RECORDS = {
+    "quickstart": {
+        "normal": {
+            "family": "normal",
+            "parameters": [
+                112.27157587810578, 0.23096873170577206,
+            ],
+            "log_likelihood": 465.3440499881417,
+            "converged": True,
+        },
+        "beta": {
+            "family": "beta",
+            "parameters": [
+                149.72612809555653, 228.48021558450657, 108.63061694956143, 9.197017287509768,
+            ],
+            "log_likelihood": 466.9931096438704,
+            "converged": True,
+        },
+        "johnsonsb": {
+            "family": "johnsonsb",
+            "parameters": [
+                3.5736456192189205, 10.984047023218542, 107.892423005507, 10.438114392513706,
+            ],
+            "log_likelihood": 466.99184017839434,
+            "converged": True,
+        },
+        "johnsonsu": {
+            "family": "johnsonsu",
+            "parameters": [
+                -726.1463783093612, 68.1990988635488, 96.52054015322308, 0.0007484527497837408,
+            ],
+            "log_likelihood": 466.94206959736766,
+            "converged": True,
+        },
+        "loggamma": {
+            "family": "loggamma",
+            "parameters": [
+                133259.19806255336, -883.5690716529782, 84.39293318233962,
+            ],
+            "log_likelihood": 465.1306390163736,
+            "converged": True,
+        },
+        "powernorm": {
+            "family": "powernorm",
+            "parameters": [
+                0.810436428063868, 112.22901535849743, 0.21665605693222806,
+            ],
+            "log_likelihood": 466.8763717606653,
+            "converged": True,
+        },
+        "skewnorm": {
+            "family": "skewnorm",
+            "parameters": [
+                0.6230799816881163, 112.16408153821311, 0.25475789964827744,
+            ],
+            "log_likelihood": 466.8886383701047,
+            "converged": True,
+        },
     },
-    "johnsonsb": {
-        "family": "johnsonsb",
-        "parameters": [3.5736456192189205, 10.984047023218542, 107.892423005507, 10.438114392513706],
-        "log_likelihood": 466.99184017839434,
-        "converged": True,
-    },
-    "loggamma": {
-        "family": "loggamma",
-        "parameters": [133259.19806255336, -883.5690716529782, 84.39293318233962],
-        "log_likelihood": 465.1306390163736,
-        "converged": True,
-    },
-    "powernorm": {
-        "family": "powernorm",
-        "parameters": [0.810436428063868, 112.22901535849743, 0.21665605693222806],
-        "log_likelihood": 466.8763717606653,
-        "converged": True,
-    },
-    "skewnorm": {
-        "family": "skewnorm",
-        "parameters": [0.6230799816881163, 112.16408153821311, 0.25475789964827744],
-        "log_likelihood": 466.8886383701047,
-        "converged": True,
+    "skewed-runs": {
+        "normal": {
+            "family": "normal",
+            "parameters": [
+                84.59925276367215, 8.19673696753692,
+            ],
+            "log_likelihood": -35226.74677491233,
+            "converged": True,
+        },
+        "beta": {
+            "family": "beta",
+            "parameters": [
+                3.274145242326592, 14.155028726424295, 67.73615503129398, 89.77668578027256,
+            ],
+            "log_likelihood": -34616.87038962338,
+            "converged": True,
+        },
+        "johnsonsb": {
+            "family": "johnsonsb",
+            "parameters": [
+                1.6197851838319477, 1.4812882315372113, 66.78367876679778, 66.04586770803729,
+            ],
+            "log_likelihood": -34609.414875095055,
+            "converged": True,
+        },
+        "johnsonsu": {
+            "family": "johnsonsu",
+            "parameters": [
+                -45.50842786549189, 3.083846836160596, 59.31613398445621, 1.87235809644716e-05,
+            ],
+            "log_likelihood": -34709.19176527299,
+            "converged": True,
+        },
+        "loggamma": {
+            "family": "loggamma",
+            "parameters": [
+                210415.16160593642, -46145.93404983712, 3771.8163792220657,
+            ],
+            "log_likelihood": -35229.26818208709,
+            "converged": True,
+        },
+        "powernorm": {
+            "family": "powernorm",
+            "parameters": [
+                0.001608785007498534, 69.48221629346912, 0.48936317912968647,
+            ],
+            "log_likelihood": -34618.33927660152,
+            "converged": True,
+        },
+        "skewnorm": {
+            "family": "skewnorm",
+            "parameters": [
+                6.017182406766015, 73.59190652203722, 13.723999353482741,
+            ],
+            "log_likelihood": -34645.46402813385,
+            "converged": True,
+        },
     },
 }
 
 
-@pytest.mark.parametrize("family", sorted(QUICKSTART_RECORDS))
+@pytest.mark.parametrize("family", D.FAMILY_NAMES)
 def test_identity_search_fits_unchanged(family, workload_fit):
-    assert D.fit_record(workload_fit("quickstart", family)) == QUICKSTART_RECORDS[family]
+    for workload in WORKLOADS:
+        assert D.fit_record(workload_fit(workload, family)) == WORKLOAD_RECORDS[workload][family]
+
+
+CONFIG_TEXT = """\
+schema_version: 1
+name: quickstart
+algorithm: algos.ppo
+environment: envs.hopper
+logger: logs.csv
+tuned_params:
+  step_size: 0.0003
+fixed_params:
+  max_timesteps: 150000
+run_count: 10
+"""
+
+
+@pytest.fixture(scope="module")
+def quickstart_analysis():
+    """analysis(families): run_analysis on the quick-start runs with
+    `analyze --seed 7`'s settings, fitting `families`."""
+    config = parse_config(CONFIG_TEXT)
+    runs = _workload_runs("quickstart", WORKLOAD_SEED)
+    cache = {}
+
+    def analysis(families=D.FAMILY_NAMES):
+        if families not in cache:
+            cache[families] = run_analysis(config, runs, seed=WORKLOAD_SEED, families=families)
+        return cache[families]
+
+    return analysis
+
+
+def _records(report):
+    return {fit.family.name: D.fit_record(fit) for fit in report.fits}
+
+
+@pytest.mark.parametrize("families", [("johnsonsb",), ("skewnorm", "johnsonsb")])
+def test_fit_independent_of_family_selection(families, quickstart_analysis, workload_fit,
+                                             workload_means):
+    """A family's fit is the one `analyze` makes with all seven families,
+    whichever other families are fitted and in whichever order."""
+    means = workload_means["quickstart"]
+    full = _records(quickstart_analysis())
+    subset = quickstart_analysis(families)
+    assert np.array_equal(subset.bootstrap.means, means)
+    for name, record in _records(subset).items():
+        assert record == full[name]
+        assert record == D.fit_record(D.with_gof(workload_fit("quickstart", name), means))
+
+
+@pytest.mark.parametrize("family", ["beta", "johnsonsb"])
+def test_cli_fit_rederives_analyze_fit(family, quickstart_analysis, workload_means, tmp_path):
+    """`rleval fit --seed 7` on the bundle's means writes the record that
+    `analyze --seed 7` wrote for the same family."""
+    means = tmp_path / "means.csv"
+    with open(means, "w", encoding="utf-8", newline="\n") as fh:
+        write_means_csv(quickstart_analysis().bootstrap, fh)
+    out = tmp_path / "fit.yaml"
+    assert main(["fit", str(means), "--family", family, "--seed", str(WORKLOAD_SEED),
+                 "--out", str(out)]) == 0
+    expected = _records(quickstart_analysis())[family]
+    assert out.read_text(encoding="utf-8") == dump_canonical(expected)

@@ -98,6 +98,14 @@ def test_nonfinite_and_shapes(f):
     assert math.isnan(f(np.array(math.nan)))
 
 
+@pytest.mark.parametrize(
+    "f", [sp.erfc, sp.std_normal_cdf, sp.std_normal_sf], ids=lambda f: f.__name__
+)
+def test_scalar_equals_array_element(f):
+    xs = np.linspace(-38.0, 38.0, 20001)
+    assert np.array_equal([f(float(x)) for x in xs], f(xs))
+
+
 class TestErfc:
     def test_against_libm(self):
         xs = np.linspace(-9.0, 9.0, 2000)
