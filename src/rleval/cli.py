@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 validation error, 2 numeric failure, 3 I/O error.
 """
 
 import argparse
-import hashlib
 import sys
 import warnings
 from pathlib import Path
@@ -64,19 +63,18 @@ def _load_runs(paths, config):
     runs, owners = {}, {}
     for path in paths:
         run = read_run_log_path(path)
-        digest = hashlib.sha256(Path(path).read_bytes()).digest()
         if run.run_id in runs:
             raise ValidationError(f"run {run.run_id!r} is given more than once")
-        if digest in owners:
+        if run.sha256 in owners:
             raise ValidationError(
-                f"runs {owners[digest]!r} and {run.run_id!r} have identical contents"
+                f"runs {owners[run.sha256]!r} and {run.run_id!r} have identical contents"
             )
         if run.config_hash is not None and run.config_hash != expected:
             raise ValidationError(
                 f"run {run.run_id!r}: sidecar config_hash {run.config_hash} does not "
                 f"match the config's {expected}"
             )
-        owners[digest] = run.run_id
+        owners[run.sha256] = run.run_id
         runs[run.run_id] = run
     return list(runs.values())
 

@@ -179,14 +179,12 @@ def _parse_exclusions(doc):
     return tuple(out)
 
 
-def parse_config(text) -> ExperimentConfig:
+def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate one YAML config document.
 
     Unknown top-level keys are preserved on the config and reported as a
     ConfigWarning, never dropped.
     """
-    if hasattr(text, "read"):
-        text = text.read()
     doc = load_strict(text)
     if not isinstance(doc, dict):
         raise SchemaError("document", "top level must be a mapping")

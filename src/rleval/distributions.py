@@ -32,6 +32,7 @@ import numpy as np
 
 from . import special
 from .errors import NumericError, ValidationError
+from .resample import empirical_quantile
 from .rng import DOMAIN_FIT, SeededRng
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -44,12 +45,8 @@ class Family:
     """One parametric family; subclasses define the standardized (z) forms."""
 
     name = ""
-    shape_arity = 0
     shape_names: tuple = ()
     bounded = False  # True when support of z is the unit interval
-
-    def support_z(self, shapes):
-        return (0.0, 1.0) if self.bounded else (-math.inf, math.inf)
 
     def shapes_valid(self, shapes):
         return True
@@ -85,8 +82,6 @@ class Family:
 
 
 def _iqr_scale(data):
-    from .resample import empirical_quantile
-
     iqr = empirical_quantile(data, 0.75) - empirical_quantile(data, 0.25)
     if iqr > 0:
         return iqr / 1.349  # matches a normal sigma
@@ -122,7 +117,6 @@ class Normal(Family):
 
 class Beta(Family):
     name = "beta"
-    shape_arity = 2
     shape_names = ("a", "b")
     bounded = True
 
@@ -164,7 +158,6 @@ class Beta(Family):
 
 class JohnsonSB(Family):
     name = "johnsonsb"
-    shape_arity = 2
     shape_names = ("a", "b")
     bounded = True
 
@@ -223,7 +216,6 @@ def _johnsonsu_moments(v, u):
 
 class JohnsonSU(Family):
     name = "johnsonsu"
-    shape_arity = 2
     shape_names = ("a", "b")
 
     def shapes_valid(self, shapes):
@@ -277,7 +269,6 @@ class JohnsonSU(Family):
 
 class LogGamma(Family):
     name = "loggamma"
-    shape_arity = 1
     shape_names = ("c",)
 
     def shapes_valid(self, shapes):
@@ -326,7 +317,6 @@ class LogGamma(Family):
 
 class PowerNormal(Family):
     name = "powernorm"
-    shape_arity = 1
     shape_names = ("c",)
 
     def shapes_valid(self, shapes):
@@ -353,7 +343,6 @@ class PowerNormal(Family):
 
 class SkewNormal(Family):
     name = "skewnorm"
-    shape_arity = 1
     shape_names = ("a",)
 
     def logpdf_z(self, z, shapes):
@@ -433,9 +422,9 @@ class FittedDistribution:
     def __post_init__(self):
         if self.scale <= 0:
             raise ValidationError(f"scale must be positive, got {self.scale}")
-        if len(self.shapes) != self.family.shape_arity:
+        if len(self.shapes) != len(self.family.shape_names):
             raise ValidationError(
-                f"{self.family.name} takes {self.family.shape_arity} shape(s), "
+                f"{self.family.name} takes {len(self.family.shape_names)} shape(s), "
                 f"got {len(self.shapes)}"
             )
         if not self.family.shapes_valid(self.shapes):
@@ -451,7 +440,7 @@ class FittedDistribution:
 
 def make_fit(family, *params):
     family = get_family(family)
-    k = family.shape_arity
+    k = len(family.shape_names)
     if len(params) != k + 2:
         raise ValidationError(f"{family.name} needs {k + 2} parameters, got {len(params)}")
     return FittedDistribution(family, tuple(params[:k]), params[k], params[k + 1])
@@ -486,11 +475,13 @@ def survival(fit, x):
 
 def pdf(fit, x):
     z = _z(fit, x)
-    lo, hi = fit.family.support_z(fit.shapes)
-    inside = (z > lo) & (z < hi)
-    zi = np.clip(z, lo + 1e-300, hi - 1e-300 if math.isfinite(hi) else None)
+    if fit.family.bounded:
+        inside = (z > 0.0) & (z < 1.0)
+        z = np.clip(z, 1e-300, 1.0)
+    else:
+        inside = np.isfinite(z)
     with np.errstate(all="ignore"):
-        vals = np.exp(fit.family.logpdf_z(zi, fit.shapes)) / fit.scale
+        vals = np.exp(fit.family.logpdf_z(z, fit.shapes)) / fit.scale
     out = np.where(inside, vals, 0.0)
     return float(out) if np.ndim(x) == 0 else out
 
@@ -662,7 +653,7 @@ def nelder_mead(fn, x0):
 def _penalized_nll(family, data, theta):
     if not np.all(np.isfinite(theta)):
         return _INVALID_PENALTY
-    k = family.shape_arity
+    k = len(family.shape_names)
     shapes = tuple(theta[:k])
     loc = theta[k]
     scale = theta[k + 1]
@@ -672,12 +663,11 @@ def _penalized_nll(family, data, theta):
         bad = sum(abs(min(s, 0.0)) for s in shapes)
         return _INVALID_PENALTY * (1.0 + bad)
     z = (data - loc) / scale
-    lo, hi = family.support_z(shapes)
     penalty = 0.0
     if family.bounded:
-        below = np.maximum(lo - z, 0.0)
-        above = np.maximum(z - hi, 0.0)
-        outside = (z <= lo) | (z >= hi)
+        below = np.maximum(-z, 0.0)
+        above = np.maximum(z - 1.0, 0.0)
+        outside = (z <= 0.0) | (z >= 1.0)
         n_out = int(np.count_nonzero(outside))
         if n_out:
             penalty = _POINT_PENALTY * (n_out + float(np.sum(below + above)))
@@ -693,7 +683,7 @@ def _penalized_nll(family, data, theta):
 def _jitter_start(family, theta0, data, eta):
     theta = np.asarray(theta0, dtype=np.float64).copy()
     theta = theta * (1.0 + 0.15 * eta[: theta.size]) + 0.01 * eta[: theta.size]
-    k = family.shape_arity
+    k = len(family.shape_names)
     theta[k + 1] = abs(theta[k + 1]) or 1.0
     if family.bounded:
         # keep the whole sample strictly inside the jittered support
@@ -744,7 +734,7 @@ def fit_mle(family, data, fitting_seed=0):
         if best is None or result.fval < best.fval:
             best = result
     theta = family.from_search(best.x, m, s)
-    k = family.shape_arity
+    k = len(family.shape_names)
     shapes = tuple(float(v) for v in theta[:k])
     loc = float(theta[k])
     scale = float(theta[k + 1])

@@ -3,10 +3,13 @@
 A run log is a two-column CSV (`step,return`), one row per completed
 episode, end steps strictly increasing. An optional sidecar with the same
 basename and a `.meta.yaml` suffix carries the seed and config digest.
+A sidecar seed must match the config's seed for the run's position
+(`apply_exclusions`).
 Non-monotone logs are rejected outright; they indicate upstream corruption
 that silent sorting would hide.
 """
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,6 +32,7 @@ class RunLog:
     seed: int = None
     config_hash: str = None
     metadata: dict = field(default_factory=dict)
+    sha256: str = None  # hex digest of the file's bytes, when read from one
 
     def __post_init__(self):
         last = -1
@@ -42,34 +46,25 @@ class RunLog:
                 )
             last = step
 
-    @property
-    def returns(self):
-        return np.array([r for _, r in self.episodes], dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class TrialSet:
     config: object
     runs: tuple
-    exclusions_applied: bool
     exclusion_reasons: tuple = ()
 
     def __post_init__(self):
-        if self.exclusions_applied:
-            expected = self.config.run_count - len(self.config.excluded_runs)
-            if len(self.runs) != expected:
-                raise ValidationError(
-                    f"trial set holds {len(self.runs)} runs, expected {expected} "
-                    "after exclusions"
-                )
+        expected = self.config.run_count - len(self.config.excluded_runs)
+        if len(self.runs) != expected:
+            raise ValidationError(
+                f"trial set holds {len(self.runs)} runs, expected {expected} "
+                "after exclusions"
+            )
 
 
-def read_run_log(source, run_id: str) -> RunLog:
-    """Parse one run-log stream; malformed rows are reported by line number."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = source
+def read_run_log(text: str, run_id: str, **fields) -> RunLog:
+    """Parse one run log's text; malformed rows are reported by line number.
+    `fields` are the RunLog's other fields (seed, config_hash, ...)."""
     lines = text.splitlines()
     if not lines:
         raise DataError(f"{run_id}: empty run log")
@@ -98,26 +93,26 @@ def read_run_log(source, run_id: str) -> RunLog:
         episodes.append((step, ret))
     if not episodes:
         raise DataError(f"{run_id}: run log has a header but no episodes")
-    return RunLog(run_id=run_id, episodes=tuple(episodes))
+    return RunLog(run_id=run_id, episodes=tuple(episodes), **fields)
 
 
 def read_run_log_path(path) -> RunLog:
-    """Read a run log file plus its optional .meta.yaml sidecar."""
+    """Read a run log file plus its optional .meta.yaml sidecar. The file is
+    read once: the bytes that are parsed are the bytes hashed."""
     path = Path(path)
-    run = read_run_log(path.read_text(encoding="utf-8"), run_id=path.stem)
+    data = path.read_bytes()
+    fields = {"sha256": hashlib.sha256(data).hexdigest()}
     meta_path = path.with_name(path.stem + META_SUFFIX)
     if meta_path.exists():
         meta = load_strict(meta_path.read_text(encoding="utf-8"))
         if not isinstance(meta, dict):
             raise DataError(f"{meta_path}: sidecar must be a mapping")
-        run = RunLog(
-            run_id=run.run_id,
-            episodes=run.episodes,
+        fields.update(
             seed=meta.get("seed"),
             config_hash=meta.get("config_hash"),
             metadata={k: v for k, v in meta.items() if k not in ("seed", "config_hash")},
         )
-    return run
+    return read_run_log(data.decode("utf-8"), path.stem, **fields)
 
 
 def write_run_log(run: RunLog, stream) -> None:
@@ -128,12 +123,19 @@ def write_run_log(run: RunLog, stream) -> None:
 
 
 def apply_exclusions(runs, config) -> TrialSet:
-    """Drop the config's excluded run indices, keeping the reasons."""
+    """Drop the config's excluded run indices, keeping the reasons. Run i is
+    the config's run i: where both name its seed, they must agree."""
     runs = list(runs)
     if len(runs) != config.run_count:
         raise ValidationError(
             f"got {len(runs)} runs but config.run_count is {config.run_count}"
         )
+    for index, (run, seed) in enumerate(zip(runs, config.seeds)):
+        if run.seed is not None and run.seed != seed:
+            raise ValidationError(
+                f"run {run.run_id!r} (index {index}): sidecar seed {run.seed!r} does not "
+                f"match the config's seeds[{index}] = {seed!r}"
+            )
     excluded = {e.index: e.reason for e in config.excluded_runs}
     for index in excluded:
         if not 0 <= index < len(runs):
@@ -142,9 +144,7 @@ def apply_exclusions(runs, config) -> TrialSet:
     reasons = tuple(
         (index, excluded[index]) for index in sorted(excluded)
     )
-    return TrialSet(
-        config=config, runs=kept, exclusions_applied=True, exclusion_reasons=reasons
-    )
+    return TrialSet(config=config, runs=kept, exclusion_reasons=reasons)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ files; the manifest lists each file with its SHA-256 digest.
 """
 
 import hashlib
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,8 +19,8 @@ from ._yamlio import dump_canonical
 from .distributions import fit_record
 from .errors import ValidationError
 from .inference import Decision, significance_summary
-from .metrics import write_band_csv, write_curve_csv
-from .resample import write_means_csv
+from .metrics import EMPTY_WINDOW_POLICY, write_band_csv, write_curve_csv
+from .resample import CI_METHOD, write_means_csv
 from .tabular import Table
 
 MANIFEST_NAME = "manifest.txt"
@@ -46,9 +47,6 @@ def build_provenance(
     ks_mode, average_return_mode,
 ):
     """Every setting a reader needs to regenerate the bundle bit for bit."""
-    from .metrics import EMPTY_WINDOW_POLICY
-    from .resample import CI_METHOD
-
     return {
         "tool": "rleval",
         "tool_version": __version__,
@@ -169,8 +167,6 @@ def emit_bundle(report: AnalysisReport, directory) -> list:
     ).to_csv()
 
     files["fits.yaml"] = dump_canonical({"fits": [fit_record(f) for f in report.fits]})
-
-    import io
 
     means_buf = io.StringIO()
     write_means_csv(report.bootstrap, means_buf)

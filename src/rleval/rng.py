@@ -22,6 +22,7 @@ in a defined order, so the output is bit-identical across platforms.
 import numpy as np
 
 from .errors import ValidationError
+from .special import std_normal_quantile
 
 MAX_SEED = 2**64 - 1
 
@@ -70,7 +71,8 @@ def validate_seed(seed) -> int:
 
 
 def _philox_rounds(c0, c1, c2, c3, key0, key1):
-    """Ten Philox4x32 rounds over uint64 arrays holding 32-bit values."""
+    """Ten Philox4x32 rounds over uint64 arrays holding 32-bit values; the
+    four counter words broadcast against each other."""
     k0 = np.uint64(key0)
     k1 = np.uint64(key1)
     for _ in range(10):
@@ -87,23 +89,25 @@ def _philox_rounds(c0, c1, c2, c3, key0, key1):
 
 
 def philox_u32_blocks(key0, key1, domain, stream, block_start, nblocks):
-    """Generate `nblocks` consecutive counter blocks, 4 uint32 words each."""
-    out = np.empty((nblocks, 4), dtype=np.uint32)
-    done = 0
-    while done < nblocks:
-        take = min(nblocks - done, _MAX_BLOCKS_PER_CALL)
-        idx = np.arange(block_start + done, block_start + done + take, dtype=np.uint64)
-        c0 = idx & _MASK32
-        c1 = idx >> _SHIFT32
-        c2 = np.full(take, stream, dtype=np.uint64)
-        c3 = np.full(take, domain, dtype=np.uint64)
-        o0, o1, o2, o3 = _philox_rounds(c0, c1, c2, c3, key0, key1)
-        out[done : done + take, 0] = o0.astype(np.uint32)
-        out[done : done + take, 1] = o1.astype(np.uint32)
-        out[done : done + take, 2] = o2.astype(np.uint32)
-        out[done : done + take, 3] = o3.astype(np.uint32)
-        done += take
-    return out
+    """Blocks block_start, ..., block_start + nblocks - 1 of one stream, as
+    uint32 words of shape (nblocks, 4). `stream` may also be a 1-d array of
+    stream ids; the shape is then (len(stream), nblocks, 4), row r holding
+    the blocks of stream[r]. Every Philox counter in the toolkit is built
+    here."""
+    streams = np.asarray(stream, dtype=np.uint64)
+    count = streams.size
+    out = np.empty((count, nblocks, 4), dtype=np.uint32)
+    take = max(1, _MAX_BLOCKS_PER_CALL // max(1, count))
+    for done in range(0, nblocks, take):
+        stop = min(done + take, nblocks)
+        idx = np.arange(block_start + done, block_start + stop, dtype=np.uint64)
+        # The counter words broadcast to (stream, block) inside the rounds.
+        words = _philox_rounds(
+            idx & _MASK32, idx >> _SHIFT32, streams.reshape(-1, 1), np.uint64(domain), key0, key1
+        )
+        for lane, word in enumerate(words):
+            out[:, done:stop, lane] = word
+    return out.reshape(streams.shape + (nblocks, 4))
 
 
 def bootstrap_means(sample, n_resamples, key0, key1, domain):
@@ -123,13 +127,8 @@ def bootstrap_means(sample, n_resamples, key0, key1, domain):
     for start in range(0, n_resamples, chunk):
         stop = min(start + chunk, n_resamples)
         streams = np.arange(start, stop, dtype=np.uint64)
-        c0 = np.tile(np.arange(blocks_per, dtype=np.uint64), stop - start)
-        c1 = np.zeros_like(c0)
-        c2 = np.repeat(streams, blocks_per)
-        c3 = np.full_like(c0, domain)
-        o0, o1, o2, o3 = _philox_rounds(c0, c1, c2, c3, key0, key1)
-        lanes = np.stack([o0, o1, o2, o3], axis=1).reshape(stop - start, blocks_per * 4)
-        draws = lanes[:, :n]
+        blocks = philox_u32_blocks(key0, key1, domain, streams, 0, blocks_per)
+        draws = blocks.reshape(stop - start, blocks_per * 4)[:, :n].astype(np.uint64)
         idx = ((draws * n_u64) >> _SHIFT32).astype(np.intp)
         acc = np.zeros(stop - start, dtype=np.float64)
         for j in range(n):
@@ -146,23 +145,10 @@ class SeededRng:
     sizes of earlier requests.
     """
 
-    algorithm = "philox4x32-10"
-
     def __init__(self, seed: int, domain: int = DOMAIN_GENERIC):
-        self.seed = validate_seed(seed)
         self._key0, self._key1 = derive_key(seed)
         self._domain = domain
         self._next_stream = 0
-
-    def take_stream(self) -> int:
-        stream = self._next_stream
-        self._next_stream += 1
-        return stream
-
-    def _u32_on(self, stream: int, count: int) -> np.ndarray:
-        nblocks = (count + 3) // 4
-        blocks = philox_u32_blocks(self._key0, self._key1, self._domain, stream, 0, nblocks)
-        return blocks.reshape(-1)[:count]
 
     def uniform01(self, count: int) -> np.ndarray:
         """Doubles in the open interval (0, 1), 52 random bits each.
@@ -170,22 +156,14 @@ class SeededRng:
         (k + 0.5) * 2^-52 is exactly representable for every k < 2^52, so
         the endpoints 0 and 1 can never be produced by rounding.
         """
-        words = self._u32_on(self.take_stream(), 2 * count).astype(np.uint64)
+        stream = self._next_stream
+        self._next_stream += 1
+        nblocks = (count + 1) // 2
+        blocks = philox_u32_blocks(self._key0, self._key1, self._domain, stream, 0, nblocks)
+        words = blocks.reshape(-1)[: 2 * count].astype(np.uint64)
         u64 = (words[0::2] << np.uint64(32)) | words[1::2]
         return ((u64 >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
 
     def standard_normal(self, count: int) -> np.ndarray:
         """Inverse-CDF normals; monotone in the underlying uniforms."""
-        from .special import std_normal_quantile
-
         return std_normal_quantile(self.uniform01(count))
-
-    def integers_below(self, n: int, count: int) -> np.ndarray:
-        """Uniform integers in [0, n) via the (u32 * n) >> 32 multiply-shift.
-
-        Bias is below n / 2^32, negligible for the sample sizes used here.
-        """
-        if n <= 0 or n > 0xFFFFFFFF:
-            raise ValidationError(f"integers_below requires 0 < n <= 2^32, got {n}")
-        draws = self._u32_on(self.take_stream(), count).astype(np.uint64)
-        return ((draws * np.uint64(n)) >> np.uint64(32)).astype(np.int64)

@@ -527,12 +527,8 @@ def _rescale(mat, exp10):
 
 def _ks_exact_cdf(n, d):
     """P(D_n < d) by the scaled matrix-power evaluation of the exact
-    two-sided finite-n distribution."""
+    two-sided finite-n distribution, for 0 < d < 1."""
     nd = n * d
-    if nd <= 0.0:
-        return 0.0
-    if d >= 1.0:
-        return 1.0
     k = int(nd) + 1
     h = k - nd
     m = 2 * k - 1
@@ -572,7 +568,7 @@ def _ks_exact_cdf(n, d):
             exp_r -= 140
     if exp_r < -280:
         return 0.0
-    return min(max(s * 10.0 ** min(exp_r, 280), 0.0), 1.0)
+    return min(max(float(s) * 10.0 ** min(exp_r, 280), 0.0), 1.0)
 
 
 # Remainder of Stirling's formula, log k! - (k + 1/2) log k + k - log sqrt(2 pi):

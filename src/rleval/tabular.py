@@ -11,7 +11,6 @@ class Table:
     columns: list
     rows: list
     footer: str = None
-    title: str = None
 
     def __post_init__(self):
         for row in self.rows:
@@ -25,10 +24,7 @@ class Table:
         for row in self.rows:
             for i, cell in enumerate(row):
                 widths[i] = max(widths[i], len(str(cell)))
-        lines = []
-        if self.title:
-            lines.append(self.title)
-        lines.append("  ".join(str(c).ljust(w) for c, w in zip(self.columns, widths)))
+        lines = ["  ".join(str(c).ljust(w) for c, w in zip(self.columns, widths))]
         lines.append("  ".join("-" * w for w in widths))
         for row in self.rows:
             lines.append("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))

@@ -176,6 +176,25 @@ class TestAnalyze:
         assert code == 1
         assert not (workspace / "mismatch_curves").exists()
 
+    def test_sidecar_seed_mismatch_exit_1(self, workspace, capsys):
+        # every synth sidecar names seed 5; the config's seeds[2] says 9
+        paths = _run_paths(workspace)
+        config = workspace / "seeded.yaml"
+        args = ["analyze", str(config), *paths, "--seed", "7", "--resamples", "500",
+                "--families", "normal", "--out"]
+        config.write_text(CONFIG_TEXT + "seeds: [5, 5, 5, 5, 5]\n")
+        assert main([*args, str(workspace / "ok")]) == 0
+        config.write_text(CONFIG_TEXT + "seeds: [5, 5, 9, 5, 5]\n")
+        capsys.readouterr()
+        bundle = workspace / "mismatch"
+        assert main([*args, str(bundle)]) == 1
+        err = capsys.readouterr().err
+        assert "'synth-02'" in err and "index 2" in err
+        assert "seed 5" in err and "seeds[2] = 9" in err
+        assert not bundle.exists()
+        # curves applies no exclusions and does not compare seeds
+        assert main(["curves", str(config), *paths, "--out", str(workspace / "curves")]) == 0
+
     def test_run_count_mismatch_exit_1(self, workspace):
         code = main([
             "analyze", str(workspace / "config.yaml"), _run_paths(workspace)[0],

@@ -21,10 +21,10 @@ from rleval.ingest import (
 )
 
 
-def _config(run_count, exclusions=()):
+def _config(run_count, exclusions=(), seeds=()):
     return ExperimentConfig(
         name="t", algorithm="a", environment="e", logger="l",
-        tuned_params={}, fixed_params={}, run_count=run_count,
+        tuned_params={}, fixed_params={}, run_count=run_count, seeds=tuple(seeds),
         excluded_runs=tuple(Exclusion(i, r) for i, r in exclusions),
     ).validate()
 
@@ -68,6 +68,13 @@ class TestReadWrite:
         assert back.config_hash == "ab" * 32
         assert back.metadata["note"] == "x"
 
+    def test_path_read_hashes_the_parsed_bytes(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"step,return\r\n100,1.5\r\n200,2.5\r\n")
+        run = read_run_log_path(path)
+        assert run.episodes == ((100, 1.5), (200, 2.5))
+        assert run.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+
 
 class TestExclusions:
     def test_published_exclusion_shape(self):
@@ -77,12 +84,24 @@ class TestExclusions:
         assert len(trial.runs) == 9
         assert all(run.run_id != "r8" for run in trial.runs)
         assert trial.exclusion_reasons == ((8, "run failed; outlier"),)
-        assert trial.exclusions_applied
 
     def test_empty_exclusions_identity(self):
         runs = [RunLog(f"r{i}", ((10, 1.0),)) for i in range(3)]
         trial = apply_exclusions(runs, _config(3))
         assert trial.runs == tuple(runs)
+
+    def test_sidecar_seed_must_match_config_seed(self):
+        # run i is the config's run i; a run without a sidecar seed is not checked
+        runs = [RunLog(f"r{i}", ((10, 1.0),), seed=seed) for i, seed in enumerate((3, 4, None))]
+        assert apply_exclusions(runs, _config(3, seeds=(3, 4, 5))).runs == tuple(runs)
+        assert apply_exclusions(runs, _config(3)).runs == tuple(runs)
+        with pytest.raises(ValidationError) as err:
+            apply_exclusions(runs, _config(3, seeds=(3, 7, 5)))
+        assert "'r1'" in str(err.value) and "index 1" in str(err.value)
+        assert "seed 4" in str(err.value) and "seeds[1] = 7" in str(err.value)
+        # an excluded run is checked too: its log is still mislabelled
+        with pytest.raises(ValidationError):
+            apply_exclusions(runs, _config(3, [(1, "crashed")], seeds=(3, 7, 5)))
 
     def test_count_mismatch(self):
         runs = [RunLog("r0", ((10, 1.0),))]

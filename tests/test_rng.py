@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from rleval import rng as rng_module
 from rleval.errors import ValidationError
 from rleval.rng import (
     DOMAIN_BOOTSTRAP,
@@ -21,14 +22,20 @@ from rleval.rng import (
 
 
 def test_philox_matches_scalar_oracle():
+    # block_start carries into counter word 1; the array form holds stream
+    # streams[r]'s blocks in row r
     key = derive_key(987654321)
-    blocks = philox_u32_blocks(key[0], key[1], 5, 17, 2**33 - 2, 16)
+    start = 2**33 - 2
+    blocks = philox_u32_blocks(key[0], key[1], 5, 17, start, 16)
+    streams = np.array([0, 17, 2**32 - 1], dtype=np.uint64)
+    rows = philox_u32_blocks(key[0], key[1], 5, streams, start, 16)
+    assert blocks.shape == (16, 4) and rows.shape == (3, 16, 4)
     for i in range(16):
-        block_index = 2**33 - 2 + i
-        ref = oracles.philox4x32_ref(
-            (block_index & 0xFFFFFFFF, block_index >> 32, 17, 5), key
-        )
-        assert list(blocks[i]) == ref
+        block_index = start + i
+        counter = (block_index & 0xFFFFFFFF, block_index >> 32)
+        assert list(blocks[i]) == oracles.philox4x32_ref((*counter, 17, 5), key)
+        for r, stream in enumerate(streams):
+            assert list(rows[r, i]) == oracles.philox4x32_ref((*counter, int(stream), 5), key)
 
 
 def test_bootstrap_matches_scalar_oracle():
@@ -80,15 +87,6 @@ def test_standard_normal_pinned_bytes(seed, digest):
     assert hashlib.sha256(np.asarray(z, dtype="<f8").tobytes()).hexdigest() == digest
 
 
-def test_integers_below_range_and_determinism():
-    rng = SeededRng(9)
-    draws = rng.integers_below(10, 100_000)
-    assert draws.min() >= 0 and draws.max() <= 9
-    counts = np.bincount(draws, minlength=10) / draws.size
-    assert np.max(np.abs(counts - 0.1)) < 0.01
-    assert np.array_equal(SeededRng(9).integers_below(10, 100_000), draws)
-
-
 def test_stream_allocation_is_positional():
     # the k-th request is reproducible regardless of earlier request sizes
     a = SeededRng(5)
@@ -106,3 +104,12 @@ def test_seed_validation():
     for bad in (-1, MAX_SEED + 1, 1.5, "7", True):
         with pytest.raises(ValidationError):
             validate_seed(bad)
+
+
+def test_philox_chunked_blocks_match_one_call(monkeypatch):
+    key = derive_key(3)
+    streams = np.arange(2, dtype=np.uint64)
+    whole = philox_u32_blocks(key[0], key[1], 1, streams, 5, 7)
+    monkeypatch.setattr(rng_module, "_MAX_BLOCKS_PER_CALL", 5)
+    assert np.array_equal(philox_u32_blocks(key[0], key[1], 1, streams, 5, 7), whole)
+    assert np.array_equal(philox_u32_blocks(key[0], key[1], 1, 1, 5, 7), whole[1])

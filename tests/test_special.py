@@ -289,6 +289,17 @@ class TestKolmogorov:
         assert sp.ks_one_sample_pvalue(0.0, 10) == 1.0
         assert sp.ks_one_sample_pvalue(1.0, 10) == 0.0
 
+    @pytest.mark.parametrize("d,n,mode", [
+        (0.0, 10, "exact"),
+        (1.0, 10, "exact"),
+        (0.008, 10000, "exact"),  # matrix power
+        (0.05, 10000, "exact"),  # one-sided tail
+        (0.004, 200000, "exact"),  # band too large: asymptotic fallback
+        (0.008, 10000, "asymptotic"),
+    ])
+    def test_scalar_returns_python_float(self, d, n, mode):
+        assert type(sp.ks_one_sample_pvalue(d, n, mode=mode)) is float
+
     def test_domain_errors(self):
         with pytest.raises(NumericError):
             sp.ks_one_sample_pvalue(1.2, 10)
