@@ -19,9 +19,9 @@ from ._fmt import fmt_shortest
 from ._yamlio import dump_canonical, load_strict
 from .config import config_hash, parse_config
 from .distributions import FAMILY_NAMES, fit_from_record, fit_record
-from .errors import ConfigWarning, NumericError, RlevalError, ValidationError
+from .errors import ConfigWarning, NumericError, RlevalError
 from .inference import make_verdict
-from .ingest import SynthSpec, read_run_log_path, synthesize_runs, write_run_dir
+from .ingest import SynthSpec, check_runs, read_run_log_path, synthesize_runs, write_run_dir
 from .metrics import (
     DEFAULT_STRIDE,
     DEFAULT_WINDOW,
@@ -54,31 +54,6 @@ def _read_config(path):
     return config
 
 
-def _load_runs(paths, config):
-    """Read the run logs. A run id (the file stem) may appear only once, and
-    two logs may not hold the same bytes: either way one run would be
-    counted twice. A sidecar `config_hash`, where present, must be the
-    config's."""
-    expected = config_hash(config)
-    runs, owners = {}, {}
-    for path in paths:
-        run = read_run_log_path(path)
-        if run.run_id in runs:
-            raise ValidationError(f"run {run.run_id!r} is given more than once")
-        if run.sha256 in owners:
-            raise ValidationError(
-                f"runs {owners[run.sha256]!r} and {run.run_id!r} have identical contents"
-            )
-        if run.config_hash is not None and run.config_hash != expected:
-            raise ValidationError(
-                f"run {run.run_id!r}: sidecar config_hash {run.config_hash} does not "
-                f"match the config's {expected}"
-            )
-        owners[run.sha256] = run.run_id
-        runs[run.run_id] = run
-    return list(runs.values())
-
-
 def cmd_validate(args) -> int:
     status = EXIT_OK
     for path in args.configs:
@@ -98,7 +73,8 @@ def cmd_validate(args) -> int:
 
 def cmd_curves(args) -> int:
     config = _read_config(args.config)
-    runs = _load_runs(args.runs, config)
+    runs = [read_run_log_path(p) for p in args.runs]
+    check_runs(runs, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     curves = []
@@ -116,7 +92,7 @@ def cmd_curves(args) -> int:
 
 def cmd_analyze(args) -> int:
     config = _read_config(args.config)
-    runs = _load_runs(args.runs, config)
+    runs = [read_run_log_path(p) for p in args.runs]
     families = args.families.split(",") if args.families else list(FAMILY_NAMES)
     report = run_analysis(
         config,
@@ -128,8 +104,6 @@ def cmd_analyze(args) -> int:
         families=[f.strip() for f in families if f.strip()],
         window=args.window,
         stride=args.stride,
-        ks_mode=args.ks_mode,
-        average_return_mode=args.average_return_mode,
     )
     emit_bundle(report, args.out)
     analyzed = report.provenance["runs_analyzed"]
@@ -144,7 +118,7 @@ def cmd_analyze(args) -> int:
 def cmd_fit(args) -> int:
     with open(args.means, "r", encoding="utf-8") as fh:
         means = read_means_csv(fh)
-    record = fit_record(fit_family(args.family, means, args.seed, args.ks_mode))
+    record = fit_record(fit_family(args.family, means, args.seed))
     for key, value in record.items():
         if isinstance(value, list):
             value = "[" + ", ".join(fmt_shortest(v) for v in value) + "]"
@@ -217,10 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--families", default=None, help="comma-separated family names")
     p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     p.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
-    p.add_argument("--ks-mode", choices=("exact", "asymptotic"), default="exact")
-    p.add_argument(
-        "--average-return-mode", choices=("episodes", "curve_points"), default="episodes"
-    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze)
 
@@ -228,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("means")
     p.add_argument("--family", required=True, choices=FAMILY_NAMES)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--ks-mode", choices=("exact", "asymptotic"), default="exact")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_fit)
 

@@ -144,11 +144,9 @@ def _ordered_params(params: dict, preferred) -> dict:
     return {k: params[k] for k in [*known, *rest]}
 
 
-def _require_mapping(doc, key, optional=False):
-    value = doc.get(key)
+def _require_mapping(doc, key):
+    value = doc[key]
     if value is None:
-        if optional or key not in doc:
-            return {}
         raise SchemaError(key, "must be a mapping")
     if not isinstance(value, dict):
         raise SchemaError(key, f"must be a mapping, got {type(value).__name__}")

@@ -3,8 +3,9 @@
 A run log is a two-column CSV (`step,return`), one row per completed
 episode, end steps strictly increasing. An optional sidecar with the same
 basename and a `.meta.yaml` suffix carries the seed and config digest.
-A sidecar seed must match the config's seed for the run's position
-(`apply_exclusions`).
+Before any analysis, `check_runs` rejects run logs that would count one
+run twice or that name another config; `apply_exclusions` also requires a
+sidecar seed to match the config's seed for the run's position.
 Non-monotone logs are rejected outright; they indicate upstream corruption
 that silent sorting would hide.
 """
@@ -18,6 +19,7 @@ import numpy as np
 
 from ._fmt import fmt_shortest
 from ._yamlio import dump_canonical, load_strict
+from .config import config_hash as config_digest
 from .errors import DataError, ValidationError
 from .rng import DOMAIN_SYNTH, SeededRng
 
@@ -122,10 +124,35 @@ def write_run_log(run: RunLog, stream) -> None:
         stream.write(f"{step},{fmt_shortest(float(ret))}\n")
 
 
+def check_runs(runs, config) -> None:
+    """Reject runs that would count one run twice: a run id given more than
+    once, or two logs with the same bytes (compared where both were read from
+    a file). A sidecar `config_hash`, where present, must be the config's."""
+    expected = config_digest(config)
+    ids, owners = set(), {}
+    for run in runs:
+        if run.run_id in ids:
+            raise ValidationError(f"run {run.run_id!r} is given more than once")
+        if run.sha256 in owners:
+            raise ValidationError(
+                f"runs {owners[run.sha256]!r} and {run.run_id!r} have identical contents"
+            )
+        if run.config_hash is not None and run.config_hash != expected:
+            raise ValidationError(
+                f"run {run.run_id!r}: sidecar config_hash {run.config_hash} "
+                f"does not match the config's {expected}"
+            )
+        ids.add(run.run_id)
+        if run.sha256 is not None:
+            owners[run.sha256] = run.run_id
+
+
 def apply_exclusions(runs, config) -> TrialSet:
-    """Drop the config's excluded run indices, keeping the reasons. Run i is
-    the config's run i: where both name its seed, they must agree."""
+    """Check the runs (`check_runs`), then drop the config's excluded run
+    indices, keeping the reasons. Run i is the config's run i: where both
+    name its seed, they must agree."""
     runs = list(runs)
+    check_runs(runs, config)
     if len(runs) != config.run_count:
         raise ValidationError(
             f"got {len(runs)} runs but config.run_count is {config.run_count}"

@@ -31,12 +31,12 @@ def fitting_seed_for(master_seed: int, family_index: int) -> int:
     return splitmix64(master_seed ^ (0xF17 + family_index))
 
 
-def fit_family(name, means, seed: int, ks_mode: str = "exact"):
+def fit_family(name, means, seed: int):
     """The fit of family `name` to `means` under master seed `seed`, with its
     KS statistic and p-value."""
     validate_seed(seed)
     seed = fitting_seed_for(seed, FAMILY_NAMES.index(get_family(name).name))
-    return with_gof(fit_mle(name, means, fitting_seed=seed), means, mode=ks_mode)
+    return with_gof(fit_mle(name, means, fitting_seed=seed), means)
 
 
 def run_analysis(
@@ -51,8 +51,6 @@ def run_analysis(
     families=FAMILY_NAMES,
     window: int = DEFAULT_WINDOW,
     stride: int = DEFAULT_STRIDE,
-    ks_mode: str = "exact",
-    average_return_mode: str = "episodes",
 ) -> AnalysisReport:
     validate_seed(seed)
     families = [get_family(f).name for f in families]
@@ -66,20 +64,14 @@ def run_analysis(
         (run.run_id, learning_curve(run, window, stride)) for run in trial_set.runs
     )
     band = curve_band([c for _, c in curves]) if len(curves) >= 2 else None
-    averages = tuple(
-        (
-            run.run_id,
-            run_average_return(run, mode=average_return_mode, window=window, stride=stride),
-        )
-        for run in trial_set.runs
-    )
+    averages = tuple((run.run_id, run_average_return(run)) for run in trial_set.runs)
 
     boot = bootstrap_means(
         [value for _, value in averages], resamples, seed=seed, confidence=confidence
     )
     normality = dagostino_pearson(boot.means, alpha=alpha)
 
-    fits = tuple(fit_family(name, boot.means, seed, ks_mode) for name in families)
+    fits = tuple(fit_family(name, boot.means, seed) for name in families)
 
     verdicts = ()
     if reported is not None:
@@ -98,8 +90,8 @@ def run_analysis(
         reported_value=reported,
         runs_total=config.run_count,
         runs_excluded=trial_set.exclusion_reasons,
-        ks_mode=ks_mode,
-        average_return_mode=average_return_mode,
+        ks_mode="exact",
+        average_return_mode="episodes",
     )
     return AnalysisReport(
         config=config,

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -13,8 +14,9 @@ from rleval.resample import bootstrap_means
 sys.path.insert(0, str(Path(__file__).parent))
 
 # The benchmark's fit-bound inputs (perfbench/workloads.py), rebuilt through
-# the library: the README quick-start spec, and ten one-run syntheses whose
-# plateaus are 60 + 40 * LN(0, 0.9). Both use data and analyze seed 7.
+# the library: the README quick-start spec, and ten one-run syntheses, named
+# run-00 to run-09, whose plateaus are 60 + 40 * LN(0, 0.9). Both use data and
+# analyze seed 7.
 WORKLOAD_SEED = 7
 WORKLOAD_RESAMPLES = 10000
 QUICKSTART_SPEC = {
@@ -35,9 +37,10 @@ def _workload_runs(name, seed):
     plateaus = 60.0 + 40.0 * np.exp(0.9 * rng.standard_normal(10))
     run_seeds = rng.integers(0, 2**32, size=10)
     runs = []
-    for level, run_seed in zip(plateaus, run_seeds):
+    for i, (level, run_seed) in enumerate(zip(plateaus, run_seeds)):
         spec = {**QUICKSTART_SPEC, "run_count": 1, "plateau_level": round(float(level), 6)}
-        runs += synthesize_runs(SynthSpec.from_mapping(spec).validate(), int(run_seed))
+        (run,) = synthesize_runs(SynthSpec.from_mapping(spec).validate(), int(run_seed))
+        runs.append(dataclasses.replace(run, run_id=f"run-{i:02d}"))
     return runs
 
 

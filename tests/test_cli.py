@@ -195,6 +195,25 @@ class TestAnalyze:
         # curves applies no exclusions and does not compare seeds
         assert main(["curves", str(config), *paths, "--out", str(workspace / "curves")]) == 0
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("analyze", "--ks-mode", "exact"),
+        ("analyze", "--average-return-mode", "episodes"),
+        ("fit", "--ks-mode", "exact"),
+    ])
+    def test_removed_mode_flags_exit_1(self, workspace, command, flag, value):
+        out = workspace / "removed"
+        if command == "analyze":
+            args = ["analyze", str(workspace / "config.yaml"), *_run_paths(workspace),
+                    "--seed", "7", "--resamples", "500", "--families", "normal"]
+        else:
+            means = workspace / "means.csv"
+            means.write_text("mean\n" + "".join(f"{100 + i % 7}.5\n" for i in range(50)))
+            args = ["fit", str(means), "--family", "normal", "--seed", "7"]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*args, flag, value, "--out", str(out)])
+        assert exit_info.value.code == 1
+        assert not out.exists()
+
     def test_run_count_mismatch_exit_1(self, workspace):
         code = main([
             "analyze", str(workspace / "config.yaml"), _run_paths(workspace)[0],

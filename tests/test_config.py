@@ -80,6 +80,13 @@ class TestParse:
             C.parse_config(bad)
         assert "logger" in str(err.value)
 
+    def test_null_params_rejected(self):
+        for key, text in (("tuned_params", "tuned_params:\n  gamma: 0.99\n"),
+                          ("fixed_params", "fixed_params: {}\n")):
+            with pytest.raises(SchemaError) as err:
+                C.parse_config(MINIMAL.replace(text, f"{key}: null\n"))
+            assert err.value.key == key and "must be a mapping" in str(err.value)
+
     def test_unknown_keys_preserved_and_warned(self):
         text = MINIMAL + "mystery_knob: 3\n"
         with warnings.catch_warnings(record=True) as caught:

@@ -4,7 +4,6 @@ reaches scipy's maximum, the families with a normal limit reach the normal
 fit, no fit moves, `analyze` and `fit` make the same fit of a family
 whichever other families they are asked for, and no bundle byte moves."""
 
-import dataclasses
 import warnings
 
 import numpy as np
@@ -312,10 +311,6 @@ def test_bundle_bytes_unchanged(workload, quickstart_analysis, tmp_path):
     if workload == "quickstart":
         report = quickstart_analysis()
     else:
-        runs = [
-            dataclasses.replace(run, run_id=f"run-{i:02d}")
-            for i, run in enumerate(_workload_runs(workload, WORKLOAD_SEED))
-        ]
-        report = _analysis(workload, runs)
+        report = _analysis(workload, _workload_runs(workload, WORKLOAD_SEED))
     emit_bundle(report, tmp_path)
     assert (tmp_path / MANIFEST_NAME).read_text(encoding="utf-8") == WORKLOAD_MANIFESTS[workload]

@@ -2,12 +2,15 @@
 
 import hashlib
 import io
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rleval.config import ExperimentConfig, Exclusion
+from rleval.config import ExperimentConfig, Exclusion, config_hash
 from rleval.errors import DataError, ValidationError
 from rleval.ingest import (
     RunLog,
@@ -108,6 +111,37 @@ class TestExclusions:
         with pytest.raises(ValidationError):
             apply_exclusions(runs, _config(2))
 
+    def test_repeated_run_id_rejected(self):
+        runs = [RunLog(f"r{i}", ((10, float(i)),)) for i in (0, 1, 0)]
+        with pytest.raises(ValidationError, match="'r0' is given more than once"):
+            apply_exclusions(runs, _config(3))
+
+    def test_identical_contents_rejected(self):
+        # equal digests under different ids are one log given twice; runs
+        # built in memory carry no digest and are not compared
+        runs = [RunLog(f"r{i}", ((10, 1.0),), sha256=digest)
+                for i, digest in enumerate(("ab" * 32, "cd" * 32, "ab" * 32))]
+        with pytest.raises(ValidationError) as err:
+            apply_exclusions(runs, _config(3))
+        assert "'r0' and 'r2' have identical contents" in str(err.value)
+        same = [RunLog(f"r{i}", ((10, 1.0),)) for i in range(3)]
+        assert apply_exclusions(same, _config(3)).runs == tuple(same)
+
+    def test_sidecar_config_hash_must_match(self):
+        config = _config(2)
+        runs = [RunLog("r0", ((10, 1.0),), config_hash=config_hash(config)),
+                RunLog("r1", ((10, 2.0),))]
+        assert apply_exclusions(runs, config).runs == tuple(runs)
+        runs[1] = RunLog("r1", ((10, 2.0),), config_hash="ab" * 32)
+        with pytest.raises(ValidationError) as err:
+            apply_exclusions(runs, config)
+        assert "'r1'" in str(err.value) and "does not match the config" in str(err.value)
+
+    def test_run_checks_precede_count_check(self):
+        runs = [RunLog("r0", ((10, 1.0),)), RunLog("r0", ((10, 2.0),))]
+        with pytest.raises(ValidationError, match="given more than once"):
+            apply_exclusions(runs, _config(5))
+
     def test_out_of_range_index_rejected_at_config_level(self):
         with pytest.raises(Exception):
             _config(10, [(10, "x")])
@@ -176,6 +210,47 @@ class TestSynth:
             SynthSpec(run_count=1, total_steps=10, episode_steps=0).validate()
         with pytest.raises(ValidationError):
             SynthSpec.from_mapping({"run_count": 1, "total_steps": 10})
+
+
+def _increasing_steps(rows):
+    """Episodes from (gap, return) rows: steps start at gap - 1 >= 0 and grow
+    by each later gap >= 1."""
+    steps = itertools.accumulate(gap for gap, _ in rows)
+    return tuple((step - 1, ret) for step, (_, ret) in zip(steps, rows))
+
+
+_episodes = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=10**12),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1, max_size=40,
+).map(_increasing_steps)
+
+MALFORMED_ROWS = ("xyz,2.0", "5,abc", "5", "5,1.0,2.0", "5,nan", "5,-inf", "5.5,1.0")
+
+
+class TestRunLogProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(episodes=_episodes)
+    def test_write_read_roundtrip_is_bitwise(self, episodes):
+        buf = io.StringIO()
+        write_run_log(RunLog("r", episodes), buf)
+        back = read_run_log(buf.getvalue(), "r").episodes
+        assert [step for step, _ in back] == [step for step, _ in episodes]
+        assert [ret.hex() for _, ret in back] == [ret.hex() for _, ret in episodes]
+
+    @settings(max_examples=60, deadline=None)
+    @given(episodes=_episodes, data=st.data())
+    def test_malformed_row_reports_its_line(self, episodes, data):
+        buf = io.StringIO()
+        write_run_log(RunLog("r", episodes), buf)
+        lines = buf.getvalue().splitlines()
+        at = data.draw(st.integers(min_value=1, max_value=len(lines)), label="line index")
+        lines.insert(at, data.draw(st.sampled_from(MALFORMED_ROWS), label="row"))
+        with pytest.raises(DataError) as err:
+            read_run_log("\n".join(lines) + "\n", "r")
+        assert f"r: line {at + 1}:" in str(err.value)
 
 
 def test_runlog_rejects_nonmonotone_construction():

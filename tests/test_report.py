@@ -1,5 +1,7 @@
 """Report rendering and bundle emission."""
 
+import dataclasses
+
 import pytest
 
 from rleval._fmt import fmt_fixed
@@ -102,6 +104,16 @@ class TestBundle:
             a = (tmp_path / "a" / rel).read_bytes()
             b = (tmp_path / "b" / rel).read_bytes()
             assert a == b, rel
+
+    def test_repeated_run_id_rejected_before_any_bundle(self, tmp_path):
+        # one curve file per run id: three runs named alike would leave one
+        # curve behind three run averages
+        runs = [dataclasses.replace(run, run_id="same")
+                for run in synthesize_runs(SPEC, seed=34)[:3]]
+        with pytest.raises(ValidationError, match="'same' is given more than once"):
+            emit_bundle(run_analysis(_config(3), runs, seed=34, resamples=500,
+                                     families=("normal",)), tmp_path / "bundle")
+        assert not (tmp_path / "bundle").exists()
 
     def test_provenance_roundtrips(self, report, tmp_path):
         emit_bundle(report, tmp_path / "c")
