@@ -22,6 +22,13 @@ simplex on the raw parameters runs out of iterations:
   distribution's closed-form mean and sd. Its normal limit b -> inf is the
   finite point 1/b = 0, and its lognormal limit keeps a finite mean and sd.
 - beta searches (log a, log b, (loc - m)/s, log(scale/s)).
+
+The objective skips passes that cannot change its value, and keeps every
+bit. For scale > 0, z = (x - loc)/scale is monotone in x under
+round-to-nearest, so all of z lies inside a unit support exactly when
+z(min x) and z(max x) do: the mask and penalty passes run only when they do
+not. A finite sum of log-densities has only finite terms, so non-finite
+terms are replaced only when the sum is not finite.
 """
 
 import dataclasses
@@ -601,57 +608,54 @@ def nelder_mead(fn, x0):
     """Plain simplex search (reflection 1, expansion 2, contraction 0.5,
     shrink 0.5). Converged when the objective spread falls under
     _NM_FTOL_REL relative and the vertex spread under _NM_XTOL relative,
-    within _NM_MAX_ITER iterations."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    n = x0.size
-    simplex = [x0]
-    for i in range(n):
-        step = 0.05 * abs(x0[i]) if x0[i] != 0.0 else 0.00025
-        vertex = x0.copy()
-        vertex[i] += step
-        simplex.append(vertex)
-    simplex = np.asarray(simplex)
-    fvals = np.array([fn(v) for v in simplex])
+    within _NM_MAX_ITER iterations. The vertices are lists of Python floats,
+    stepped as the array form would be: the centroid adds the rows in order
+    and divides by n, as np.mean(axis=0) does, and the sort by f is stable
+    with nan last, as np.argsort(kind="stable") is."""
+    x0 = np.asarray(x0, dtype=np.float64).tolist()
+    n = len(x0)
+    f = lambda v: float(fn(np.array(v)))
+    simplex = [x0] + [
+        x0[:i] + [x0[i] + (0.05 * abs(x0[i]) if x0[i] != 0.0 else 0.00025)] + x0[i + 1:]
+        for i in range(n)
+    ]
+    verts = [(f(v), v) for v in simplex]
     iterations = 0
     converged = False
     while iterations < _NM_MAX_ITER:
-        order = np.argsort(fvals, kind="stable")
-        simplex = simplex[order]
-        fvals = fvals[order]
-        fspread = abs(fvals[-1] - fvals[0])
-        xspread = np.max(np.abs(simplex[1:] - simplex[0]), axis=0)
-        if fspread <= _NM_FTOL_REL * (abs(fvals[0]) + 1e-12) and np.all(
-            xspread <= _NM_XTOL * (1.0 + np.abs(simplex[0]))
+        verts.sort(key=lambda fv: (fv[0] != fv[0], fv[0]))
+        (f0, best), (f1, worst) = verts[0], verts[-1]
+        if abs(f1 - f0) <= _NM_FTOL_REL * (abs(f0) + 1e-12) and all(
+            abs(x - b) <= _NM_XTOL * (1.0 + abs(b)) for _, v in verts[1:] for x, b in zip(v, best)
         ):
             converged = True
             break
         iterations += 1
-        centroid = np.mean(simplex[:-1], axis=0)
-        reflected = centroid + (centroid - simplex[-1])
-        fr = fn(reflected)
-        if fr < fvals[0]:
-            expanded = centroid + 2.0 * (centroid - simplex[-1])
-            fe = fn(expanded)
-            if fe < fr:
-                simplex[-1], fvals[-1] = expanded, fe
-            else:
-                simplex[-1], fvals[-1] = reflected, fr
-        elif fr < fvals[-2]:
-            simplex[-1], fvals[-1] = reflected, fr
+        centroid = best
+        for _, v in verts[1:-1]:
+            centroid = [c + x for c, x in zip(centroid, v)]
+        centroid = [c / n for c in centroid]
+        reflected = [c + (c - w) for c, w in zip(centroid, worst)]
+        fr = f(reflected)
+        if fr < f0:
+            expanded = [c + 2.0 * (c - w) for c, w in zip(centroid, worst)]
+            fe = f(expanded)
+            verts[-1] = (fe, expanded) if fe < fr else (fr, reflected)
+        elif fr < verts[-2][0]:
+            verts[-1] = (fr, reflected)
         else:
-            contracted = centroid + 0.5 * (simplex[-1] - centroid)
-            fc = fn(contracted)
-            if fc < fvals[-1]:
-                simplex[-1], fvals[-1] = contracted, fc
+            contracted = [c + 0.5 * (w - c) for c, w in zip(centroid, worst)]
+            fc = f(contracted)
+            if fc < f1:
+                verts[-1] = (fc, contracted)
             else:
-                best = simplex[0]
-                simplex = best + 0.5 * (simplex - best)
-                fvals = np.array([fvals[0]] + [fn(v) for v in simplex[1:]])
-    return SimplexResult(simplex[0].copy(), float(fvals[0]), converged, iterations)
+                shrunk = [[b + 0.5 * (x - b) for b, x in zip(best, v)] for _, v in verts]
+                verts = [(f0, shrunk[0])] + [(f(v), v) for v in shrunk[1:]]
+    return SimplexResult(np.array(verts[0][1]), verts[0][0], converged, iterations)
 
 
-def _penalized_nll(family, data, theta):
-    if not np.all(np.isfinite(theta)):
+def _penalized_nll(family, data, theta, span=None):
+    if not all(map(math.isfinite, theta)):
         return _INVALID_PENALTY
     k = len(family.shape_names)
     shapes = tuple(theta[:k])
@@ -665,19 +669,22 @@ def _penalized_nll(family, data, theta):
     z = (data - loc) / scale
     penalty = 0.0
     if family.bounded:
-        below = np.maximum(-z, 0.0)
-        above = np.maximum(z - 1.0, 0.0)
-        outside = (z <= 0.0) | (z >= 1.0)
-        n_out = int(np.count_nonzero(outside))
-        if n_out:
+        lo, hi = span or (np.min(data), np.max(data))
+        if not (0.0 < (lo - loc) / scale and (hi - loc) / scale < 1.0):
+            below = np.maximum(-z, 0.0)
+            above = np.maximum(z - 1.0, 0.0)
+            outside = (z <= 0.0) | (z >= 1.0)
+            n_out = int(np.count_nonzero(outside))
             penalty = _POINT_PENALTY * (n_out + float(np.sum(below + above)))
             z = z[~outside]
             if z.size == 0:
                 return penalty
     with np.errstate(all="ignore"):
         lp = family.logpdf_z(z, shapes)
-    lp = np.where(np.isfinite(lp), lp, -_POINT_PENALTY)
-    return float(-(np.sum(lp) - z.size * math.log(scale)) + penalty)
+        total = lp.sum()
+    if not math.isfinite(total):
+        total = np.sum(np.where(np.isfinite(lp), lp, -_POINT_PENALTY))
+    return float(-(total - z.size * math.log(scale)) + penalty)
 
 
 def _jitter_start(family, theta0, data, eta):
@@ -722,7 +729,8 @@ def fit_mle(family, data, fitting_seed=0):
     shapes0, loc0, scale0 = family.init_params(arr)
     theta0 = np.array([*shapes0, loc0, scale0], dtype=np.float64)
     m, s = float(np.mean(arr)), float(np.std(arr))
-    nll = lambda t: _penalized_nll(family, arr, family.from_search(t, m, s))
+    span = (float(np.min(arr)), float(np.max(arr)))
+    nll = lambda t: _penalized_nll(family, arr, family.from_search(t, m, s), span)
     rng = SeededRng(fitting_seed, domain=DOMAIN_FIT)
     starts = [theta0]
     for _ in range(_FIT_STARTS - 1):

@@ -54,6 +54,8 @@ def run_analysis(
 ) -> AnalysisReport:
     validate_seed(seed)
     families = [get_family(f).name for f in families]
+    if not families:
+        raise ValidationError("no family requested: name at least one to fit")
     if len(set(families)) != len(families):
         raise ValidationError("duplicate family names requested")
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rleval import distributions as D
 from rleval.distributions import FAMILY_NAMES, fit_mle
 from rleval.ingest import SynthSpec, synthesize_runs
 from rleval.metrics import run_average_return
@@ -58,16 +59,43 @@ def workload_means():
     }
 
 
+def _logging_nelder_mead(log):
+    """D.nelder_mead, appending (iterations, objective calls, converged,
+    fval as float.hex) of each search to `log`."""
+    nelder_mead = D.nelder_mead
+
+    def search(fn, x0):
+        calls = 0
+
+        def counted(t):
+            nonlocal calls
+            calls += 1
+            return fn(t)
+
+        result = nelder_mead(counted, x0)
+        log.append((result.iterations, calls, result.converged, float(result.fval).hex()))
+        return result
+
+    return search
+
+
 @pytest.fixture(scope="session")
 def workload_fit(workload_means):
     """workload_fit(workload, family): the fit `analyze` makes on those
-    means, computed once per session."""
+    means, computed once per session. workload_fit.starts[workload, family]
+    logs its simplex searches, one per start (`_logging_nelder_mead`)."""
     cache = {}
 
     def fit(workload, family):
         if (workload, family) not in cache:
             seed = fitting_seed_for(WORKLOAD_SEED, FAMILY_NAMES.index(family))
-            cache[workload, family] = fit_mle(family, workload_means[workload], fitting_seed=seed)
+            log = fit.starts[workload, family] = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(D, "nelder_mead", _logging_nelder_mead(log))
+                cache[workload, family] = fit_mle(
+                    family, workload_means[workload], fitting_seed=seed
+                )
         return cache[workload, family]
 
+    fit.starts = {}
     return fit

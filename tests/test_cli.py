@@ -120,6 +120,17 @@ class TestAnalyze:
             assert a == (workspace / "b2" / rel).read_bytes(), rel
             assert a == (workspace / "b3" / rel).read_bytes(), rel
 
+    def test_no_family_exit_1(self, workspace, capsys):
+        bundle = workspace / "no_family"
+        code = main([
+            "analyze", str(workspace / "config.yaml"), *_run_paths(workspace),
+            "--seed", "7", "--resamples", "500", "--reported", "95.0",
+            "--families", " , ", "--out", str(bundle),
+        ])
+        assert code == 1
+        assert "no family requested" in capsys.readouterr().err
+        assert not bundle.exists()
+
     def test_duplicate_run_exit_1(self, workspace, capsys):
         paths = _run_paths(workspace)
         bundle = workspace / "dup"

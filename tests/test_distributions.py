@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from rleval import distributions as D
@@ -226,6 +228,144 @@ class TestFit:
         z = (data - fit.loc) / fit.scale
         assert float(np.min(z)) > 0.0
         assert float(np.max(z)) < 1.0
+
+
+def _rosenbrock(x):
+    return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+
+
+# Objectives searched from (-1.2, 1): the branches the array-form reference
+# simplex takes on each, and the (x, fval) as float.hex, iterations and
+# converged that nelder_mead returned before its vertices became Python floats.
+SIMPLEX_CASES = {
+    # smooth: reflects, expands and contracts down the valley to (1, 1)
+    "rosenbrock": (
+        _rosenbrock,
+        {"reflect": 52, "expand": 19, "contract": 81, "shrink": 0},
+        (["0x1.000000001e85ep+0", "0x1.000000003a9adp+0"], "0x1.7de4f89a00000p-70", 152, True),
+    ),
+    # rounded to 0.1: on its plateaus no contraction improves, so it shrinks
+    "rounded": (
+        lambda x: round(_rosenbrock(x), 1),
+        {"reflect": 2, "expand": 2, "contract": 6, "shrink": 14},
+        (["-0x1.049851eb851ecp+0", "0x1.0b4fffffffffep+0"], "0x1.0666666666666p+2", 24, True),
+    ),
+    # nan on a band of x[0], which the first simplex straddles: nan vertices
+    # sort last, and the search takes every branch
+    "nan_band": (
+        lambda x: math.nan if -1.15 < x[0] < -1.0 else _rosenbrock(x),
+        {"reflect": 29, "expand": 7, "contract": 45, "shrink": 1},
+        (["-0x1.2666666981714p+0", "0x1.528f9f5443806p+0"], "0x1.27d70a427f8a3p+2", 82, True),
+    ),
+}
+
+
+def _logged(fn, calls):
+    def logged(v):
+        calls.append([float(t).hex() for t in v])
+        return fn(v)
+    return logged
+
+
+class TestSimplex:
+    @pytest.mark.parametrize("case", sorted(SIMPLEX_CASES))
+    def test_steps_match_array_form(self, case):
+        """nelder_mead asks for the same points in the same order as the
+        array-form reference, and ends where it ended."""
+        fn, taken, (x, fval, iterations, converged) = SIMPLEX_CASES[case]
+        calls, ref_calls = [], []
+        result = D.nelder_mead(_logged(fn, calls), (-1.2, 1.0))
+        ref_x, ref_fval, ref_converged, ref_iterations, ref_taken = oracles.nelder_mead_ref(
+            _logged(fn, ref_calls), (-1.2, 1.0)
+        )
+        assert ref_taken == taken
+        assert calls == ref_calls
+        assert isinstance(result.x, np.ndarray)
+        assert [v.hex() for v in result.x.tolist()] == x == [v.hex() for v in ref_x.tolist()]
+        assert float(result.fval).hex() == fval == ref_fval.hex()
+        assert result.iterations == iterations == ref_iterations
+        assert result.converged is converged is ref_converged
+
+    def test_every_branch_is_covered(self):
+        for branch in ("reflect", "expand", "contract", "shrink"):
+            assert any(taken[branch] for _, taken, _ in SIMPLEX_CASES.values()), branch
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_scale = st.one_of(
+    st.floats(min_value=5e-324, max_value=1e-300),  # subnormal to tiny
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.floats(min_value=1e300, allow_infinity=False),  # huge
+)
+
+
+def _same(a, b):
+    """Equal, and bit for bit unless both are zeros: the sign of a zero z is
+    invisible to the support tests 0 < z and z < 1."""
+    return a == b and (a == 0.0 or np.float64(a).tobytes() == np.float64(b).tobytes())
+
+
+class SpikyNormal(D.Normal):
+    """A normal whose log-density is +inf above z = 1, nan below z = -1, and
+    -1e308 at z = 0, so that finite terms can overflow the sum."""
+
+    def logpdf_z(self, z, shapes):
+        lp = super().logpdf_z(z, shapes)
+        lp = np.where(z > 1.0, np.inf, lp)
+        lp = np.where(z < -1.0, np.nan, lp)
+        return np.where(z == 0.0, -1e308, lp)
+
+
+# (family, data, theta) on which the objective takes its rare paths.
+_UNIT = np.linspace(1.0, 3.0, 41)  # z = (x - 1) / 2 is exactly 0 and 1 at the ends
+OBJECTIVE_CASES = {
+    "beta inside": ("beta", _UNIT, [2.0, 3.0, 0.5, 3.0]),
+    "beta at z = 0 and 1": ("beta", _UNIT, [2.0, 3.0, 1.0, 2.0]),
+    "beta at z = 0": ("beta", _UNIT, [2.0, 3.0, 1.0, 2.5]),
+    "beta at z = 1": ("beta", _UNIT, [2.0, 3.0, 0.5, 2.5]),
+    "beta below and above": ("beta", _UNIT, [2.0, 3.0, 1.5, 1.0]),
+    "beta all outside": ("beta", _UNIT, [2.0, 3.0, 10.0, 1.0]),
+    "johnsonsb outside": ("johnsonsb", _UNIT, [0.3, 1.2, 1.2, 1.5]),
+    "johnsonsb at z = 0 and 1": ("johnsonsb", _UNIT, [0.3, 1.2, 1.0, 2.0]),
+    "loggamma past z = 710": ("loggamma", np.array([0.0, 1.0, 720.0, 800.0]), [2.0, 0.0, 1.0]),
+    "+inf and nan terms": (SpikyNormal(), np.linspace(-3.0, 3.0, 13), [0.0, 1.0]),
+    "finite terms only": (SpikyNormal(), np.linspace(-0.9, 0.9, 7), [0.0, 1.0]),
+    "finite terms overflow the sum": (SpikyNormal(), np.array([-0.5, 0.0, 0.0, 0.5]), [0.0, 1.0]),
+    "nan theta": ("beta", _UNIT, [2.0, math.nan, 0.5, 3.0]),
+    "inf theta": ("normal", _UNIT, [math.inf, 1.0]),
+    "zero scale": ("normal", _UNIT, [0.0, 0.0]),
+    "negative scale": ("beta", _UNIT, [2.0, 3.0, 0.5, -2.0]),
+    "invalid beta shapes": ("beta", _UNIT, [-1.0, 0.0, 0.5, 3.0]),
+    "invalid johnsonsb shape": ("johnsonsb", _UNIT, [0.3, -0.5, 0.5, 3.0]),
+    "invalid loggamma shape": ("loggamma", _UNIT, [0.0, 0.0, 1.0]),
+}
+
+
+class TestObjective:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_finite, min_size=1, max_size=40), _finite, _scale)
+    def test_extremes_of_z_are_z_of_extremes(self, xs, loc, scale):
+        """z = (x - loc) / scale is monotone in x, so its extremes are the
+        z of the sample's extremes: the support test needs only those two."""
+        x = np.array(xs)
+        with np.errstate(all="ignore"):
+            z = (x - loc) / scale
+            lo = (float(np.min(x)) - loc) / scale
+            hi = (float(np.max(x)) - loc) / scale
+        assert _same(float(np.min(z)), lo)
+        assert _same(float(np.max(z)), hi)
+
+    @pytest.mark.parametrize("case", sorted(OBJECTIVE_CASES))
+    def test_matches_masking_every_point(self, case):
+        family, data, theta = OBJECTIVE_CASES[case]
+        family = D.get_family(family)
+        theta = np.array(theta)
+        span = (float(np.min(data)), float(np.max(data)))
+        with np.errstate(over="ignore"):  # a sum that overflows warns in both forms
+            expected = oracles.penalized_nll_ref(family, data, theta).hex()
+            assert D._penalized_nll(family, data, theta).hex() == expected
+            assert D._penalized_nll(family, data, theta, span).hex() == expected
+            assert D._penalized_nll(family, data, list(theta), span).hex() == expected
 
 
 class TestGof:

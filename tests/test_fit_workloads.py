@@ -1,8 +1,9 @@
 """Maximum-likelihood fits on the bootstrap means of the benchmark's
 quickstart and skewed-runs inputs (the `workload_fit` fixture): each fit
 reaches scipy's maximum, the families with a normal limit reach the normal
-fit, no fit moves, `analyze` and `fit` make the same fit of a family
-whichever other families they are asked for, and no bundle byte moves."""
+fit, no fit moves, no simplex search takes another path, `analyze` and
+`fit` make the same fit of a family whichever other families they are asked
+for, and no bundle byte moves."""
 
 import warnings
 
@@ -182,6 +183,95 @@ WORKLOAD_RECORDS = {
 def test_identity_search_fits_unchanged(family, workload_fit):
     for workload in WORKLOADS:
         assert D.fit_record(workload_fit(workload, family)) == WORKLOAD_RECORDS[workload][family]
+
+
+# Each simplex search of every family's fit on both inputs, one per start:
+# (iterations, objective calls, converged, fval as float.hex), recorded
+# before the simplex moved onto Python floats. A search that reaches the
+# same fit by another path moves these.
+WORKLOAD_STARTS = {
+    "quickstart": {
+        "normal": [
+            (47, 85, True, "-0x1.d15813a8f7420p+8"),
+            (49, 97, True, "-0x1.d15813a828080p+8"),
+            (49, 97, True, "-0x1.d15813a4aca20p+8"),
+        ],
+        "beta": [
+            (1391, 2272, True, "-0x1.d2fe3c6efb600p+8"),
+            (4687, 7673, True, "-0x1.d264e3e03bf80p+8"),
+            (1412, 2330, True, "-0x1.d2fe3c6f01c40p+8"),
+        ],
+        "johnsonsb": [
+            (262, 485, True, "-0x1.d1580a35c0600p+8"),
+            (472, 806, True, "-0x1.d2fde93ce9100p+8"),
+            (482, 838, True, "-0x1.d2fde93ce90c0p+8"),
+        ],
+        "johnsonsu": [
+            (676, 1192, True, "-0x1.d2f12b791f400p+8"),
+            (214, 375, True, "-0x1.d15812d28e800p+8"),
+            (300, 521, True, "-0x1.d1589b0ad2780p+8"),
+        ],
+        "loggamma": [
+            (1946, 3355, True, "-0x1.d10aef380d700p+8"),
+            (2694, 4686, True, "-0x1.d121718efee80p+8"),
+            (2514, 4394, True, "-0x1.d110c9fd88880p+8"),
+        ],
+        "powernorm": [
+            (121, 217, True, "-0x1.d2e059e652de0p+8"),
+            (254, 460, True, "-0x1.d2e059e6532e0p+8"),
+            (198, 349, True, "-0x1.d2e059e653320p+8"),
+        ],
+        "skewnorm": [
+            (79, 145, True, "-0x1.d2e37dcde1920p+8"),
+            (253, 452, True, "-0x1.d2e37dcde16e0p+8"),
+            (114, 212, True, "-0x1.d2e34ca191120p+8"),
+        ],
+    },
+    "skewed-runs": {
+        "normal": [
+            (45, 81, True, "0x1.13357e594803ep+15"),
+            (45, 89, True, "0x1.13357e59482a7p+15"),
+            (44, 89, True, "0x1.13357e5948340p+15"),
+        ],
+        "beta": [
+            (182, 306, True, "0x1.0e71bda3b56f8p+15"),
+            (238, 406, True, "0x1.0e71bda3b56e6p+15"),
+            (173, 305, True, "0x1.0e71bda3b56e8p+15"),
+        ],
+        "johnsonsb": [
+            (157, 270, True, "0x1.0e62d46a822a6p+15"),
+            (186, 319, True, "0x1.0e62d46a822c0p+15"),
+            (155, 265, True, "0x1.0e62d46a822adp+15"),
+        ],
+        "johnsonsu": [
+            (383, 682, True, "0x1.0f2a622f0ed00p+15"),
+            (264, 461, True, "0x1.13357e568e10cp+15"),
+            (235, 414, True, "0x1.13357ea4d2b2cp+15"),
+        ],
+        "loggamma": [
+            (2582, 4490, True, "0x1.133a894f299aep+15"),
+            (2164, 3780, True, "0x1.133aded725ae0p+15"),
+            (2068, 3602, True, "0x1.133baaeea66f8p+15"),
+        ],
+        "powernorm": [
+            (247, 432, True, "0x1.0e74adb5a9a9bp+15"),
+            (248, 438, True, "0x1.0e74adb5a9aaep+15"),
+            (262, 461, True, "0x1.0e74adb5a9a7ap+15"),
+        ],
+        "skewnorm": [
+            (101, 180, True, "0x1.0eaaed9518779p+15"),
+            (128, 230, True, "0x1.0eaaed951876ap+15"),
+            (108, 197, True, "0x1.0eaaed951876ep+15"),
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("family", D.FAMILY_NAMES)
+def test_simplex_searches_unchanged(family, workload_fit):
+    for workload in WORKLOADS:
+        workload_fit(workload, family)
+        assert workload_fit.starts[workload, family] == WORKLOAD_STARTS[workload][family]
 
 
 # The benchmark's experiment config and reported value.

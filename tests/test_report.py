@@ -115,6 +115,12 @@ class TestBundle:
                                      families=("normal",)), tmp_path / "bundle")
         assert not (tmp_path / "bundle").exists()
 
+    def test_no_family_rejected_before_any_bundle(self):
+        # a bundle without fits has no verdict to give
+        with pytest.raises(ValidationError, match="no family requested"):
+            run_analysis(_config(), synthesize_runs(SPEC, seed=31), seed=31,
+                         resamples=500, reported=118.0, families=[])
+
     def test_provenance_roundtrips(self, report, tmp_path):
         emit_bundle(report, tmp_path / "c")
         doc = load_strict((tmp_path / "c" / "provenance.yaml").read_text())
