@@ -5,30 +5,33 @@ loggamma, powernorm, skewnorm. Parameters follow the (shape(s), loc,
 scale) convention, z = (x - loc) / scale throughout, so published
 parameter rows in that convention load directly.
 
-Fitting is a penalized Nelder-Mead search from three starts: the
-moment-based initializer and two jitters of it, one simplex each; the fit
-reports the best of the three and whether its simplex converged.
-Out-of-support data points contribute a large finite penalty scaled by
-the violation distance, which steers the simplex back into feasibility
-instead of aborting.
-
-The simplex runs in each family's search coordinates (`Family.to_search`
-and `from_search`, given the data's mean m and sd s), and the fit reports
-the decoded (shapes, loc, scale). Most families search their parameters
-as they are. Two have likelihoods that rise along curved ridges, where a
-simplex on the raw parameters runs out of iterations:
+A fit searches from three starts, the moment-based initializer and two
+jitters of it, and reports the best of the three. Each search runs in the
+family's search coordinates (`Family.to_search` and `from_search`, given
+the data's mean m and sd s), and the fit reports the decoded (shapes, loc,
+scale). By default they are the shapes as they are, (loc - m)/s and
+log(scale/s). Three families have likelihoods that rise along curved
+ridges in their raw parameters, and search other coordinates:
 
 - johnsonsu searches (a/b, 1/b, (mean - m)/s, log(sd/s)), with the
   distribution's closed-form mean and sd. Its normal limit b -> inf is the
   finite point 1/b = 0, and its lognormal limit keeps a finite mean and sd.
+- johnsonsb searches (a/b, 1/b, (median - m)/s, log(spread/s)), the
+  spread being dx/du at the median; its normal limit is 1/b = 0 too.
 - beta searches (log a, log b, (loc - m)/s, log(scale/s)).
 
-The objective skips passes that cannot change its value, and keeps every
-bit. For scale > 0, z = (x - loc)/scale is monotone in x under
-round-to-nearest, so all of z lies inside a unit support exactly when
-z(min x) and z(max x) do: the mask and penalty passes run only when they do
-not. A finite sum of log-densities has only finite terms, so non-finite
-terms are replaced only when the sum is not finite.
+Six families are fitted by `bfgs` on the negative log-likelihood and its
+analytic score (`Family.logpdf_z_score`, chained through the Jacobian of
+`from_search` by `Family.search_score`), which one pass over the data
+gives together; a point outside the support has an infinite negative
+log-likelihood, so the line search steps back. `converged` means the score
+norm, max |d loglik / d t_i| / n over the search coordinates t, is at most
+_SCORE_TOL = 1e-9. loggamma, whose supremum on right-skewed data is its
+c -> inf normal limit, keeps the Nelder-Mead simplex on its raw
+parameters (`Family.simplex`) with large finite penalties for invalid
+parameters and non-finite log-densities; its `converged` is the simplex's
+own test. Every fit records the iterations of its best search and the
+score norm at its result.
 """
 
 import dataclasses
@@ -54,11 +57,17 @@ class Family:
     name = ""
     shape_names: tuple = ()
     bounded = False  # True when support of z is the unit interval
+    simplex = False  # True to fit by Nelder-Mead instead of the score search
 
     def shapes_valid(self, shapes):
         return True
 
     def logpdf_z(self, z, shapes):
+        raise NotImplementedError
+
+    def logpdf_z_score(self, z, shapes):
+        """(sum of logpdf_z, d logpdf_z / dz at each z, the sums of
+        d logpdf_z / d shape) in one pass: the value's arrays are reused."""
         raise NotImplementedError
 
     def cdf_z(self, z, shapes):
@@ -74,15 +83,27 @@ class Family:
     def init_params(self, data):
         raise NotImplementedError
 
+    # Search coordinates: the shapes as they are, (loc - m)/s and
+    # log(scale/s), for the data's mean m and sd s.
     def to_search(self, theta, m, s):
         """The point `fit_mle` searches at for parameters theta, given the
-        data's mean m and sd s. The identity unless a family overrides it."""
-        return theta
+        data's mean m and sd s."""
+        *shapes, loc, scale = theta
+        return np.array([*shapes, (loc - m) / s, math.log(scale / s)])
 
     def from_search(self, t, m, s):
         """Inverse of `to_search`; may return non-finite parameters, which
         the fit's objective rejects."""
-        return t
+        return np.array([*t[:-2], m + s * t[-2], s * np.exp(t[-1])])
+
+    def search_score(self, t, theta, score, m, s):
+        """The score in search coordinates t, from the score in theta =
+        from_search(t): the product of the Jacobian d theta / d t,
+        transposed, with it."""
+        out = np.array(score, dtype=np.float64)
+        out[-2] *= s
+        out[-1] *= theta[-1]
+        return out
 
     def __repr__(self):
         return f"Family({self.name})"
@@ -108,6 +129,9 @@ class Normal(Family):
 
     def logpdf_z(self, z, shapes):
         return -0.5 * z * z - _LOG_SQRT_2PI
+
+    def logpdf_z_score(self, z, shapes):
+        return float(np.sum(self.logpdf_z(z, shapes))), -z, ()
 
     def cdf_z(self, z, shapes):
         return special.std_normal_cdf(z)
@@ -135,6 +159,20 @@ class Beta(Family):
         lnbeta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
         return (a - 1.0) * np.log(z) + (b - 1.0) * np.log1p(-z) - lnbeta
 
+    def logpdf_z_score(self, z, shapes):
+        a, b = shapes
+        n = z.size
+        sum_log_z = float(np.sum(np.log(z)))
+        sum_log_1mz = float(np.sum(np.log1p(-z)))
+        lnbeta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+        total = (a - 1.0) * sum_log_z + (b - 1.0) * sum_log_1mz - n * lnbeta
+        dz = (a - 1.0) / z - (b - 1.0) / (1.0 - z)
+        psi_ab = special.digamma(a + b)
+        return total, dz, (
+            sum_log_z - n * (special.digamma(a) - psi_ab),
+            sum_log_1mz - n * (special.digamma(b) - psi_ab),
+        )
+
     def cdf_z(self, z, shapes):
         return special.reg_inc_beta(shapes[0], shapes[1], np.clip(z, 0.0, 1.0))
 
@@ -158,9 +196,12 @@ class Beta(Family):
         return np.array([math.log(a), math.log(b), (loc - m) / s, math.log(scale / s)])
 
     def from_search(self, t, m, s):
-        with np.errstate(over="ignore"):
-            a, b, scale = np.exp([t[0], t[1], t[3]])
+        a, b, scale = np.exp([t[0], t[1], t[3]])
         return np.array([a, b, m + s * t[2], s * scale])
+
+    def search_score(self, t, theta, score, m, s):
+        a, b, _, scale = theta
+        return np.array([a * score[0], b * score[1], s * score[2], scale * score[3]])
 
 
 class JohnsonSB(Family):
@@ -175,6 +216,19 @@ class JohnsonSB(Family):
         a, b = shapes
         u = a + b * np.log(z / (1.0 - z))
         return math.log(b) - np.log(z) - np.log1p(-z) - 0.5 * u * u - _LOG_SQRT_2PI
+
+    def logpdf_z_score(self, z, shapes):
+        a, b = shapes
+        log_z = np.log(z)
+        log_1mz = np.log1p(-z)
+        r = log_z - log_1mz
+        u = b * r
+        u += a
+        total = z.size * (math.log(b) - _LOG_SQRT_2PI) - (
+            float(np.sum(log_z)) + float(np.sum(log_1mz)) + 0.5 * float(np.dot(u, u))
+        )
+        dz = (2.0 * z - 1.0 - b * u) / (z - z * z)
+        return total, dz, (-float(np.sum(u)), z.size / b - float(np.dot(u, r)))
 
     def cdf_z(self, z, shapes):
         a, b = shapes
@@ -210,15 +264,64 @@ class JohnsonSB(Family):
         b = 1.0 / spread
         return (-float(np.mean(u)) * b, b), loc, scale
 
+    # Search coordinates (v, w, median', log spread') = (a/b, 1/b,
+    # (median - m)/s, log(dx/du at the median / s)), u = a + b logit z: the
+    # median is loc + scale expit(-v), and dx/du there is scale q w with
+    # q = expit(-v) expit(v). The normal limit b -> inf, which a search in
+    # (a, b, loc, scale) crawls toward along a curved ridge, is the point
+    # w = 0, and the likelihood is even in w.
+    @staticmethod
+    def _median_frame(v):
+        """(expit(-v), expit(-v) expit(v)) without overflow."""
+        e = math.exp(-abs(v))
+        z_m = e / (1.0 + e) if v >= 0.0 else 1.0 / (1.0 + e)
+        return z_m, e / ((1.0 + e) * (1.0 + e))
+
+    def to_search(self, theta, m, s):
+        a, b, loc, scale = theta
+        v, w = a / b, 1.0 / b
+        z_m, q = self._median_frame(v)
+        return np.array([v, w, (loc + scale * z_m - m) / s, math.log(scale * q * w / s)])
+
+    def from_search(self, t, m, s):
+        v, w, mu, log_spread = t
+        w = abs(w)
+        z_m, q = self._median_frame(v)
+        scale = s * np.exp(log_spread) / (w * q)  # w = 0 decodes to b = inf
+        return np.array([v / w, 1.0 / w, m + s * mu - scale * z_m, scale])
+
+    def search_score(self, t, theta, score, m, s):
+        v, w = t[0], abs(t[1])
+        g_a, g_b, g_loc, g_scale = score
+        scale = theta[3]
+        z_m, _ = self._median_frame(v)
+        # d scale / d(v, w) = scale (1 - 2 z_m, -1/w); d loc / d(v, w) =
+        # scale (z_m^2, z_m / w)
+        g_v = g_a / w + scale * (g_scale * (1.0 - 2.0 * z_m) + g_loc * z_m * z_m)
+        g_w = -(g_a * v + g_b) / (w * w) + scale * (g_loc * z_m - g_scale) / w
+        return np.array([
+            g_v, math.copysign(1.0, t[1]) * g_w, s * g_loc, scale * (g_scale - g_loc * z_m),
+        ])
+
 
 def _johnsonsu_moments(v, u):
     """Mean and variance of the standardized Johnson SU with a = v/u and
     b = 1/u: -e^(u^2/2) sinh v and expm1(u^2) (e^(u^2) cosh 2v + 1) / 2.
-    Overflow gives inf, or nan where it meets u = 0."""
-    with np.errstate(all="ignore"):
-        mean_z = -np.exp(0.5 * u * u) * np.sinh(v)
-        var_z = 0.5 * np.expm1(u * u) * (np.exp(u * u) * np.cosh(2.0 * v) + 1.0)
+    Overflow gives inf, or nan where it meets u = 0; the fit calls it inside
+    its np.errstate."""
+    mean_z = -np.exp(0.5 * u * u) * np.sinh(v)
+    var_z = 0.5 * np.expm1(u * u) * (np.exp(u * u) * np.cosh(2.0 * v) + 1.0)
     return mean_z, var_z
+
+
+def _johnsonsu_moment_partials(v, u, mean_z):
+    """d mean_z / d(v, u) and d var_z / d(v, u) of `_johnsonsu_moments`."""
+    w = math.exp(u * u)
+    cosh2v = math.cosh(2.0 * v)
+    return (
+        (-math.exp(0.5 * u * u) * math.cosh(v), u * mean_z),
+        (math.expm1(u * u) * w * math.sinh(2.0 * v), u * w * (2.0 * w * cosh2v + 1.0 - cosh2v)),
+    )
 
 
 class JohnsonSU(Family):
@@ -233,6 +336,17 @@ class JohnsonSU(Family):
         u = a + b * np.arcsinh(z)
         return math.log(b) - 0.5 * np.log1p(z * z) - 0.5 * u * u - _LOG_SQRT_2PI
 
+    def logpdf_z_score(self, z, shapes):
+        a, b = shapes
+        h = np.arcsinh(z)
+        u = a + b * h
+        one_pz2 = 1.0 + z * z
+        total = float(np.sum(-0.5 * np.log(one_pz2) - 0.5 * u * u)) + z.size * (
+            math.log(b) - _LOG_SQRT_2PI
+        )
+        dz = -(z + b * u * np.sqrt(one_pz2)) / one_pz2
+        return total, dz, (-float(np.sum(u)), z.size / b - float(np.dot(u, h)))
+
     def cdf_z(self, z, shapes):
         a, b = shapes
         return special.std_normal_cdf(a + b * np.arcsinh(z))
@@ -243,7 +357,8 @@ class JohnsonSU(Family):
 
     def mean_z(self, shapes):
         a, b = shapes
-        return float(_johnsonsu_moments(a / b, 1.0 / b)[0])
+        with np.errstate(all="ignore"):
+            return float(_johnsonsu_moments(a / b, 1.0 / b)[0])
 
     def init_params(self, data):
         loc = float(np.median(data))
@@ -269,14 +384,36 @@ class JohnsonSU(Family):
         v, u, mu, log_sd = t
         u = abs(u)
         mean_z, var_z = _johnsonsu_moments(v, u)
-        with np.errstate(all="ignore"):  # u = 0 decodes to b = inf
-            scale = s * np.exp(log_sd) / np.sqrt(var_z)
-            return np.array([v / u, 1.0 / u, m + s * mu - scale * mean_z, scale])
+        scale = s * np.exp(log_sd) / np.sqrt(var_z)  # u = 0 decodes to b = inf
+        return np.array([v / u, 1.0 / u, m + s * mu - scale * mean_z, scale])
+
+    def search_score(self, t, theta, score, m, s):
+        v, u = t[0], abs(t[1])
+        g_a, g_b, g_loc, g_scale = score
+        scale = theta[3]
+        mean_z, var_z = _johnsonsu_moments(v, u)
+        (dmean_v, dmean_u), (dvar_v, dvar_u) = _johnsonsu_moment_partials(v, u, mean_z)
+        # scale = s e^log_sd / sqrt(var_z) and loc = m + s mu - scale mean_z
+        dscale_v = -0.5 * scale * dvar_v / var_z
+        dscale_u = -0.5 * scale * dvar_u / var_z
+        g_v = g_a / u + g_scale * dscale_v - g_loc * (dscale_v * mean_z + scale * dmean_v)
+        g_u = (
+            -(g_a * v + g_b) / (u * u)
+            + g_scale * dscale_u - g_loc * (dscale_u * mean_z + scale * dmean_u)
+        )
+        return np.array([
+            g_v, math.copysign(1.0, t[1]) * g_u, s * g_loc,
+            scale * (g_scale - g_loc * mean_z),
+        ])
 
 
 class LogGamma(Family):
     name = "loggamma"
     shape_names = ("c",)
+    # On right-skewed data its supremum is the c -> inf normal limit, which a
+    # score search in raw parameters stops short of; the simplex stays until
+    # a parametrization with a finite normal point replaces both.
+    simplex = True
 
     def shapes_valid(self, shapes):
         return shapes[0] > 0
@@ -284,6 +421,23 @@ class LogGamma(Family):
     def logpdf_z(self, z, shapes):
         c = shapes[0]
         return c * z - np.exp(z) - math.lgamma(c)
+
+    def logpdf_z_score(self, z, shapes):
+        c = shapes[0]
+        exp_z = np.exp(z)
+        sum_z = float(np.sum(z))
+        total = c * sum_z - float(np.sum(exp_z)) - z.size * math.lgamma(c)
+        return total, c - exp_z, (sum_z - z.size * special.digamma(c),)
+
+    # The simplex searches the raw parameters.
+    def to_search(self, theta, m, s):
+        return theta
+
+    def from_search(self, t, m, s):
+        return t
+
+    def search_score(self, t, theta, score, m, s):
+        return np.asarray(score, dtype=np.float64)
 
     # Below this z, e^z < 1e-300 and P(c, e^z) = e^(c z) / Gamma(c + 1) to
     # double precision; evaluated in z, it neither underflows with e^z nor
@@ -338,6 +492,17 @@ class PowerNormal(Family):
             + (c - 1.0) * special.std_normal_logcdf(-z)
         )
 
+    def logpdf_z_score(self, z, shapes):
+        c = shapes[0]
+        log_sf = special.std_normal_logcdf(-z)
+        half_z2 = 0.5 * z * z
+        sum_log_sf = float(np.sum(log_sf))
+        total = (
+            z.size * (math.log(c) - _LOG_SQRT_2PI) - float(np.sum(half_z2)) + (c - 1.0) * sum_log_sf
+        )
+        hazard = np.exp(-half_z2 - _LOG_SQRT_2PI - log_sf)  # phi(z) / Phi(-z)
+        return total, -z - (c - 1.0) * hazard, (z.size / c + sum_log_sf,)
+
     def cdf_z(self, z, shapes):
         return -np.expm1(shapes[0] * special.std_normal_logcdf(-z))
 
@@ -360,6 +525,15 @@ class SkewNormal(Family):
             - _LOG_SQRT_2PI
             + special.std_normal_logcdf(a * z)
         )
+
+    def logpdf_z_score(self, z, shapes):
+        a = shapes[0]
+        az = a * z
+        log_cdf = special.std_normal_logcdf(az)
+        half_z2 = 0.5 * z * z
+        total = z.size * (math.log(2.0) - _LOG_SQRT_2PI) + float(np.sum(log_cdf - half_z2))
+        ratio = np.exp(-0.5 * az * az - _LOG_SQRT_2PI - log_cdf)  # phi(az) / Phi(az)
+        return total, a * ratio - z, (float(np.dot(z, ratio)),)
 
     def cdf_z(self, z, shapes):
         return special.std_normal_cdf(z) - 2.0 * special.owens_t(z, shapes[0])
@@ -425,6 +599,8 @@ class FittedDistribution:
     ks_pvalue: float = None
     post_fit_ks: bool = False
     degenerate: bool = False
+    iterations: int = None  # of the search the fit came from
+    score_norm: float = None  # max |score| / n in search coordinates
 
     def __post_init__(self):
         if self.scale <= 0:
@@ -586,12 +762,12 @@ def sample(fit, count, rng: SeededRng):
 
 
 # ---------------------------------------------------------------------------
-# Nelder-Mead and maximum-likelihood fitting
+# maximum-likelihood fitting: BFGS on the score, Nelder-Mead for loggamma
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class SimplexResult:
+class SearchResult:
     x: np.ndarray
     fval: float
     converged: bool
@@ -602,6 +778,14 @@ _NM_MAX_ITER = 5000
 _NM_FTOL_REL = 1e-8
 _NM_XTOL = 1e-6
 _FIT_STARTS = 3  # the moment start plus two jittered ones
+
+_SCORE_TOL = 1e-9  # on max |score| / n in search coordinates
+_BFGS_MAX_ITER = 500
+_WOLFE_C1 = 1e-4
+_WOLFE_C2 = 0.9
+_LINE_MAX_EVALS = 40
+_F_NOISE = 1e-12  # rounding noise of a summed log-likelihood, relative to |f| + n
+_EPS = 2.0**-52
 
 
 def nelder_mead(fn, x0):
@@ -651,10 +835,155 @@ def nelder_mead(fn, x0):
             else:
                 shrunk = [[b + 0.5 * (x - b) for b, x in zip(best, v)] for _, v in verts]
                 verts = [(f0, shrunk[0])] + [(f(v), v) for v in shrunk[1:]]
-    return SimplexResult(np.array(verts[0][1]), verts[0][0], converged, iterations)
+    return SearchResult(np.array(verts[0][1]), verts[0][0], converged, iterations)
 
 
-def _penalized_nll(family, data, theta, span=None):
+def _cubic_min(a, fa, da, b, fb, db):
+    """Minimizer of the cubic through (a, fa, da) and (b, fb, db) (Nocedal
+    & Wright 2006, eq. 3.59), or None when it has none."""
+    d1 = da + db - 3.0 * (fa - fb) / (a - b)
+    disc = d1 * d1 - da * db
+    if not disc >= 0.0:
+        return None
+    d2 = math.copysign(math.sqrt(disc), b - a)
+    denom = db - da + 2.0 * d2
+    if denom == 0.0:
+        return None
+    return b - (b - a) * (db + d2 - d1) / denom
+
+
+def _wolfe_step(fn, x, f0, d0, p, alpha, f_noise):
+    """A step length along p that meets the strong Wolfe conditions, as
+    (alpha, f, g) (Nocedal & Wright 2006, algorithms 3.5 and 3.6). A point
+    whose f is not finite fails the decrease test, so steps that leave the
+    domain are cut back. Where f changes by less than its rounding noise,
+    a point within `f_noise` of f0 whose slope meets the curvature condition
+    is taken too (the approximate Wolfe conditions of Hager & Zhang 2005).
+    After _LINE_MAX_EVALS evaluations it returns the lowest point found with
+    sufficient decrease, or None if there is none."""
+
+    def point(a):
+        f, g = fn(x + a * p)
+        return a, f, (math.nan if g is None else float(g @ p)), g
+
+    def decreases(a, f):
+        return f <= f0 + _WOLFE_C1 * a * d0
+
+    def accepted(cur):
+        a, f, d, _ = cur
+        return (decreases(a, f) or f <= f0 + f_noise) and abs(d) <= -_WOLFE_C2 * d0
+
+    evals = 0
+    prev = (0.0, f0, d0, None)
+    while True:  # bracket: double alpha until a bracket holds a step
+        if evals == _LINE_MAX_EVALS:
+            return None if prev[3] is None else (prev[0], prev[1], prev[3])
+        cur = point(alpha)
+        evals += 1
+        if accepted(cur):
+            return cur[0], cur[1], cur[3]
+        if not decreases(alpha, cur[1]) or (prev[3] is not None and cur[1] >= prev[1]):
+            lo, hi = prev, cur
+            break
+        if cur[2] >= 0.0:
+            lo, hi = cur, prev
+            break
+        prev = cur
+        alpha *= 2.0
+    while evals < _LINE_MAX_EVALS:  # zoom: shrink the bracket [lo, hi]
+        width = hi[0] - lo[0]
+        if abs(width) <= _EPS * abs(lo[0]):
+            break
+        trial = None
+        if math.isfinite(hi[1]) and math.isfinite(hi[2]):
+            trial = _cubic_min(*lo[:3], *hi[:3])
+        if trial is None or not 0.1 <= (trial - lo[0]) / width <= 0.9:
+            trial = lo[0] + 0.5 * width
+        cur = point(trial)
+        evals += 1
+        if accepted(cur):
+            return cur[0], cur[1], cur[3]
+        if not decreases(trial, cur[1]) or cur[1] >= lo[1]:
+            hi = cur
+            continue
+        if cur[2] * width >= 0.0:
+            hi = lo
+        lo = cur
+    return None if lo[3] is None else (lo[0], lo[1], lo[3])
+
+
+def bfgs(fn, x0, gtol, f_scale):
+    """Minimize fn, which returns (value, gradient) and an infinite value
+    out of its domain, by BFGS with a strong-Wolfe line search (Nocedal &
+    Wright 2006, algorithm 6.1; H0 scaled by eq. 6.20 before the first
+    update). Converged when max |gradient| <= gtol. Stops after
+    _BFGS_MAX_ITER iterations or when the line search finds no lower point.
+    """
+    x = np.asarray(x0, dtype=np.float64)
+    f, g = fn(x)
+    if not math.isfinite(f):
+        return SearchResult(x, f, False, 0)
+    inv_h = None  # the inverse Hessian approximation; None is the identity
+    iterations = 0
+    while True:
+        if float(np.max(np.abs(g))) <= gtol:
+            return SearchResult(x, f, True, iterations)
+        if iterations == _BFGS_MAX_ITER:
+            break
+        p = -g if inv_h is None else -(inv_h @ g)
+        d0 = float(g @ p)
+        if not d0 < 0.0:  # lost positive definiteness: restart from steepest descent
+            inv_h = None
+            p = -g
+            d0 = float(g @ p)
+        alpha = 1.0 if inv_h is not None else min(1.0, 1.0 / float(np.max(np.abs(g))))
+        step = _wolfe_step(fn, x, f, d0, p, alpha, _F_NOISE * (abs(f) + f_scale))
+        if step is None:
+            break
+        iterations += 1
+        alpha, f_new, g_new = step
+        s_k = alpha * p
+        y_k = g_new - g
+        sy = float(s_k @ y_k)
+        if sy > 0.0:
+            if inv_h is None:
+                inv_h = np.eye(x.size) * (sy / float(y_k @ y_k))
+            rho = 1.0 / sy
+            hy = inv_h @ y_k
+            inv_h = (
+                inv_h
+                + (rho * rho * (sy + float(y_k @ hy))) * np.outer(s_k, s_k)
+                - rho * (np.outer(hy, s_k) + np.outer(s_k, hy))
+            )
+        x, f, g = x + s_k, f_new, g_new
+    return SearchResult(x, f, False, iterations)
+
+
+def _loglik_score(family, data, theta):
+    """Log-likelihood of theta = (shapes, loc, scale) and its gradient in
+    theta, or (-inf, None) when theta is invalid or a point lies outside the
+    support. A bounded family's log z and log(1 - z) are not finite outside
+    (0, 1), so neither is the sum then."""
+    k = len(family.shape_names)
+    shapes = tuple(theta[:k])
+    loc = theta[k]
+    scale = theta[k + 1]
+    if not (all(map(math.isfinite, theta)) and scale > 0.0 and family.shapes_valid(shapes)):
+        return -math.inf, None
+    z = (data - loc) / scale
+    total, dz, shape_score = family.logpdf_z_score(z, shapes)
+    ll = float(total) - z.size * math.log(scale)
+    if not math.isfinite(ll):
+        return -math.inf, None
+    return ll, np.array([
+        *shape_score, -float(np.sum(dz)) / scale, -(float(np.dot(z, dz)) + z.size) / scale,
+    ])
+
+
+def _penalized_nll(family, data, theta):
+    """Negative log-likelihood of an unbounded family, with finite
+    penalties for invalid parameters and non-finite log-densities, for the
+    simplex. Called inside the fit's np.errstate."""
     if not all(map(math.isfinite, theta)):
         return _INVALID_PENALTY
     k = len(family.shape_names)
@@ -667,24 +996,11 @@ def _penalized_nll(family, data, theta, span=None):
         bad = sum(abs(min(s, 0.0)) for s in shapes)
         return _INVALID_PENALTY * (1.0 + bad)
     z = (data - loc) / scale
-    penalty = 0.0
-    if family.bounded:
-        lo, hi = span or (np.min(data), np.max(data))
-        if not (0.0 < (lo - loc) / scale and (hi - loc) / scale < 1.0):
-            below = np.maximum(-z, 0.0)
-            above = np.maximum(z - 1.0, 0.0)
-            outside = (z <= 0.0) | (z >= 1.0)
-            n_out = int(np.count_nonzero(outside))
-            penalty = _POINT_PENALTY * (n_out + float(np.sum(below + above)))
-            z = z[~outside]
-            if z.size == 0:
-                return penalty
-    with np.errstate(all="ignore"):
-        lp = family.logpdf_z(z, shapes)
-        total = lp.sum()
+    lp = family.logpdf_z(z, shapes)
+    total = lp.sum()
     if not math.isfinite(total):
         total = np.sum(np.where(np.isfinite(lp), lp, -_POINT_PENALTY))
-    return float(-(total - z.size * math.log(scale)) + penalty)
+    return float(-(total - z.size * math.log(scale)))
 
 
 def _jitter_start(family, theta0, data, eta):
@@ -705,8 +1021,19 @@ def _jitter_start(family, theta0, data, eta):
     return theta
 
 
+def _search_score_norm(family, data, t, m, s):
+    """max |score| / n in search coordinates t, nan where it is undefined."""
+    theta = family.from_search(t, m, s)
+    _, score = _loglik_score(family, data, theta)
+    if score is None:
+        return math.nan
+    return float(np.max(np.abs(family.search_score(t, theta, score, m, s)))) / data.size
+
+
 def fit_mle(family, data, fitting_seed=0):
-    """Maximum-likelihood fit of one family.
+    """Maximum-likelihood fit of one family: the best of three searches
+    (the module docstring), with `converged` and the `iterations` of that
+    search and the score norm at its result.
 
     Non-convergence is reported through the `converged` flag, never raised.
     Zero-variance data is an error for every family except normal, which
@@ -729,19 +1056,37 @@ def fit_mle(family, data, fitting_seed=0):
     shapes0, loc0, scale0 = family.init_params(arr)
     theta0 = np.array([*shapes0, loc0, scale0], dtype=np.float64)
     m, s = float(np.mean(arr)), float(np.std(arr))
-    span = (float(np.min(arr)), float(np.max(arr)))
-    nll = lambda t: _penalized_nll(family, arr, family.from_search(t, m, s), span)
     rng = SeededRng(fitting_seed, domain=DOMAIN_FIT)
     starts = [theta0]
     for _ in range(_FIT_STARTS - 1):
         eta = rng.standard_normal(theta0.size)
         starts.append(_jitter_start(family, theta0, arr, eta))
+
+    if family.simplex:
+        def objective(t):
+            return _penalized_nll(family, arr, family.from_search(t, m, s))
+
+        def search(t):
+            return nelder_mead(objective, t)
+    else:
+        def objective(t):
+            theta = family.from_search(t, m, s)
+            ll, score = _loglik_score(family, arr, theta)
+            if score is None:
+                return math.inf, None
+            return -ll, -family.search_score(t, theta, score, m, s)
+
+        def search(t):
+            return bfgs(objective, t, _SCORE_TOL * arr.size, arr.size)
+
     best = None
-    for start in starts:
-        result = nelder_mead(nll, family.to_search(start, m, s))
-        if best is None or result.fval < best.fval:
-            best = result
-    theta = family.from_search(best.x, m, s)
+    with np.errstate(all="ignore"):
+        for start in starts:
+            result = search(family.to_search(start, m, s))
+            if best is None or result.fval < best.fval:
+                best = result
+        score_norm = _search_score_norm(family, arr, best.x, m, s)
+        theta = family.from_search(best.x, m, s)
     k = len(family.shape_names)
     shapes = tuple(float(v) for v in theta[:k])
     loc = float(theta[k])
@@ -755,6 +1100,7 @@ def fit_mle(family, data, fitting_seed=0):
     return FittedDistribution(
         family, shapes, loc, scale,
         log_likelihood=-best.fval, converged=best.converged,
+        iterations=best.iterations, score_norm=score_norm,
     )
 
 
@@ -787,8 +1133,10 @@ def with_gof(fit, data, mode="exact"):
 # ---------------------------------------------------------------------------
 
 
-def fit_record(fit):
-    """Plain mapping form of a fit (family, parameters in column order, KS)."""
+def fit_record(fit, diagnostics=False):
+    """Plain mapping form of a fit (family, parameters in column order, KS).
+    With `diagnostics`, as in the bundle's fits.yaml, it also carries the
+    search's `iterations` and `score_norm` (null for a degenerate fit)."""
     rec = {
         "family": fit.family.name,
         "parameters": [float(v) for v in fit.params],
@@ -801,6 +1149,10 @@ def fit_record(fit):
         rec["ks_statistic"] = float(fit.ks_statistic)
         rec["ks_pvalue"] = float(fit.ks_pvalue)
         rec["post_fit_ks"] = bool(fit.post_fit_ks)
+    if diagnostics:
+        rec["iterations"] = fit.iterations
+        norm = fit.score_norm
+        rec["score_norm"] = None if norm is None or math.isnan(norm) else float(norm)
     return rec
 
 
@@ -820,4 +1172,6 @@ def fit_from_record(rec):
         ks_statistic=rec.get("ks_statistic"),
         ks_pvalue=rec.get("ks_pvalue"),
         post_fit_ks=bool(rec.get("post_fit_ks", False)),
+        iterations=rec.get("iterations"),
+        score_norm=rec.get("score_norm"),
     )

@@ -59,12 +59,11 @@ def workload_means():
     }
 
 
-def _logging_nelder_mead(log):
-    """D.nelder_mead, appending (iterations, objective calls, converged,
-    fval as float.hex) of each search to `log`."""
-    nelder_mead = D.nelder_mead
+def _logging_search(search, log):
+    """`search` (D.bfgs or D.nelder_mead), appending (iterations, objective
+    calls, converged, fval as float.hex) of each search to `log`."""
 
-    def search(fn, x0):
+    def logged(fn, x0, *args):
         calls = 0
 
         def counted(t):
@@ -72,18 +71,18 @@ def _logging_nelder_mead(log):
             calls += 1
             return fn(t)
 
-        result = nelder_mead(counted, x0)
+        result = search(counted, x0, *args)
         log.append((result.iterations, calls, result.converged, float(result.fval).hex()))
         return result
 
-    return search
+    return logged
 
 
 @pytest.fixture(scope="session")
 def workload_fit(workload_means):
     """workload_fit(workload, family): the fit `analyze` makes on those
     means, computed once per session. workload_fit.starts[workload, family]
-    logs its simplex searches, one per start (`_logging_nelder_mead`)."""
+    logs its searches, one per start (`_logging_search`)."""
     cache = {}
 
     def fit(workload, family):
@@ -91,7 +90,8 @@ def workload_fit(workload_means):
             seed = fitting_seed_for(WORKLOAD_SEED, FAMILY_NAMES.index(family))
             log = fit.starts[workload, family] = []
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(D, "nelder_mead", _logging_nelder_mead(log))
+                for name in ("bfgs", "nelder_mead"):
+                    patch.setattr(D, name, _logging_search(getattr(D, name), log))
                 cache[workload, family] = fit_mle(
                     family, workload_means[workload], fitting_seed=seed
                 )

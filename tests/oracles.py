@@ -35,6 +35,10 @@ def erfc_ref(x: float) -> float:
     return float(mp.erfc(x))
 
 
+def digamma_ref(x: float) -> float:
+    return float(mp.digamma(mp.mpf(x)))
+
+
 def quantile_grid():
     """The p grid of the quantile oracle fixture: deep lower tail to 1e-250,
     upper tail to 1 - 1e-16."""

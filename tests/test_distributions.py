@@ -201,6 +201,18 @@ class TestFit:
         fit = D.fit_mle("skewnorm", data, fitting_seed=2)
         assert fit.log_likelihood >= -init_nll - 1e-9
 
+    def test_one_errstate_per_fit(self, monkeypatch):
+        """loggamma's simplex calls its objective thousands of times inside
+        the fit's one np.errstate; only init_params enters others."""
+        data = D.sample(D.make_fit("loggamma", 10.59, 92.24, 20.53), 500, SeededRng(5))
+        entered, calls = [], []
+        errstate, objective = np.errstate, D._penalized_nll
+        monkeypatch.setattr(np, "errstate", lambda **kw: entered.append(kw) or errstate(**kw))
+        monkeypatch.setattr(D, "_penalized_nll", lambda *a: calls.append(1) or objective(*a))
+        D.fit_mle("loggamma", data, fitting_seed=1)
+        assert len(calls) > 1000
+        assert len(entered) == 7  # six shape candidates in init_params, one fit
+
     def test_degenerate_normal(self):
         fit = D.fit_mle("normal", [4.0] * 25)
         assert fit.degenerate
@@ -291,6 +303,121 @@ class TestSimplex:
             assert any(taken[branch] for _, taken, _ in SIMPLEX_CASES.values()), branch
 
 
+def _numeric_score(family, data, t, m, s):
+    """Central differences of the log-likelihood in search coordinates."""
+    out = np.empty(t.size)
+    for i in range(t.size):
+        h = 1e-6 * max(1.0, abs(t[i]))
+        up, down = t.copy(), t.copy()
+        up[i] += h
+        down[i] -= h
+        lls = [D._loglik_score(family, data, family.from_search(v, m, s))[0] for v in (up, down)]
+        out[i] = (lls[0] - lls[1]) / (2.0 * h)
+    return out
+
+
+class TestScore:
+    @pytest.mark.parametrize("name", sorted(REFERENCE))
+    def test_matches_central_differences(self, name):
+        """The log-likelihood is the sum of logpdf_z less n log scale, and its
+        score in search coordinates, Jacobian of from_search included,
+        matches central differences at three points."""
+        fit, _ = _pair(name)
+        family = fit.family
+        data = D.sample(fit, 500, SeededRng(3))
+        m, s = float(np.mean(data)), float(np.std(data))
+        t0 = family.to_search(np.array(fit.params), m, s)
+        np.testing.assert_allclose(family.from_search(t0, m, s), fit.params, rtol=1e-12)
+        for shift in (0.0, 0.003, -0.005):
+            t = t0 + shift * np.arange(1, t0.size + 1)
+            theta = family.from_search(t, m, s)
+            ll, score = D._loglik_score(family, data, theta)
+            z = (data - theta[-2]) / theta[-1]
+            direct = math.fsum(family.logpdf_z(z, tuple(theta[:-2]))) - z.size * math.log(theta[-1])
+            assert ll == pytest.approx(direct, rel=1e-12, abs=1e-9)
+            numeric = _numeric_score(family, data, t, m, s)
+            analytic = family.search_score(t, theta, score, m, s)
+            assert np.max(np.abs(analytic - numeric)) <= 1e-6 * max(1.0, np.max(np.abs(numeric)))
+
+    @pytest.mark.parametrize("name", ["johnsonsb", "johnsonsu"])
+    def test_even_in_second_coordinate(self, name):
+        """(a, b) and (-a, -b) are one distribution: flipping the sign of
+        1/b flips that component of the score and nothing else."""
+        fit, _ = _pair(name)
+        family = fit.family
+        data = D.sample(fit, 500, SeededRng(3))
+        m, s = float(np.mean(data)), float(np.std(data))
+        t = family.to_search(np.array(fit.params), m, s) + 0.002
+        flipped = t * np.array([1.0, -1.0, 1.0, 1.0])
+        scores = []
+        for v in (t, flipped):
+            theta = family.from_search(v, m, s)
+            ll, score = D._loglik_score(family, data, theta)
+            scores.append((ll, family.search_score(v, theta, score, m, s)))
+        assert scores[0][0] == scores[1][0]
+        assert np.array_equal(scores[0][1] * np.array([1.0, -1.0, 1.0, 1.0]), scores[1][1])
+
+    def test_outside_support_is_rejected(self):
+        data = np.linspace(1.0, 3.0, 41)
+        with np.errstate(all="ignore"):
+            for theta in ([2.0, 3.0, 1.0, 2.0], [2.0, 3.0, 1.5, 1.0], [2.0, 3.0, 0.5, 2.5]):
+                for name in ("beta", "johnsonsb"):
+                    assert D._loglik_score(D.get_family(name), data, theta) == (-math.inf, None)
+        assert D._loglik_score(D.get_family("normal"), data, [0.0, 0.0]) == (-math.inf, None)
+        assert D._loglik_score(D.get_family("beta"), data, [2.0, math.nan, 0.5, 3.0])[1] is None
+
+
+def _rosenbrock_with_gradient(x):
+    return _rosenbrock(x), np.array([
+        -400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]), 200.0 * (x[1] - x[0] ** 2),
+    ])
+
+
+class TestBfgs:
+    def test_rosenbrock(self):
+        result = D.bfgs(_rosenbrock_with_gradient, (-1.2, 1.0), 1e-10, 1.0)
+        assert result.converged
+        assert np.max(np.abs(_rosenbrock_with_gradient(result.x)[1])) <= 1e-10
+        assert np.max(np.abs(result.x - 1.0)) <= 1e-9
+        assert result.iterations < 60
+
+    def test_not_converged_when_the_score_stays_large(self):
+        """A minimum on the edge of the domain leaves a gradient the search
+        cannot shrink: it stops with converged false."""
+        def edge(x):
+            if x[0] < 0.0:
+                return math.inf, None
+            return x[0] + (x[1] - 2.0) ** 2, np.array([1.0, 2.0 * (x[1] - 2.0)])
+
+        result = D.bfgs(edge, (1.0, 0.0), 1e-8, 1.0)
+        assert not result.converged
+        assert 0.0 <= result.x[0] <= 1e-6
+
+    def test_step_out_of_domain_is_cut_back(self):
+        """The trial step lands where f is infinite; the line search bisects
+        back to the line minimum."""
+        def fn(x):
+            if x[0] >= 0.3:
+                return math.inf, None
+            return (x[0] - 0.25) ** 2, np.array([2.0 * (x[0] - 0.25)])
+
+        calls = []
+        logged = lambda x: calls.append(float(x[0])) or fn(x)
+        alpha, f, g = D._wolfe_step(logged, np.zeros(1), 0.0625, -0.5, np.ones(1), 1.0, 0.0)
+        assert calls == [1.0, 0.5, 0.25]
+        assert (alpha, f, g[0]) == (0.25, 0.0, 0.0)
+
+    @pytest.mark.parametrize("alpha", [1e-3, 1.0, 30.0])
+    def test_step_meets_strong_wolfe(self, alpha):
+        x = np.array([-1.2, 1.0])
+        f0, g0 = _rosenbrock_with_gradient(x)
+        p = -g0 / np.max(np.abs(g0))
+        d0 = float(g0 @ p)
+        step, f, g = D._wolfe_step(_rosenbrock_with_gradient, x, f0, d0, p, alpha, 0.0)
+        assert f <= f0 + D._WOLFE_C1 * step * d0
+        assert abs(float(g @ p)) <= -D._WOLFE_C2 * d0
+
+
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _scale = st.one_of(
     st.floats(min_value=5e-324, max_value=1e-300),  # subnormal to tiny
@@ -317,16 +444,9 @@ class SpikyNormal(D.Normal):
 
 
 # (family, data, theta) on which the objective takes its rare paths.
-_UNIT = np.linspace(1.0, 3.0, 41)  # z = (x - 1) / 2 is exactly 0 and 1 at the ends
+_UNIT = np.linspace(1.0, 3.0, 41)
 OBJECTIVE_CASES = {
     "beta inside": ("beta", _UNIT, [2.0, 3.0, 0.5, 3.0]),
-    "beta at z = 0 and 1": ("beta", _UNIT, [2.0, 3.0, 1.0, 2.0]),
-    "beta at z = 0": ("beta", _UNIT, [2.0, 3.0, 1.0, 2.5]),
-    "beta at z = 1": ("beta", _UNIT, [2.0, 3.0, 0.5, 2.5]),
-    "beta below and above": ("beta", _UNIT, [2.0, 3.0, 1.5, 1.0]),
-    "beta all outside": ("beta", _UNIT, [2.0, 3.0, 10.0, 1.0]),
-    "johnsonsb outside": ("johnsonsb", _UNIT, [0.3, 1.2, 1.2, 1.5]),
-    "johnsonsb at z = 0 and 1": ("johnsonsb", _UNIT, [0.3, 1.2, 1.0, 2.0]),
     "loggamma past z = 710": ("loggamma", np.array([0.0, 1.0, 720.0, 800.0]), [2.0, 0.0, 1.0]),
     "+inf and nan terms": (SpikyNormal(), np.linspace(-3.0, 3.0, 13), [0.0, 1.0]),
     "finite terms only": (SpikyNormal(), np.linspace(-0.9, 0.9, 7), [0.0, 1.0]),
@@ -360,12 +480,10 @@ class TestObjective:
         family, data, theta = OBJECTIVE_CASES[case]
         family = D.get_family(family)
         theta = np.array(theta)
-        span = (float(np.min(data)), float(np.max(data)))
         with np.errstate(over="ignore"):  # a sum that overflows warns in both forms
             expected = oracles.penalized_nll_ref(family, data, theta).hex()
             assert D._penalized_nll(family, data, theta).hex() == expected
-            assert D._penalized_nll(family, data, theta, span).hex() == expected
-            assert D._penalized_nll(family, data, list(theta), span).hex() == expected
+            assert D._penalized_nll(family, data, list(theta)).hex() == expected
 
 
 class TestGof:

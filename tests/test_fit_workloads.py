@@ -1,23 +1,24 @@
 """Maximum-likelihood fits on the bootstrap means of the benchmark's
 quickstart and skewed-runs inputs (the `workload_fit` fixture): each fit
 reaches scipy's maximum, the families with a normal limit reach the normal
-fit, no fit moves, no simplex search takes another path, `analyze` and
-`fit` make the same fit of a family whichever other families they are asked
-for, and no bundle byte moves."""
+fit, converged means a small score, no fit moves, no search takes another
+path, `analyze` and `fit` make the same fit of a family whichever other
+families they are asked for, and no bundle byte moves."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import WORKLOAD_SEED, _workload_runs
+from conftest import WORKLOAD_RESAMPLES, WORKLOAD_SEED, _workload_runs
 from rleval import distributions as D
 from rleval._yamlio import dump_canonical
 from rleval.cli import main
 from rleval.config import parse_config
-from rleval.pipeline import run_analysis
+from rleval.metrics import run_average_return
+from rleval.pipeline import fitting_seed_for, run_analysis
 from rleval.report import MANIFEST_NAME, emit_bundle
-from rleval.resample import write_means_csv
+from rleval.resample import bootstrap_means, write_means_csv
 
 scipy_stats = pytest.importorskip("scipy.stats")
 
@@ -26,7 +27,7 @@ LL_TOL = 1e-6
 
 
 def _scipy_mle_loglik(family, data):
-    dist = getattr(scipy_stats, family)
+    dist = getattr(scipy_stats, "norm" if family == "normal" else family)
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore", RuntimeWarning)
         params = dist.fit(data)
@@ -34,7 +35,7 @@ def _scipy_mle_loglik(family, data):
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
-@pytest.mark.parametrize("family", ["beta", "johnsonsu"])
+@pytest.mark.parametrize("family", [f for f in D.FAMILY_NAMES if not D.get_family(f).simplex])
 def test_fit_reaches_scipy_mle(workload, family, workload_fit, workload_means):
     fit = workload_fit(workload, family)
     assert fit.converged
@@ -56,31 +57,101 @@ def test_fit_reaches_normal_limit(workload, family, workload_fit):
     assert workload_fit(workload, family).log_likelihood >= normal.log_likelihood - LL_TOL
 
 
-# fit_record of every family's fit on both inputs, recorded before the
-# restart polish was deleted from fit_mle (it never ran on these inputs):
-# the fits must not move.
+# The log-likelihoods (float.hex) of the Nelder-Mead fits that the six
+# score-searched families made before they moved to BFGS, on the inputs
+# where the two searches part most: quick-start data seed 107 and
+# skewed-runs data seeds 104 and 109 (data, analyze and fitting seed N).
+HARD_INPUT_SIMPLEX_LL = {
+    ("quickstart", 107): {
+        "normal": "0x1.5c4c17ec7dd0cp+12",
+        "beta": "0x1.5d1526020f6a0p+12",
+        "johnsonsb": "0x1.5d172191f5cd8p+12",
+        "johnsonsu": "0x1.5d309e23404d4p+12",
+        "powernorm": "0x1.5d06c1134a118p+12",
+        "skewnorm": "0x1.5d2ccd4b502a4p+12",
+    },
+    ("skewed-runs", 104): {
+        "normal": "-0x1.545126bd654cep+15",
+        "beta": "-0x1.4bbf7adcc30b0p+15",
+        "johnsonsb": "-0x1.4c064bdb19475p+15",
+        "johnsonsu": "-0x1.4e3a6a0ac9df2p+15",
+        "powernorm": "-0x1.4d9b93af802cdp+15",
+        "skewnorm": "-0x1.4a837a3ca7749p+15",
+    },
+    ("skewed-runs", 109): {
+        "normal": "-0x1.0799e86b4ae76p+15",
+        "beta": "-0x1.07789f74cb3b0p+15",
+        "johnsonsb": "-0x1.0778a8a200fadp+15",
+        "johnsonsu": "-0x1.0778b103abf0ep+15",
+        "powernorm": "-0x1.077a83ac05dc0p+15",
+        "skewnorm": "-0x1.077a470da6d6cp+15",
+    },
+}
+
+
+@pytest.mark.parametrize("workload, seed", sorted(HARD_INPUT_SIMPLEX_LL))
+def test_hard_inputs_reach_the_simplex_or_say_so(workload, seed):
+    """Each fit ends at or above the simplex's log-likelihood, or reports
+    converged false; converged means the score norm is within tolerance."""
+    runs = _workload_runs(workload, seed)
+    means = bootstrap_means(
+        [run_average_return(run) for run in runs], WORKLOAD_RESAMPLES, seed=seed
+    ).means
+    for family, simplex_ll in HARD_INPUT_SIMPLEX_LL[workload, seed].items():
+        seed_f = fitting_seed_for(seed, D.FAMILY_NAMES.index(family))
+        fit = D.fit_mle(family, means, fitting_seed=seed_f)
+        assert fit.converged == (fit.score_norm <= D._SCORE_TOL), family
+        assert fit.log_likelihood >= float.fromhex(simplex_ll) - LL_TOL or not fit.converged, family
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_converged_means_a_small_score(workload, workload_fit, workload_means):
+    """converged is the score test for the score-searched families; every
+    fit carries its search's iterations and the score norm at its result,
+    in the search coordinates (raw parameters for loggamma)."""
+    means = workload_means[workload]
+    for family in D.FAMILY_NAMES:
+        fit = workload_fit(workload, family)
+        best = min(workload_fit.starts[workload, family], key=lambda row: float.fromhex(row[3]))
+        assert (fit.iterations, fit.converged) == (best[0], best[2])
+        F = D.get_family(family)
+        m, s = float(np.mean(means)), float(np.std(means))
+        with np.errstate(all="ignore"):
+            t = F.to_search(np.array(fit.params), m, s)
+            theta = F.from_search(t, m, s)
+            _, score = D._loglik_score(F, means, theta)
+        norm = float(np.max(np.abs(F.search_score(t, theta, score, m, s)))) / means.size
+        assert fit.score_norm == pytest.approx(norm, rel=1e-3, abs=1e-12)
+        if not F.simplex:
+            assert fit.converged == (fit.score_norm <= D._SCORE_TOL)
+
+
+# fit_record of every family's fit on both inputs: loggamma's recorded
+# before the restart polish was deleted from fit_mle (it never ran on these
+# inputs), the other six's when they moved from the simplex to BFGS. The
+# fits must not move.
 WORKLOAD_RECORDS = {
     "quickstart": {
         "normal": {
             "family": "normal",
             "parameters": [
-                112.27157587810578, 0.23096873170577206,
+                112.27157587810522, 0.23096873170582888,
             ],
-            "log_likelihood": 465.3440499881417,
+            "log_likelihood": 465.3440499881435,
             "converged": True,
         },
         "beta": {
             "family": "beta",
             "parameters": [
-                149.72612809555653, 228.48021558450657, 108.63061694956143, 9.197017287509768,
+                149.73612289473667, 228.4998004614764, 108.63050910113081, 9.197394897703244,
             ],
-            "log_likelihood": 466.9931096438704,
+            "log_likelihood": 466.9931096416185,
             "converged": True,
         },
         "johnsonsb": {
             "family": "johnsonsb",
             "parameters": [
-                3.5736456192189205, 10.984047023218542, 107.892423005507, 10.438114392513706,
+                3.5736507292610886, 10.984057137681688, 107.8924192662567, 10.438124320158128,
             ],
             "log_likelihood": 466.99184017839434,
             "converged": True,
@@ -88,9 +159,9 @@ WORKLOAD_RECORDS = {
         "johnsonsu": {
             "family": "johnsonsu",
             "parameters": [
-                -726.1463783093612, 68.1990988635488, 96.52054015322308, 0.0007484527497837408,
+                -652.2620867530235, 68.19916112964972, 96.52052610363404, 0.00221139629374467,
             ],
-            "log_likelihood": 466.94206959736766,
+            "log_likelihood": 466.9420695972585,
             "converged": True,
         },
         "loggamma": {
@@ -104,17 +175,17 @@ WORKLOAD_RECORDS = {
         "powernorm": {
             "family": "powernorm",
             "parameters": [
-                0.810436428063868, 112.22901535849743, 0.21665605693222806,
+                0.8104357068445481, 112.22901518185878, 0.21665598880713716,
             ],
-            "log_likelihood": 466.8763717606653,
+            "log_likelihood": 466.87637176071075,
             "converged": True,
         },
         "skewnorm": {
             "family": "skewnorm",
             "parameters": [
-                0.6230799816881163, 112.16408153821311, 0.25475789964827744,
+                0.6230797267736943, 112.16408158737146, 0.2547578802969662,
             ],
-            "log_likelihood": 466.8886383701047,
+            "log_likelihood": 466.8886383701174,
             "converged": True,
         },
     },
@@ -130,25 +201,25 @@ WORKLOAD_RECORDS = {
         "beta": {
             "family": "beta",
             "parameters": [
-                3.274145242326592, 14.155028726424295, 67.73615503129398, 89.77668578027256,
+                3.2741447373751575, 14.155007935968735, 67.73615451915478, 89.77659024635506,
             ],
-            "log_likelihood": -34616.87038962338,
+            "log_likelihood": -34616.87038962322,
             "converged": True,
         },
         "johnsonsb": {
             "family": "johnsonsb",
             "parameters": [
-                1.6197851838319477, 1.4812882315372113, 66.78367876679778, 66.04586770803729,
+                1.6197853062564198, 1.481288293461963, 66.78367850561126, 66.04586514856452,
             ],
-            "log_likelihood": -34609.414875095055,
+            "log_likelihood": -34609.41487509488,
             "converged": True,
         },
         "johnsonsu": {
             "family": "johnsonsu",
             "parameters": [
-                -45.50842786549189, 3.083846836160596, 59.31613398445621, 1.87235809644716e-05,
+                -48.53865482958122, 3.083846998390984, 59.31613341083039, 7.008838013112986e-06,
             ],
-            "log_likelihood": -34709.19176527299,
+            "log_likelihood": -34709.191765272946,
             "converged": True,
         },
         "loggamma": {
@@ -162,17 +233,17 @@ WORKLOAD_RECORDS = {
         "powernorm": {
             "family": "powernorm",
             "parameters": [
-                0.001608785007498534, 69.48221629346912, 0.48936317912968647,
+                0.0016087847880445192, 69.48221648463432, 0.4893631448662392,
             ],
-            "log_likelihood": -34618.33927660152,
+            "log_likelihood": -34618.33927660153,
             "converged": True,
         },
         "skewnorm": {
             "family": "skewnorm",
             "parameters": [
-                6.017182406766015, 73.59190652203722, 13.723999353482741,
+                6.017184120453213, 73.59190619794943, 13.723999975655355,
             ],
-            "log_likelihood": -34645.46402813385,
+            "log_likelihood": -34645.46402813383,
             "converged": True,
         },
     },
@@ -185,31 +256,32 @@ def test_identity_search_fits_unchanged(family, workload_fit):
         assert D.fit_record(workload_fit(workload, family)) == WORKLOAD_RECORDS[workload][family]
 
 
-# Each simplex search of every family's fit on both inputs, one per start:
-# (iterations, objective calls, converged, fval as float.hex), recorded
-# before the simplex moved onto Python floats. A search that reaches the
-# same fit by another path moves these.
+# Each search of every family's fit on both inputs, one per start:
+# (iterations, objective calls, converged, fval as float.hex). loggamma's
+# simplex searches were recorded before the simplex moved onto Python
+# floats, the other six's BFGS searches when they replaced the simplex. A
+# search that reaches the same fit by another path moves these.
 WORKLOAD_STARTS = {
     "quickstart": {
         "normal": [
-            (47, 85, True, "-0x1.d15813a8f7420p+8"),
-            (49, 97, True, "-0x1.d15813a828080p+8"),
-            (49, 97, True, "-0x1.d15813a4aca20p+8"),
+            (0, 1, True, "-0x1.d15813a8f7420p+8"),
+            (35, 50, True, "-0x1.d15813a8f7440p+8"),
+            (32, 44, True, "-0x1.d15813a8f7440p+8"),
         ],
         "beta": [
-            (1391, 2272, True, "-0x1.d2fe3c6efb600p+8"),
-            (4687, 7673, True, "-0x1.d264e3e03bf80p+8"),
-            (1412, 2330, True, "-0x1.d2fe3c6f01c40p+8"),
+            (247, 319, True, "-0x1.d2fe3c6ef3c00p+8"),
+            (313, 470, True, "-0x1.d2fe3c6ef8180p+8"),
+            (249, 320, True, "-0x1.d2fe3c6edf1c0p+8"),
         ],
         "johnsonsb": [
-            (262, 485, True, "-0x1.d1580a35c0600p+8"),
-            (472, 806, True, "-0x1.d2fde93ce9100p+8"),
-            (482, 838, True, "-0x1.d2fde93ce90c0p+8"),
+            (30, 33, True, "-0x1.d2fde93ce90c0p+8"),
+            (160, 304, True, "-0x1.d2fde93ce9100p+8"),
+            (48, 61, True, "-0x1.d2fde93ce90c0p+8"),
         ],
         "johnsonsu": [
-            (676, 1192, True, "-0x1.d2f12b791f400p+8"),
-            (214, 375, True, "-0x1.d15812d28e800p+8"),
-            (300, 521, True, "-0x1.d1589b0ad2780p+8"),
+            (64, 72, True, "-0x1.d2f12b791ec80p+8"),
+            (43, 206, False, "-0x1.d15813ebe4800p+8"),
+            (60, 268, False, "-0x1.d158138d40200p+8"),
         ],
         "loggamma": [
             (1946, 3355, True, "-0x1.d10aef380d700p+8"),
@@ -217,36 +289,36 @@ WORKLOAD_STARTS = {
             (2514, 4394, True, "-0x1.d110c9fd88880p+8"),
         ],
         "powernorm": [
-            (121, 217, True, "-0x1.d2e059e652de0p+8"),
-            (254, 460, True, "-0x1.d2e059e6532e0p+8"),
-            (198, 349, True, "-0x1.d2e059e653320p+8"),
+            (16, 23, True, "-0x1.d2e059e653640p+8"),
+            (167, 235, True, "-0x1.d2e059e653600p+8"),
+            (99, 131, True, "-0x1.d2e059e653620p+8"),
         ],
         "skewnorm": [
-            (79, 145, True, "-0x1.d2e37dcde1920p+8"),
-            (253, 452, True, "-0x1.d2e37dcde16e0p+8"),
-            (114, 212, True, "-0x1.d2e34ca191120p+8"),
+            (13, 26, True, "-0x1.d2e37dcde19e0p+8"),
+            (91, 140, True, "-0x1.d2e37dcde1a00p+8"),
+            (43, 54, True, "-0x1.d2e37dcde19e0p+8"),
         ],
     },
     "skewed-runs": {
         "normal": [
-            (45, 81, True, "0x1.13357e594803ep+15"),
-            (45, 89, True, "0x1.13357e59482a7p+15"),
-            (44, 89, True, "0x1.13357e5948340p+15"),
+            (0, 1, True, "0x1.13357e594803ep+15"),
+            (10, 12, True, "0x1.13357e594803ep+15"),
+            (8, 10, True, "0x1.13357e594803ep+15"),
         ],
         "beta": [
-            (182, 306, True, "0x1.0e71bda3b56f8p+15"),
-            (238, 406, True, "0x1.0e71bda3b56e6p+15"),
-            (173, 305, True, "0x1.0e71bda3b56e8p+15"),
+            (29, 41, True, "0x1.0e71bda3b56d0p+15"),
+            (34, 47, True, "0x1.0e71bda3b56d1p+15"),
+            (36, 49, True, "0x1.0e71bda3b56d5p+15"),
         ],
         "johnsonsb": [
-            (157, 270, True, "0x1.0e62d46a822a6p+15"),
-            (186, 319, True, "0x1.0e62d46a822c0p+15"),
-            (155, 265, True, "0x1.0e62d46a822adp+15"),
+            (18, 25, True, "0x1.0e62d46a8228fp+15"),
+            (18, 21, True, "0x1.0e62d46a8228fp+15"),
+            (20, 29, True, "0x1.0e62d46a8228ep+15"),
         ],
         "johnsonsu": [
-            (383, 682, True, "0x1.0f2a622f0ed00p+15"),
-            (264, 461, True, "0x1.13357e568e10cp+15"),
-            (235, 414, True, "0x1.13357ea4d2b2cp+15"),
+            (52, 54, True, "0x1.0f2a622f0ecfap+15"),
+            (47, 49, True, "0x1.0f2a622f0ed9cp+15"),
+            (58, 61, True, "0x1.0f2a622f0ecfap+15"),
         ],
         "loggamma": [
             (2582, 4490, True, "0x1.133a894f299aep+15"),
@@ -254,14 +326,14 @@ WORKLOAD_STARTS = {
             (2068, 3602, True, "0x1.133baaeea66f8p+15"),
         ],
         "powernorm": [
-            (247, 432, True, "0x1.0e74adb5a9a9bp+15"),
-            (248, 438, True, "0x1.0e74adb5a9aaep+15"),
-            (262, 461, True, "0x1.0e74adb5a9a7ap+15"),
+            (66, 101, True, "0x1.0e74adb5a9abap+15"),
+            (73, 113, True, "0x1.0e74adb5a9afap+15"),
+            (67, 104, True, "0x1.0e74adb5a9a7cp+15"),
         ],
         "skewnorm": [
-            (101, 180, True, "0x1.0eaaed9518779p+15"),
-            (128, 230, True, "0x1.0eaaed951876ap+15"),
-            (108, 197, True, "0x1.0eaaed951876ep+15"),
+            (19, 26, True, "0x1.0eaaed9518768p+15"),
+            (19, 26, True, "0x1.0eaaed9518768p+15"),
+            (20, 22, True, "0x1.0eaaed9518767p+15"),
         ],
     },
 }
@@ -350,8 +422,9 @@ def test_cli_fit_rederives_analyze_fit(family, quickstart_analysis, workload_mea
 # manifest.txt of `rleval analyze --seed 7 --reported 158.56` with all seven
 # families on the benchmark's inputs (the skewed-runs logs are run-00 to
 # run-09), recorded before the bootstrap's Philox counters moved into
-# `philox_u32_blocks`. It pins every bundle file: P_d, the KS statistics,
-# the fits, curves, band, summary, normality and provenance.
+# `philox_u32_blocks`, and the fits.yaml and probabilities.csv lines when
+# six families moved to BFGS. It pins every bundle file: P_d, the KS
+# statistics, the fits, curves, band, summary, normality and provenance.
 WORKLOAD_MANIFESTS = {
     "quickstart": (
         "9e3255a93724be0b9cdf44901d2b2e125783f8432d33e47abe9ca81466e78421  bands/band.csv\n"
@@ -366,9 +439,9 @@ WORKLOAD_MANIFESTS = {
         "5040a9525ddcf7a99e58777461dfcf26566d98942b336fd80f67daf3f7dcc9bd  curves/synth-07.csv\n"
         "9fd8724dfcdc19ae3ad688fc0cf928a9a88baad7310591899c2add7a4215b442  curves/synth-08.csv\n"
         "1bd6a6625a218682227c0d9279a37481990df0b3a426d5731dcba74b5e5e507c  curves/synth-09.csv\n"
-        "e2634df66193765c6caf147d5ec927a8bf1039b446ee1ec8b47ad7ada0c9816a  fits.yaml\n"
+        "925f9b1ae254e7581d4deea896ab2dca70b9b1304f1c5c7b0fa5222b08e065b0  fits.yaml\n"
         "2d95855e29b745bbd468127440efe0714006e40b7eceb96658783cc73500f00d  normality.csv\n"
-        "4e3abc67c11cf607abc683654a9192d3429c92cb72dd86e5eb49f1e6b666d9c3  probabilities.csv\n"
+        "d5d5e54f276ad215f63802f1fd297f0feeb93969cbabc5a9ecbaa42a71f098c8  probabilities.csv\n"
         "e552af12e95d3eacdd383dd15396db927e4b9d50c695d7ad039ecfd17cd2ca42  provenance.yaml\n"
         "bd6a71412e155f0d3d1752cadf7812770f0c8f9eca7bbbec24bc322508acfb27  run_averages.csv\n"
         "7a9b2316e627beb42ecf5f79a54ebae6f2aa711721f6eb8a21003785c826f911  summary.csv\n"
@@ -386,9 +459,9 @@ WORKLOAD_MANIFESTS = {
         "ae7b1053fb53477c63e267f9efe98f38c0feda3a47eccbdd55d73a7df5181986  curves/run-07.csv\n"
         "400d693d5eaed1f62d4be892cee0ab1bea5676647de2cce03ac06d54ba8dd4dd  curves/run-08.csv\n"
         "132fdcb512f6fb5b0e46d34ed087cc098ff58af60e26288fde54b81b1e40eb11  curves/run-09.csv\n"
-        "e3682208c0482bd641f63c8323de0692ddb73d1613a9011f5e8bead19196c202  fits.yaml\n"
+        "0af85d89261e6060e75e5c7ad65e312027d11fa3059b8426b5fd843a59e2eb1a  fits.yaml\n"
         "3cc055137ed0338b20ebb0b223efb910732b45f3b6f7bcdc7537e6d9e4730c7c  normality.csv\n"
-        "aa02984e9aac0d84444c8ade41b17a89cb80b77f53ae49e7394b092a67a21d06  probabilities.csv\n"
+        "c9af1133f698238c81556757fc2161fe3540dc7fc26d1d1fb27bba0635d1f0a7  probabilities.csv\n"
         "e79b38e3e8ba52f675d512b7c21eba09786729d24c8c5114e2b7a82ff3b74b45  provenance.yaml\n"
         "898dc19e2f4f5feec598b161142441e58330e6d72274ce3b3ae8eb0a859b99b5  run_averages.csv\n"
         "1d7c6da4e003a7783bf228c8cea8a20e9b435f1af53c425ad7261a2bfe92418a  summary.csv\n"

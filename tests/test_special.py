@@ -119,6 +119,30 @@ class TestErfc:
         assert np.max(np.abs(sp.erfc(xs) - ref) / ref) <= 1e-14
 
 
+class TestDigamma:
+    def test_grid_vs_oracle(self):
+        # log-spaced over [1e-3, 1e6], densely over [1, 2] and at the root
+        xs = np.concatenate([
+            np.geomspace(1e-3, 1e6, 600),
+            np.linspace(1.0, 2.0, 201),
+            1.4616321449683622 + np.linspace(-1e-9, 1e-9, 11),
+        ])
+        worst = max(abs(sp.digamma(x) / oracles.digamma_ref(x) - 1.0) for x in xs)
+        assert worst <= 1e-14
+
+    def test_recurrence_and_special_values(self):
+        assert sp.digamma(1.0) == pytest.approx(-0.5772156649015329, rel=1e-15)
+        assert sp.digamma(0.5) == pytest.approx(-0.5772156649015329 - 2.0 * math.log(2.0),
+                                                rel=1e-15)
+        for x in (0.3, 1.7, 9.5, 42.0):
+            assert sp.digamma(x + 1.0) == pytest.approx(sp.digamma(x) + 1.0 / x, rel=1e-14)
+
+    @pytest.mark.parametrize("x", [0.0, -1.5, math.nan])
+    def test_domain_errors(self, x):
+        with pytest.raises(NumericError):
+            sp.digamma(x)
+
+
 class TestIncompleteGamma:
     @pytest.mark.parametrize("a", [0.25, 0.5, 1.0, 2.5, 10.59, 79.15, 240.56, 877.15])
     def test_grid_vs_oracle(self, a):
