@@ -1133,10 +1133,10 @@ def with_gof(fit, data, mode="exact"):
 # ---------------------------------------------------------------------------
 
 
-def fit_record(fit, diagnostics=False):
-    """Plain mapping form of a fit (family, parameters in column order, KS).
-    With `diagnostics`, as in the bundle's fits.yaml, it also carries the
-    search's `iterations` and `score_norm` (null for a degenerate fit)."""
+def fit_record(fit):
+    """Plain mapping form of a fit (family, parameters in column order, KS,
+    and the search's `iterations` and `score_norm`, null for a degenerate
+    fit)."""
     rec = {
         "family": fit.family.name,
         "parameters": [float(v) for v in fit.params],
@@ -1149,10 +1149,9 @@ def fit_record(fit, diagnostics=False):
         rec["ks_statistic"] = float(fit.ks_statistic)
         rec["ks_pvalue"] = float(fit.ks_pvalue)
         rec["post_fit_ks"] = bool(fit.post_fit_ks)
-    if diagnostics:
-        rec["iterations"] = fit.iterations
-        norm = fit.score_norm
-        rec["score_norm"] = None if norm is None or math.isnan(norm) else float(norm)
+    rec["iterations"] = fit.iterations
+    norm = fit.score_norm
+    rec["score_norm"] = None if norm is None or math.isnan(norm) else float(norm)
     return rec
 
 

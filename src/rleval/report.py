@@ -166,9 +166,7 @@ def emit_bundle(report: AnalysisReport, directory) -> list:
         rows=[[run_id, fmt_shortest(value)] for run_id, value in report.run_averages],
     ).to_csv()
 
-    files["fits.yaml"] = dump_canonical(
-        {"fits": [fit_record(f, diagnostics=True) for f in report.fits]}
-    )
+    files["fits.yaml"] = dump_canonical({"fits": [fit_record(f) for f in report.fits]})
 
     means_buf = io.StringIO()
     write_means_csv(report.bootstrap, means_buf)

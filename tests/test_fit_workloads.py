@@ -252,8 +252,12 @@ WORKLOAD_RECORDS = {
 
 @pytest.mark.parametrize("family", D.FAMILY_NAMES)
 def test_identity_search_fits_unchanged(family, workload_fit):
+    # The search diagnostics are checked against WORKLOAD_STARTS by
+    # test_converged_means_a_small_score.
     for workload in WORKLOADS:
-        assert D.fit_record(workload_fit(workload, family)) == WORKLOAD_RECORDS[workload][family]
+        record = D.fit_record(workload_fit(workload, family))
+        del record["iterations"], record["score_norm"]
+        assert record == WORKLOAD_RECORDS[workload][family]
 
 
 # Each search of every family's fit on both inputs, one per start:
