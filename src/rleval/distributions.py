@@ -5,8 +5,7 @@ loggamma, powernorm, skewnorm. Parameters follow the (shape(s), loc,
 scale) convention, z = (x - loc) / scale throughout, so published
 parameter rows in that convention load directly.
 
-A fit searches from three starts, the moment-based initializer and two
-jitters of it, and reports the best of the three. Each search runs in the
+A fit searches from the moment-based start (`Family.init_params`), in the
 family's search coordinates (`Family.to_search` and `from_search`, given
 the data's mean m and sd s), and the fit reports the decoded (shapes, loc,
 scale). By default they are the shapes as they are, (loc - m)/s and
@@ -29,9 +28,11 @@ norm, max |d loglik / d t_i| / n over the search coordinates t, is at most
 _SCORE_TOL = 1e-9. loggamma, whose supremum on right-skewed data is its
 c -> inf normal limit, keeps the Nelder-Mead simplex on its raw
 parameters (`Family.simplex`) with large finite penalties for invalid
-parameters and non-finite log-densities; its `converged` is the simplex's
-own test. Every fit records the iterations of its best search and the
-score norm at its result.
+parameters and non-finite log-densities. It alone also searches from two
+jitters of the moment start, drawn from the fitting seed, and reports the
+best of its three searches; its `converged` is the simplex's own test.
+Every fit records the iterations of the search it came from and the score
+norm at its result.
 """
 
 import dataclasses
@@ -599,7 +600,7 @@ class FittedDistribution:
     ks_pvalue: float = None
     post_fit_ks: bool = False
     degenerate: bool = False
-    iterations: int = None  # of the search the fit came from
+    iterations: int = None  # of its search (loggamma's best of three)
     score_norm: float = None  # max |score| / n in search coordinates
 
     def __post_init__(self):
@@ -777,7 +778,7 @@ class SearchResult:
 _NM_MAX_ITER = 5000
 _NM_FTOL_REL = 1e-8
 _NM_XTOL = 1e-6
-_FIT_STARTS = 3  # the moment start plus two jittered ones
+_SIMPLEX_STARTS = 3  # loggamma's moment start plus two jittered ones
 
 _SCORE_TOL = 1e-9  # on max |score| / n in search coordinates
 _BFGS_MAX_ITER = 500
@@ -1003,20 +1004,14 @@ def _penalized_nll(family, data, theta):
     return float(-(total - z.size * math.log(scale)))
 
 
-def _jitter_start(family, theta0, data, eta):
-    theta = np.asarray(theta0, dtype=np.float64).copy()
-    theta = theta * (1.0 + 0.15 * eta[: theta.size]) + 0.01 * eta[: theta.size]
+def _jitter_start(family, theta0, eta):
+    """A jittered simplex start: each parameter moved by 15% of itself and
+    0.01, times eta; a scale or shape left invalid is reflected."""
+    theta = theta0 * (1.0 + 0.15 * eta) + 0.01 * eta
     k = len(family.shape_names)
     theta[k + 1] = abs(theta[k + 1]) or 1.0
-    if family.bounded:
-        # keep the whole sample strictly inside the jittered support
-        lo = float(np.min(data))
-        hi = float(np.max(data))
-        rng = hi - lo
-        theta[k] = min(theta[k], lo - 0.01 * rng)
-        theta[k + 1] = max(theta[k + 1], (hi - theta[k]) + 0.01 * rng)
     for i in range(k):
-        if family.shape_names and not family.shapes_valid(tuple(theta[:k])):
+        if not family.shapes_valid(tuple(theta[:k])):
             theta[i] = abs(theta[i]) or 0.5
     return theta
 
@@ -1031,9 +1026,10 @@ def _search_score_norm(family, data, t, m, s):
 
 
 def fit_mle(family, data, fitting_seed=0):
-    """Maximum-likelihood fit of one family: the best of three searches
-    (the module docstring), with `converged` and the `iterations` of that
-    search and the score norm at its result.
+    """Maximum-likelihood fit of one family (the module docstring), with
+    `converged` and the `iterations` of the search it came from and the
+    score norm at its result. `fitting_seed` draws loggamma's two jittered
+    simplex starts; no other family reads it.
 
     Non-convergence is reported through the `converged` flag, never raised.
     Zero-variance data is an error for every family except normal, which
@@ -1056,35 +1052,30 @@ def fit_mle(family, data, fitting_seed=0):
     shapes0, loc0, scale0 = family.init_params(arr)
     theta0 = np.array([*shapes0, loc0, scale0], dtype=np.float64)
     m, s = float(np.mean(arr)), float(np.std(arr))
-    rng = SeededRng(fitting_seed, domain=DOMAIN_FIT)
-    starts = [theta0]
-    for _ in range(_FIT_STARTS - 1):
-        eta = rng.standard_normal(theta0.size)
-        starts.append(_jitter_start(family, theta0, arr, eta))
 
-    if family.simplex:
-        def objective(t):
-            return _penalized_nll(family, arr, family.from_search(t, m, s))
-
-        def search(t):
-            return nelder_mead(objective, t)
-    else:
-        def objective(t):
-            theta = family.from_search(t, m, s)
-            ll, score = _loglik_score(family, arr, theta)
-            if score is None:
-                return math.inf, None
-            return -ll, -family.search_score(t, theta, score, m, s)
-
-        def search(t):
-            return bfgs(objective, t, _SCORE_TOL * arr.size, arr.size)
-
-    best = None
     with np.errstate(all="ignore"):
-        for start in starts:
-            result = search(family.to_search(start, m, s))
-            if best is None or result.fval < best.fval:
-                best = result
+        if family.simplex:
+            def objective(t):
+                return _penalized_nll(family, arr, family.from_search(t, m, s))
+
+            rng = SeededRng(fitting_seed, domain=DOMAIN_FIT)
+            starts = [theta0] + [
+                _jitter_start(family, theta0, rng.standard_normal(theta0.size))
+                for _ in range(_SIMPLEX_STARTS - 1)
+            ]
+            best = min(
+                (nelder_mead(objective, family.to_search(start, m, s)) for start in starts),
+                key=lambda result: result.fval,
+            )
+        else:
+            def objective(t):
+                theta = family.from_search(t, m, s)
+                ll, score = _loglik_score(family, arr, theta)
+                if score is None:
+                    return math.inf, None
+                return -ll, -family.search_score(t, theta, score, m, s)
+
+            best = bfgs(objective, family.to_search(theta0, m, s), _SCORE_TOL * arr.size, arr.size)
         score_norm = _search_score_norm(family, arr, best.x, m, s)
         theta = family.from_search(best.x, m, s)
     k = len(family.shape_names)

@@ -4,9 +4,10 @@ fits, KS, verdicts, report.
 Every stage runs serially in one thread; family fits run in the order
 given. Every random draw derives from the one master seed: the bootstrap
 uses it directly, and each family's fitting seed mixes the family's index
-in FAMILY_NAMES into it, so a family's fit does not depend on which other
-families are fitted or in which order (`fit_family`, which `rleval fit`
-calls too).
+in FAMILY_NAMES into it. The fitting seed reaches only loggamma's two
+jittered simplex starts; the other six fits draw nothing. A family's fit
+does not depend on which other families are fitted or in which order
+(`fit_family`, which `rleval fit` calls too).
 """
 
 from .config import config_hash

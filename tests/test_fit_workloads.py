@@ -1,9 +1,11 @@
 """Maximum-likelihood fits on the bootstrap means of the benchmark's
 quickstart and skewed-runs inputs (the `workload_fit` fixture): each fit
 reaches scipy's maximum, the families with a normal limit reach the normal
-fit, converged means a small score, no fit moves, no search takes another
-path, `analyze` and `fit` make the same fit of a family whichever other
-families they are asked for, and no bundle byte moves."""
+fit, converged means a small score, a score-searched fit does not read the
+fitting seed, no fit moves, no search takes another path, `analyze` and
+`fit` make the same fit of a family whichever other families they are
+asked for, and no bundle byte moves; a decision that moves with the
+resample count is a known fault (strict xfail)."""
 
 import warnings
 
@@ -23,6 +25,7 @@ from rleval.resample import bootstrap_means, write_means_csv
 scipy_stats = pytest.importorskip("scipy.stats")
 
 WORKLOADS = ("quickstart", "skewed-runs")
+SCORE_FAMILIES = [f for f in D.FAMILY_NAMES if not D.get_family(f).simplex]
 LL_TOL = 1e-6
 
 
@@ -35,7 +38,7 @@ def _scipy_mle_loglik(family, data):
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
-@pytest.mark.parametrize("family", [f for f in D.FAMILY_NAMES if not D.get_family(f).simplex])
+@pytest.mark.parametrize("family", SCORE_FAMILIES)
 def test_fit_reaches_scipy_mle(workload, family, workload_fit, workload_means):
     fit = workload_fit(workload, family)
     assert fit.converged
@@ -128,32 +131,33 @@ def test_converged_means_a_small_score(workload, workload_fit, workload_means):
 
 # fit_record of every family's fit on both inputs: loggamma's recorded
 # before the restart polish was deleted from fit_mle (it never ran on these
-# inputs), the other six's when they moved from the simplex to BFGS. The
-# fits must not move.
+# inputs), the other six's when they moved from the simplex to BFGS, and
+# again where the jittered starts had won when those left the score search.
+# The fits must not move.
 WORKLOAD_RECORDS = {
     "quickstart": {
         "normal": {
             "family": "normal",
             "parameters": [
-                112.27157587810522, 0.23096873170582888,
+                112.27157587810578, 0.23096873170577206,
             ],
-            "log_likelihood": 465.3440499881435,
+            "log_likelihood": 465.3440499881417,
             "converged": True,
         },
         "beta": {
             "family": "beta",
             "parameters": [
-                149.73612289473667, 228.4998004614764, 108.63050910113081, 9.197394897703244,
+                149.73612939062338, 228.49981260723962, 108.63050902949935, 9.197395132949843,
             ],
-            "log_likelihood": 466.9931096416185,
+            "log_likelihood": 466.99310964060714,
             "converged": True,
         },
         "johnsonsb": {
             "family": "johnsonsb",
             "parameters": [
-                3.5736507292610886, 10.984057137681688, 107.8924192662567, 10.438124320158128,
+                3.573651114612031, 10.98405770510038, 107.89241907367175, 10.438124889973432,
             ],
-            "log_likelihood": 466.99184017839434,
+            "log_likelihood": 466.9918401783907,
             "converged": True,
         },
         "johnsonsu": {
@@ -183,9 +187,9 @@ WORKLOAD_RECORDS = {
         "skewnorm": {
             "family": "skewnorm",
             "parameters": [
-                0.6230797267736943, 112.16408158737146, 0.2547578802969662,
+                0.6230797260797946, 112.16408158743874, 0.2547578802611445,
             ],
-            "log_likelihood": 466.8886383701174,
+            "log_likelihood": 466.8886383701156,
             "converged": True,
         },
     },
@@ -209,9 +213,9 @@ WORKLOAD_RECORDS = {
         "johnsonsb": {
             "family": "johnsonsb",
             "parameters": [
-                1.6197853062564198, 1.481288293461963, 66.78367850561126, 66.04586514856452,
+                1.619785305352107, 1.481288293311204, 66.78367850490007, 66.04586511102806,
             ],
-            "log_likelihood": -34609.41487509488,
+            "log_likelihood": -34609.41487509489,
             "converged": True,
         },
         "johnsonsu": {
@@ -233,21 +237,32 @@ WORKLOAD_RECORDS = {
         "powernorm": {
             "family": "powernorm",
             "parameters": [
-                0.0016087847880445192, 69.48221648463432, 0.4893631448662392,
+                0.0016087847862897525, 69.4822164843282, 0.4893631446049769,
             ],
-            "log_likelihood": -34618.33927660153,
+            "log_likelihood": -34618.33927660198,
             "converged": True,
         },
         "skewnorm": {
             "family": "skewnorm",
             "parameters": [
-                6.017184120453213, 73.59190619794943, 13.723999975655355,
+                6.017184121153149, 73.59190619755722, 13.723999976122382,
             ],
-            "log_likelihood": -34645.46402813383,
+            "log_likelihood": -34645.464028133836,
             "converged": True,
         },
     },
 }
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("family", SCORE_FAMILIES)
+def test_score_fit_ignores_fitting_seed(workload, family, workload_means):
+    """A score-searched fit is one search from the moment start: the
+    fitting seed, which draws only loggamma's jittered starts, moves none
+    of its fields."""
+    means = workload_means[workload]
+    records = [D.fit_record(D.fit_mle(family, means, fitting_seed=seed)) for seed in (0, 1)]
+    assert records[0] == records[1]
 
 
 @pytest.mark.parametrize("family", D.FAMILY_NAMES)
@@ -262,30 +277,23 @@ def test_identity_search_fits_unchanged(family, workload_fit):
 
 # Each search of every family's fit on both inputs, one per start:
 # (iterations, objective calls, converged, fval as float.hex). loggamma's
-# simplex searches were recorded before the simplex moved onto Python
-# floats, the other six's BFGS searches when they replaced the simplex. A
-# search that reaches the same fit by another path moves these.
+# three simplex searches were recorded before the simplex moved onto Python
+# floats, the other six's one BFGS search, from the moment start, when it
+# replaced the simplex. A search that reaches the same fit by another path
+# moves these.
 WORKLOAD_STARTS = {
     "quickstart": {
         "normal": [
             (0, 1, True, "-0x1.d15813a8f7420p+8"),
-            (35, 50, True, "-0x1.d15813a8f7440p+8"),
-            (32, 44, True, "-0x1.d15813a8f7440p+8"),
         ],
         "beta": [
             (247, 319, True, "-0x1.d2fe3c6ef3c00p+8"),
-            (313, 470, True, "-0x1.d2fe3c6ef8180p+8"),
-            (249, 320, True, "-0x1.d2fe3c6edf1c0p+8"),
         ],
         "johnsonsb": [
             (30, 33, True, "-0x1.d2fde93ce90c0p+8"),
-            (160, 304, True, "-0x1.d2fde93ce9100p+8"),
-            (48, 61, True, "-0x1.d2fde93ce90c0p+8"),
         ],
         "johnsonsu": [
             (64, 72, True, "-0x1.d2f12b791ec80p+8"),
-            (43, 206, False, "-0x1.d15813ebe4800p+8"),
-            (60, 268, False, "-0x1.d158138d40200p+8"),
         ],
         "loggamma": [
             (1946, 3355, True, "-0x1.d10aef380d700p+8"),
@@ -294,35 +302,23 @@ WORKLOAD_STARTS = {
         ],
         "powernorm": [
             (16, 23, True, "-0x1.d2e059e653640p+8"),
-            (167, 235, True, "-0x1.d2e059e653600p+8"),
-            (99, 131, True, "-0x1.d2e059e653620p+8"),
         ],
         "skewnorm": [
             (13, 26, True, "-0x1.d2e37dcde19e0p+8"),
-            (91, 140, True, "-0x1.d2e37dcde1a00p+8"),
-            (43, 54, True, "-0x1.d2e37dcde19e0p+8"),
         ],
     },
     "skewed-runs": {
         "normal": [
             (0, 1, True, "0x1.13357e594803ep+15"),
-            (10, 12, True, "0x1.13357e594803ep+15"),
-            (8, 10, True, "0x1.13357e594803ep+15"),
         ],
         "beta": [
             (29, 41, True, "0x1.0e71bda3b56d0p+15"),
-            (34, 47, True, "0x1.0e71bda3b56d1p+15"),
-            (36, 49, True, "0x1.0e71bda3b56d5p+15"),
         ],
         "johnsonsb": [
             (18, 25, True, "0x1.0e62d46a8228fp+15"),
-            (18, 21, True, "0x1.0e62d46a8228fp+15"),
-            (20, 29, True, "0x1.0e62d46a8228ep+15"),
         ],
         "johnsonsu": [
             (52, 54, True, "0x1.0f2a622f0ecfap+15"),
-            (47, 49, True, "0x1.0f2a622f0ed9cp+15"),
-            (58, 61, True, "0x1.0f2a622f0ecfap+15"),
         ],
         "loggamma": [
             (2582, 4490, True, "0x1.133a894f299aep+15"),
@@ -331,13 +327,9 @@ WORKLOAD_STARTS = {
         ],
         "powernorm": [
             (66, 101, True, "0x1.0e74adb5a9abap+15"),
-            (73, 113, True, "0x1.0e74adb5a9afap+15"),
-            (67, 104, True, "0x1.0e74adb5a9a7cp+15"),
         ],
         "skewnorm": [
             (19, 26, True, "0x1.0eaaed9518768p+15"),
-            (19, 26, True, "0x1.0eaaed9518768p+15"),
-            (20, 22, True, "0x1.0eaaed9518767p+15"),
         ],
     },
 }
@@ -370,10 +362,12 @@ run_count: 10
 REPORTED = 158.56
 
 
-def _analysis(workload, runs, families=D.FAMILY_NAMES):
+def _analysis(workload, runs, families=D.FAMILY_NAMES, reported=REPORTED,
+              resamples=WORKLOAD_RESAMPLES):
     """run_analysis with `analyze --seed 7 --reported 158.56`'s settings."""
     config = parse_config(CONFIG_TEXT.format(name=workload))
-    return run_analysis(config, runs, seed=WORKLOAD_SEED, reported=REPORTED, families=families)
+    return run_analysis(config, runs, seed=WORKLOAD_SEED, resamples=resamples,
+                        reported=reported, families=families)
 
 
 @pytest.fixture(scope="module")
@@ -427,8 +421,9 @@ def test_cli_fit_rederives_analyze_fit(family, quickstart_analysis, workload_mea
 # families on the benchmark's inputs (the skewed-runs logs are run-00 to
 # run-09), recorded before the bootstrap's Philox counters moved into
 # `philox_u32_blocks`, and the fits.yaml and probabilities.csv lines when
-# six families moved to BFGS. It pins every bundle file: P_d, the KS
-# statistics, the fits, curves, band, summary, normality and provenance.
+# six families moved to BFGS and again when their jittered starts were
+# dropped. It pins every bundle file: P_d, the KS statistics, the fits,
+# curves, band, summary, normality and provenance.
 WORKLOAD_MANIFESTS = {
     "quickstart": (
         "9e3255a93724be0b9cdf44901d2b2e125783f8432d33e47abe9ca81466e78421  bands/band.csv\n"
@@ -443,9 +438,9 @@ WORKLOAD_MANIFESTS = {
         "5040a9525ddcf7a99e58777461dfcf26566d98942b336fd80f67daf3f7dcc9bd  curves/synth-07.csv\n"
         "9fd8724dfcdc19ae3ad688fc0cf928a9a88baad7310591899c2add7a4215b442  curves/synth-08.csv\n"
         "1bd6a6625a218682227c0d9279a37481990df0b3a426d5731dcba74b5e5e507c  curves/synth-09.csv\n"
-        "925f9b1ae254e7581d4deea896ab2dca70b9b1304f1c5c7b0fa5222b08e065b0  fits.yaml\n"
+        "764d8a70602b8a2596eba663174a61acb3a8490f1639332ecc210c460b27d4fe  fits.yaml\n"
         "2d95855e29b745bbd468127440efe0714006e40b7eceb96658783cc73500f00d  normality.csv\n"
-        "d5d5e54f276ad215f63802f1fd297f0feeb93969cbabc5a9ecbaa42a71f098c8  probabilities.csv\n"
+        "3012def1dffa8539c4b8015ae25f135f878480da9c9ebeaaa81dc1a5461e74ce  probabilities.csv\n"
         "e552af12e95d3eacdd383dd15396db927e4b9d50c695d7ad039ecfd17cd2ca42  provenance.yaml\n"
         "bd6a71412e155f0d3d1752cadf7812770f0c8f9eca7bbbec24bc322508acfb27  run_averages.csv\n"
         "7a9b2316e627beb42ecf5f79a54ebae6f2aa711721f6eb8a21003785c826f911  summary.csv\n"
@@ -463,9 +458,9 @@ WORKLOAD_MANIFESTS = {
         "ae7b1053fb53477c63e267f9efe98f38c0feda3a47eccbdd55d73a7df5181986  curves/run-07.csv\n"
         "400d693d5eaed1f62d4be892cee0ab1bea5676647de2cce03ac06d54ba8dd4dd  curves/run-08.csv\n"
         "132fdcb512f6fb5b0e46d34ed087cc098ff58af60e26288fde54b81b1e40eb11  curves/run-09.csv\n"
-        "0af85d89261e6060e75e5c7ad65e312027d11fa3059b8426b5fd843a59e2eb1a  fits.yaml\n"
+        "213e8b76f2f7d2179eb7a06c9d9a217ed34a8d8619c94b83c8f77dbee84104ff  fits.yaml\n"
         "3cc055137ed0338b20ebb0b223efb910732b45f3b6f7bcdc7537e6d9e4730c7c  normality.csv\n"
-        "c9af1133f698238c81556757fc2161fe3540dc7fc26d1d1fb27bba0635d1f0a7  probabilities.csv\n"
+        "ada847eda3186f40245ac3d00db582be90b8c668b0d8136b90c97ec1124e0317  probabilities.csv\n"
         "e79b38e3e8ba52f675d512b7c21eba09786729d24c8c5114e2b7a82ff3b74b45  provenance.yaml\n"
         "898dc19e2f4f5feec598b161142441e58330e6d72274ce3b3ae8eb0a859b99b5  run_averages.csv\n"
         "1d7c6da4e003a7783bf228c8cea8a20e9b435f1af53c425ad7261a2bfe92418a  summary.csv\n"
@@ -481,3 +476,20 @@ def test_bundle_bytes_unchanged(workload, quickstart_analysis, tmp_path):
         report = _analysis(workload, _workload_runs(workload, WORKLOAD_SEED))
     emit_bundle(report, tmp_path)
     assert (tmp_path / MANIFEST_NAME).read_text(encoding="utf-8") == WORKLOAD_MANIFESTS[workload]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "P_d is the KS p-value at n = B against a fixed discrete law, so it "
+    "falls toward 0 as B grows (ROADMAP item 1)"
+))
+def test_decision_independent_of_resample_count():
+    """On skewed-runs, with the mean of its run averages as the reported
+    value, beta's decision is the same at B = 1000, 3000 and 10000."""
+    runs = _workload_runs("skewed-runs", WORKLOAD_SEED)
+    reported = float(np.mean([run_average_return(run) for run in runs]))
+    decisions = {
+        resamples: _analysis("skewed-runs", runs, ("beta",), reported, resamples)
+        .verdicts[0].decision
+        for resamples in (1000, 3000, 10000)
+    }
+    assert len(set(decisions.values())) == 1, decisions
