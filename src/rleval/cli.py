@@ -197,7 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit one family to a means vector")
     p.add_argument("means")
     p.add_argument("--family", required=True, choices=FAMILY_NAMES)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument(
+        "--seed", type=int, required=True,
+        help="analyze's --seed; only loggamma's fit reads it, for its jittered starts",
+    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_fit)
 

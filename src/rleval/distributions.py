@@ -22,8 +22,10 @@ ridges in their raw parameters, and search other coordinates:
 Six families are fitted by `bfgs` on the negative log-likelihood and its
 analytic score (`Family.logpdf_z_score`, chained through the Jacobian of
 `from_search` by `Family.search_score`), which one pass over the data
-gives together; a point outside the support has an infinite negative
-log-likelihood, so the line search steps back. `converged` means the score
+gives together. The line search halves the step until the log-likelihood
+rises enough, or, within its rounding noise, until the slope has
+flattened; a point outside the support has an infinite negative
+log-likelihood, so such a step is cut back too. `converged` means the score
 norm, max |d loglik / d t_i| / n over the search coordinates t, is at most
 _SCORE_TOL = 1e-9. loggamma, whose supremum on right-skewed data is its
 c -> inf normal limit, keeps the Nelder-Mead simplex on its raw
@@ -458,6 +460,10 @@ class LogGamma(Family):
         tail = -np.expm1(self._log_tiny_cdf(z, c))
         return np.where(z < self._TINY_Z, tail, special.reg_inc_gamma_upper(c, np.exp(z)))
 
+    def mean_z(self, shapes):
+        # E log X for X ~ Gamma(c, 1)
+        return special.digamma(shapes[0])
+
     def init_params(self, data):
         # Profile a few shape candidates; psi/psi' are approximated, the
         # search only needs a feasible starting frame.
@@ -786,7 +792,6 @@ _WOLFE_C1 = 1e-4
 _WOLFE_C2 = 0.9
 _LINE_MAX_EVALS = 40
 _F_NOISE = 1e-12  # rounding noise of a summed log-likelihood, relative to |f| + n
-_EPS = 2.0**-52
 
 
 def nelder_mead(fn, x0):
@@ -839,86 +844,34 @@ def nelder_mead(fn, x0):
     return SearchResult(np.array(verts[0][1]), verts[0][0], converged, iterations)
 
 
-def _cubic_min(a, fa, da, b, fb, db):
-    """Minimizer of the cubic through (a, fa, da) and (b, fb, db) (Nocedal
-    & Wright 2006, eq. 3.59), or None when it has none."""
-    d1 = da + db - 3.0 * (fa - fb) / (a - b)
-    disc = d1 * d1 - da * db
-    if not disc >= 0.0:
-        return None
-    d2 = math.copysign(math.sqrt(disc), b - a)
-    denom = db - da + 2.0 * d2
-    if denom == 0.0:
-        return None
-    return b - (b - a) * (db + d2 - d1) / denom
-
-
-def _wolfe_step(fn, x, f0, d0, p, alpha, f_noise):
-    """A step length along p that meets the strong Wolfe conditions, as
-    (alpha, f, g) (Nocedal & Wright 2006, algorithms 3.5 and 3.6). A point
-    whose f is not finite fails the decrease test, so steps that leave the
-    domain are cut back. Where f changes by less than its rounding noise,
-    a point within `f_noise` of f0 whose slope meets the curvature condition
-    is taken too (the approximate Wolfe conditions of Hager & Zhang 2005).
-    After _LINE_MAX_EVALS evaluations it returns the lowest point found with
-    sufficient decrease, or None if there is none."""
-
-    def point(a):
-        f, g = fn(x + a * p)
-        return a, f, (math.nan if g is None else float(g @ p)), g
-
-    def decreases(a, f):
-        return f <= f0 + _WOLFE_C1 * a * d0
-
-    def accepted(cur):
-        a, f, d, _ = cur
-        return (decreases(a, f) or f <= f0 + f_noise) and abs(d) <= -_WOLFE_C2 * d0
-
-    evals = 0
-    prev = (0.0, f0, d0, None)
-    while True:  # bracket: double alpha until a bracket holds a step
-        if evals == _LINE_MAX_EVALS:
-            return None if prev[3] is None else (prev[0], prev[1], prev[3])
-        cur = point(alpha)
-        evals += 1
-        if accepted(cur):
-            return cur[0], cur[1], cur[3]
-        if not decreases(alpha, cur[1]) or (prev[3] is not None and cur[1] >= prev[1]):
-            lo, hi = prev, cur
-            break
-        if cur[2] >= 0.0:
-            lo, hi = cur, prev
-            break
-        prev = cur
-        alpha *= 2.0
-    while evals < _LINE_MAX_EVALS:  # zoom: shrink the bracket [lo, hi]
-        width = hi[0] - lo[0]
-        if abs(width) <= _EPS * abs(lo[0]):
-            break
-        trial = None
-        if math.isfinite(hi[1]) and math.isfinite(hi[2]):
-            trial = _cubic_min(*lo[:3], *hi[:3])
-        if trial is None or not 0.1 <= (trial - lo[0]) / width <= 0.9:
-            trial = lo[0] + 0.5 * width
-        cur = point(trial)
-        evals += 1
-        if accepted(cur):
-            return cur[0], cur[1], cur[3]
-        if not decreases(trial, cur[1]) or cur[1] >= lo[1]:
-            hi = cur
-            continue
-        if cur[2] * width >= 0.0:
-            hi = lo
-        lo = cur
-    return None if lo[3] is None else (lo[0], lo[1], lo[3])
+def _backtrack(fn, x, f0, d0, p, alpha, f_noise):
+    """A step length along p by backtracking (Nocedal & Wright 2006,
+    algorithm 3.1), as (alpha, f, g): alpha is halved until f meets the
+    sufficient-decrease test f <= f0 + _WOLFE_C1 * alpha * d0. A point whose
+    f is not finite fails it, so steps that leave the domain are cut back.
+    Where f changes by less than its rounding noise, a point within
+    `f_noise` of f0 whose slope has flattened, |g . p| <= -_WOLFE_C2 * d0,
+    is taken too (the approximate Wolfe test of Hager & Zhang 2005). None
+    after _LINE_MAX_EVALS evaluations."""
+    for _ in range(_LINE_MAX_EVALS):
+        f, g = fn(x + alpha * p)
+        if f <= f0 + _WOLFE_C1 * alpha * d0 or (
+            f <= f0 + f_noise and abs(float(g @ p)) <= -_WOLFE_C2 * d0
+        ):
+            return alpha, f, g
+        alpha *= 0.5
+    return None
 
 
 def bfgs(fn, x0, gtol, f_scale):
     """Minimize fn, which returns (value, gradient) and an infinite value
-    out of its domain, by BFGS with a strong-Wolfe line search (Nocedal &
+    out of its domain, by BFGS with a backtracking line search (Nocedal &
     Wright 2006, algorithm 6.1; H0 scaled by eq. 6.20 before the first
-    update). Converged when max |gradient| <= gtol. Stops after
-    _BFGS_MAX_ITER iterations or when the line search finds no lower point.
+    update). While the inverse Hessian is the identity, the trial step is
+    capped at min(1, 1 / max |gradient|); a step with s . y <= 0, which
+    backtracking does not rule out, leaves the inverse Hessian as it was.
+    Converged when max |gradient| <= gtol. Stops after _BFGS_MAX_ITER
+    iterations or when the line search finds no step.
     """
     x = np.asarray(x0, dtype=np.float64)
     f, g = fn(x)
@@ -938,7 +891,7 @@ def bfgs(fn, x0, gtol, f_scale):
             p = -g
             d0 = float(g @ p)
         alpha = 1.0 if inv_h is not None else min(1.0, 1.0 / float(np.max(np.abs(g))))
-        step = _wolfe_step(fn, x, f, d0, p, alpha, _F_NOISE * (abs(f) + f_scale))
+        step = _backtrack(fn, x, f, d0, p, alpha, _F_NOISE * (abs(f) + f_scale))
         if step is None:
             break
         iterations += 1

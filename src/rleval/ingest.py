@@ -189,8 +189,6 @@ class SynthSpec:
     plateau_level: float = 100.0
     ramp_steps: int = 0
     noise_scale: float = 0.0
-    step_hz: float = None
-    episode_seconds: float = None
 
     def validate(self) -> "SynthSpec":
         if self.run_count < 1:
@@ -211,22 +209,14 @@ class SynthSpec:
             raise ValidationError("generator settings must be a mapping")
         known = {
             "run_count", "total_steps", "episode_steps", "start_level",
-            "plateau_level", "ramp_steps", "noise_scale", "step_hz",
-            "episode_seconds",
+            "plateau_level", "ramp_steps", "noise_scale",
         }
         unknown = set(doc) - known
         if unknown:
             raise ValidationError(f"unknown generator keys: {sorted(unknown)}")
-        doc = dict(doc)
-        if "episode_steps" not in doc:
-            hz = doc.get("step_hz")
-            seconds = doc.get("episode_seconds")
-            if hz is None or seconds is None:
-                raise ValidationError(
-                    "episode_steps is required (or derive it via step_hz and "
-                    "episode_seconds)"
-                )
-            doc["episode_steps"] = int(round(hz * seconds))
+        missing = {"run_count", "total_steps", "episode_steps"} - set(doc)
+        if missing:
+            raise ValidationError(f"missing generator keys: {sorted(missing)}")
         return cls(**doc).validate()
 
     def expected_level(self, step: int) -> float:
@@ -262,10 +252,6 @@ def synthesize_runs(spec: SynthSpec, seed: int):
             "stream": i,
             "episode_steps": spec.episode_steps,
         }
-        if spec.step_hz is not None:
-            meta["step_hz"] = spec.step_hz
-        if spec.episode_seconds is not None:
-            meta["episode_seconds"] = spec.episode_seconds
         runs.append(
             RunLog(run_id=f"synth-{i:02d}", episodes=episodes, seed=seed, metadata=meta)
         )

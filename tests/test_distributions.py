@@ -105,6 +105,14 @@ class TestStructure:
         fit = D.make_fit("johnsonsb", *shapes, 0.0, 1.0)
         assert D.mean(fit) == pytest.approx(oracles.johnsonsb_mean_ref(*shapes), abs=1e-15)
 
+    @pytest.mark.parametrize("c", [0.01, 10.59, 2.1e5])
+    def test_loggamma_mean_closed_form(self, c):
+        """z = log X for X ~ Gamma(c, 1), so E z = psi(c)."""
+        import mpmath as mp
+
+        fit = D.make_fit("loggamma", c, 0.0, 1.0)
+        assert D.mean(fit) == pytest.approx(float(mp.digamma(c)), rel=1e-14)
+
     @pytest.mark.parametrize("name", sorted(REFERENCE))
     def test_sf_cdf_complementary(self, name):
         fit, ref = _pair(name)
@@ -373,6 +381,9 @@ def _rosenbrock_with_gradient(x):
     ])
 
 
+_ABOVE_ONE = math.nextafter(1.0, 2.0)
+
+
 class TestBfgs:
     def test_rosenbrock(self):
         result = D.bfgs(_rosenbrock_with_gradient, (-1.2, 1.0), 1e-10, 1.0)
@@ -403,19 +414,75 @@ class TestBfgs:
 
         calls = []
         logged = lambda x: calls.append(float(x[0])) or fn(x)
-        alpha, f, g = D._wolfe_step(logged, np.zeros(1), 0.0625, -0.5, np.ones(1), 1.0, 0.0)
+        alpha, f, g = D._backtrack(logged, np.zeros(1), 0.0625, -0.5, np.ones(1), 1.0, 0.0)
         assert calls == [1.0, 0.5, 0.25]
         assert (alpha, f, g[0]) == (0.25, 0.0, 0.0)
 
     @pytest.mark.parametrize("alpha", [1e-3, 1.0, 30.0])
-    def test_step_meets_strong_wolfe(self, alpha):
+    def test_step_is_the_first_halving_with_sufficient_decrease(self, alpha):
         x = np.array([-1.2, 1.0])
         f0, g0 = _rosenbrock_with_gradient(x)
         p = -g0 / np.max(np.abs(g0))
         d0 = float(g0 @ p)
-        step, f, g = D._wolfe_step(_rosenbrock_with_gradient, x, f0, d0, p, alpha, 0.0)
+        trials = []
+
+        def logged(v):
+            trials.append(float((v - x)[0] / p[0]))
+            return _rosenbrock_with_gradient(v)
+
+        step, f, g = D._backtrack(logged, x, f0, d0, p, alpha, 0.0)
+        assert len(trials) < D._LINE_MAX_EVALS
+        assert trials == pytest.approx([alpha * 0.5**k for k in range(len(trials))], rel=1e-12)
+        f_step, g_step = _rosenbrock_with_gradient(x + step * p)
+        assert f == f_step and np.array_equal(g, g_step)
+        assert step == alpha * 0.5 ** (len(trials) - 1)
         assert f <= f0 + D._WOLFE_C1 * step * d0
-        assert abs(float(g @ p)) <= -D._WOLFE_C2 * d0
+        for a in trials[:-1]:
+            assert not _rosenbrock(x + a * p) <= f0 + D._WOLFE_C1 * a * d0
+
+    def test_flat_step_within_the_noise_is_taken(self):
+        """f comes back one ulp above f0 along the whole line: no step
+        decreases f, and only the noise test can accept one, where the slope
+        has flattened."""
+        calls = []
+
+        def flat(x):
+            calls.append(float(x[0]))
+            return _ABOVE_ONE, np.zeros(1)
+
+        def steep(x):
+            return _ABOVE_ONE, np.array([-1e-3])
+
+        step = D._backtrack(flat, np.zeros(1), 1.0, -1e-3, np.ones(1), 1.0, 1e-12)
+        assert calls == [1.0]
+        assert step[:2] == (1.0, _ABOVE_ONE)
+        calls.clear()
+        assert D._backtrack(flat, np.zeros(1), 1.0, -1e-3, np.ones(1), 1.0, 0.0) is None
+        assert len(calls) == D._LINE_MAX_EVALS
+        assert D._backtrack(steep, np.zeros(1), 1.0, -1e-3, np.ones(1), 1.0, 1e-12) is None
+
+    def test_gives_up_after_line_max_evals(self):
+        """Every trial point is outside the domain: after _LINE_MAX_EVALS
+        halvings the search returns None, and bfgs stops unconverged."""
+        calls = []
+
+        def wall(x):
+            calls.append(float(x[0]))
+            if x[0] > 0.0:
+                return math.inf, None
+            return -x[0], np.array([-1.0])
+
+        assert D._backtrack(wall, np.zeros(1), 0.0, -1.0, np.ones(1), 1.0, 1e-12) is None
+        assert calls == [0.5**k for k in range(D._LINE_MAX_EVALS)]
+        result = D.bfgs(wall, (0.0,), 1e-8, 1.0)
+        assert (result.converged, result.iterations, float(result.x[0])) == (False, 0, 0.0)
+
+    def test_stops_unconverged_at_max_iter(self, monkeypatch):
+        monkeypatch.setattr(D, "_BFGS_MAX_ITER", 5)
+        result = D.bfgs(_rosenbrock_with_gradient, (-1.2, 1.0), 1e-10, 1.0)
+        assert not result.converged
+        assert result.iterations == 5
+        assert result.fval < _rosenbrock(np.array([-1.2, 1.0]))
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)

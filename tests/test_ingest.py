@@ -179,16 +179,13 @@ class TestSynth:
             "f68a88e348038533c0cc894e7bf8517c77d8a8cea510019cf9c638c66e1f977a"
         )
 
-    def test_episode_count_from_step_rate(self):
-        # four-second episodes at 25 steps per second over 150k steps
-        spec = SynthSpec.from_mapping({
-            "run_count": 1, "total_steps": 150000,
-            "step_hz": 25, "episode_seconds": 4.0,
-        })
-        assert spec.episode_steps == 100
-        run = synthesize_runs(spec, seed=3)[0]
-        assert len(run.episodes) == 150000 // spec.episode_steps
-        assert run.metadata["step_hz"] == 25
+    def test_step_rate_keys_are_rejected(self):
+        # episode_steps is the only way to set the episode length
+        with pytest.raises(ValidationError, match="unknown generator keys"):
+            SynthSpec.from_mapping({
+                "run_count": 1, "total_steps": 150000,
+                "step_hz": 25, "episode_seconds": 4.0,
+            })
 
     def test_law_of_large_numbers_bound(self):
         spec = SynthSpec(run_count=10, total_steps=100000, episode_steps=100,

@@ -61,6 +61,9 @@ class TestTables:
         assert table.columns == ["family", "report-demo"]
         assert [row[0] for row in table.rows] == ["normal", "skewnorm"]
         assert table.footer.startswith("rejected ")
+        normal_only = dataclasses.replace(report, verdicts=report.verdicts[:1])
+        with pytest.raises(ValidationError, match="different family sets"):
+            render_probability_table([report, normal_only])
 
     def test_probability_requires_verdicts(self):
         runs = synthesize_runs(SPEC, seed=33)
