@@ -847,7 +847,8 @@ def nelder_mead(fn, x0):
 def _backtrack(fn, x, f0, d0, p, alpha, f_noise):
     """A step length along p by backtracking (Nocedal & Wright 2006,
     algorithm 3.1), as (alpha, f, g): alpha is halved until f meets the
-    sufficient-decrease test f <= f0 + _WOLFE_C1 * alpha * d0. A point whose
+    sufficient-decrease test f - f0 <= _WOLFE_C1 * alpha * d0, which a step
+    that does not lower f fails however small alpha gets. A point whose
     f is not finite fails it, so steps that leave the domain are cut back.
     Where f changes by less than its rounding noise, a point within
     `f_noise` of f0 whose slope has flattened, |g . p| <= -_WOLFE_C2 * d0,
@@ -855,7 +856,7 @@ def _backtrack(fn, x, f0, d0, p, alpha, f_noise):
     after _LINE_MAX_EVALS evaluations."""
     for _ in range(_LINE_MAX_EVALS):
         f, g = fn(x + alpha * p)
-        if f <= f0 + _WOLFE_C1 * alpha * d0 or (
+        if f - f0 <= _WOLFE_C1 * alpha * d0 or (
             f <= f0 + f_noise and abs(float(g @ p)) <= -_WOLFE_C2 * d0
         ):
             return alpha, f, g

@@ -191,6 +191,15 @@ class SynthSpec:
     noise_scale: float = 0.0
 
     def validate(self) -> "SynthSpec":
+        for name in ("run_count", "total_steps", "episode_steps", "ramp_steps"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        for name in ("start_level", "plateau_level", "noise_scale"):
+            value = getattr(self, name)
+            if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                    or not math.isfinite(value)):
+                raise ValidationError(f"{name} must be a finite number, got {value!r}")
         if self.run_count < 1:
             raise ValidationError(f"run_count must be >= 1, got {self.run_count}")
         if self.total_steps < 1:
@@ -258,7 +267,7 @@ def synthesize_runs(spec: SynthSpec, seed: int):
     return runs
 
 
-def write_run_dir(runs, directory, config_hash=None) -> list:
+def write_run_dir(runs, directory) -> list:
     """Write run CSVs plus sidecars; returns the relative file names."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -271,8 +280,8 @@ def write_run_dir(runs, directory, config_hash=None) -> list:
         meta = dict(run.metadata)
         if run.seed is not None:
             meta = {"seed": run.seed, **meta}
-        if config_hash is not None:
-            meta["config_hash"] = config_hash
+        if run.config_hash is not None:
+            meta["config_hash"] = run.config_hash
         if meta:
             meta_path = directory / f"{run.run_id}{META_SUFFIX}"
             meta_path.write_text(dump_canonical(meta), encoding="utf-8")

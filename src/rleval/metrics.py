@@ -51,8 +51,6 @@ class LearningCurve:
 @dataclass(frozen=True)
 class CurveBand:
     points: tuple  # ((eval_step, mean, se, n), ...)
-    window: int
-    stride: int
 
 
 def learning_curve(run, window: int = DEFAULT_WINDOW, stride: int = DEFAULT_STRIDE) -> LearningCurve:
@@ -124,24 +122,7 @@ def curve_band(curves) -> CurveBand:
         mean = math.fsum(values) / n
         var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
         points.append((t, mean, math.sqrt(var) / math.sqrt(n), n))
-    return CurveBand(points=tuple(points), window=window, stride=stride)
-
-
-def repeatability_deviation(curves) -> float:
-    """Largest spread (max - min across curves) over a shared grid; zero
-    means the runs repeat exactly."""
-    curves = list(curves)
-    if len(curves) < 2:
-        raise ValidationError("repeatability_deviation requires at least 2 curves")
-    grid = curves[0].eval_steps
-    for curve in curves[1:]:
-        if curve.eval_steps != grid:
-            raise ValidationError("curves are not on identical grids")
-    worst = 0.0
-    for i in range(len(grid)):
-        values = [curve.points[i][1] for curve in curves]
-        worst = max(worst, max(values) - min(values))
-    return worst
+    return CurveBand(points=tuple(points))
 
 
 def write_curve_csv(curve: LearningCurve, stream) -> None:

@@ -10,6 +10,8 @@ does not depend on which other families are fitted or in which order
 (`fit_family`, which `rleval fit` calls too).
 """
 
+import math
+
 from .config import config_hash
 from .distributions import FAMILY_NAMES, fit_mle, get_family, with_gof
 from .errors import ValidationError
@@ -47,13 +49,16 @@ def run_analysis(
     seed: int,
     resamples: int = DEFAULT_RESAMPLES,
     alpha: float = DEFAULT_ALPHA,
-    confidence: float = DEFAULT_CONFIDENCE,
     reported=None,
     families=FAMILY_NAMES,
     window: int = DEFAULT_WINDOW,
     stride: int = DEFAULT_STRIDE,
 ) -> AnalysisReport:
     validate_seed(seed)
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+    if reported is not None and not math.isfinite(reported):
+        raise ValidationError(f"reported value must be finite, got {reported}")
     families = [get_family(f).name for f in families]
     if not families:
         raise ValidationError("no family requested: name at least one to fit")
@@ -70,7 +75,7 @@ def run_analysis(
     averages = tuple((run.run_id, run_average_return(run)) for run in trial_set.runs)
 
     boot = bootstrap_means(
-        [value for _, value in averages], resamples, seed=seed, confidence=confidence
+        [value for _, value in averages], resamples, seed=seed, confidence=DEFAULT_CONFIDENCE
     )
     normality = dagostino_pearson(boot.means, alpha=alpha)
 
@@ -85,7 +90,7 @@ def run_analysis(
         config_name=config.name,
         seed=seed,
         resamples=resamples,
-        confidence=confidence,
+        confidence=DEFAULT_CONFIDENCE,
         alpha=alpha,
         window=window,
         stride=stride,

@@ -89,7 +89,7 @@ def render_summary_table(report_or_reports) -> Table:
     for rep in reports:
         rows.append([
             rep.config.name,
-            fmt_fixed(rep.reported_value, 2) if rep.reported_value is not None else "-",
+            fmt_fixed(rep.reported_value, 2),
             fmt_fixed(rep.bootstrap.empirical_mean, 2),
             fmt_fixed(rep.bootstrap.ci_low, 2),
             fmt_fixed(rep.bootstrap.ci_high, 2),

@@ -4,6 +4,8 @@ Resampling is keyed by a master seed: resample i draws its indices from
 Philox stream i in the bootstrap domain (the kernel is
 `rleval.rng.bootstrap_means`), so the means vector depends only on the
 sample, the resample count and the seed, and is identical across platforms.
+A BootstrapDistribution holds the means, their average and the percentile
+CI; the bundle's provenance records the seed and the confidence.
 """
 
 import math
@@ -25,14 +27,11 @@ CI_METHOD = "percentile (linear interpolation between closest ranks, Hyndman-Fan
 class BootstrapDistribution:
     """Empirical distribution of the resampled mean."""
 
-    source_sample: tuple
     resample_count: int
     means: np.ndarray
     empirical_mean: float
     ci_low: float
     ci_high: float
-    confidence: float
-    seed: int
 
     def __post_init__(self):
         if len(self.means) != self.resample_count:
@@ -87,14 +86,11 @@ def bootstrap_means(
     means = rng.bootstrap_means(arr, resample_count, key0, key1, rng.DOMAIN_BOOTSTRAP)
     ci_low, ci_high = percentile_ci(means, confidence)
     return BootstrapDistribution(
-        source_sample=tuple(float(v) for v in arr),
         resample_count=resample_count,
         means=means,
         empirical_mean=float(math.fsum(means) / len(means)),
         ci_low=ci_low,
         ci_high=ci_high,
-        confidence=confidence,
-        seed=seed,
     )
 
 

@@ -15,6 +15,9 @@ into the two 32-bit Philox key words. Counter layout:
     word2 = stream id   (e.g. bootstrap resample index, run index)
     word3 = domain tag  (keeps unrelated consumers on disjoint streams)
 
+Domain tag 3 belonged to a consumer that was removed; it is never reused,
+so no stream drawn today repeats one that an older release drew.
+
 Everything here is integer arithmetic plus IEEE-754 double adds performed
 in a defined order, so the output is bit-identical across platforms.
 """
@@ -30,8 +33,7 @@ MAX_SEED = 2**64 - 1
 DOMAIN_GENERIC = 0
 DOMAIN_BOOTSTRAP = 1
 DOMAIN_SYNTH = 2
-DOMAIN_SAMPLE = 3
-DOMAIN_FIT = 4
+DOMAIN_FIT = 4  # tag 3 is retired and never reused
 
 _M64 = (1 << 64) - 1
 

@@ -131,6 +131,18 @@ class TestAnalyze:
         assert "no family requested" in capsys.readouterr().err
         assert not bundle.exists()
 
+    @pytest.mark.parametrize("setting, value", [("--alpha", "2"), ("--reported", "nan")])
+    def test_bad_setting_exit_1_before_any_stage(self, workspace, capsys, setting, value):
+        bundle = workspace / "bad_setting"
+        code = main([
+            "analyze", str(workspace / "config.yaml"), *_run_paths(workspace),
+            "--seed", "7", "--resamples", "500", setting, value, "--out", str(bundle),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation:") and setting[2:] in err
+        assert not bundle.exists()
+
     def test_duplicate_run_exit_1(self, workspace, capsys):
         paths = _run_paths(workspace)
         bundle = workspace / "dup"
@@ -291,6 +303,25 @@ class TestSynth:
         bad = tmp_path / "bad_spec.yaml"
         bad.write_text("run_count: 0\ntotal_steps: 10\nepisode_steps: 1\n")
         assert main(["synth", str(bad), "--seed", "1", "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("key, text", [
+        ("total_steps", '"abc"'),
+        ("run_count", "2.5"),
+        ("noise_scale", ".nan"),
+        ("plateau_level", ".inf"),
+    ])
+    def test_mistyped_or_non_finite_spec_exit_1(self, tmp_path, capsys, key, text):
+        lines = [
+            f"{key}: {text}" if line.startswith(f"{key}:") else line
+            for line in SPEC_TEXT.splitlines()
+        ]
+        bad = tmp_path / "bad_spec.yaml"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert main(["synth", str(bad), "--seed", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation:") and key in err
+        assert not out.exists()
 
 
 def test_inputs_never_mutated(workspace):

@@ -461,6 +461,20 @@ class TestBfgs:
         assert len(calls) == D._LINE_MAX_EVALS
         assert D._backtrack(steep, np.zeros(1), 1.0, -1e-3, np.ones(1), 1.0, 1e-12) is None
 
+    def test_no_step_without_a_decrease(self):
+        """f = 1 everywhere while the gradient reads 1e-3. Once c1 * alpha
+        * |d0| is under half an ulp of 1, f0 + c1 * alpha * d0 rounds to f0;
+        the test on f - f0 still refuses such steps, so bfgs stops at once."""
+        calls = []
+
+        def level(x):
+            calls.append(float(x[0]))
+            return 1.0, np.array([1e-3])
+
+        result = D.bfgs(level, (0.0,), 1e-8, 1.0)
+        assert (result.converged, result.iterations) == (False, 0)
+        assert len(calls) == 1 + D._LINE_MAX_EVALS
+
     def test_gives_up_after_line_max_evals(self):
         """Every trial point is outside the domain: after _LINE_MAX_EVALS
         halvings the search returns None, and bfgs stops unconverged."""

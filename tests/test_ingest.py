@@ -64,8 +64,9 @@ class TestReadWrite:
         assert again.episodes == run.episodes
 
     def test_sidecar_metadata(self, tmp_path):
-        run = RunLog("run_00", ((100, 1.0),), seed=7, metadata={"note": "x"})
-        write_run_dir([run], tmp_path, config_hash="ab" * 32)
+        run = RunLog("run_00", ((100, 1.0),), seed=7, config_hash="ab" * 32,
+                     metadata={"note": "x"})
+        write_run_dir([run], tmp_path)
         back = read_run_log_path(tmp_path / "run_00.csv")
         assert back.seed == 7
         assert back.config_hash == "ab" * 32

@@ -16,7 +16,6 @@ from rleval.metrics import (
     LearningCurve,
     curve_band,
     learning_curve,
-    repeatability_deviation,
     run_average_return,
     write_band_csv,
     write_curve_csv,
@@ -135,21 +134,6 @@ class TestBand:
 
 
 class TestRepeatability:
-    def test_identical_is_zero(self):
-        curve = LearningCurve(((1000, 5.0), (2000, 6.0)), 5000, 1000)
-        assert repeatability_deviation([curve, curve]) == 0.0
-
-    def test_constant_offset(self):
-        a = LearningCurve(((1000, 5.0), (2000, 6.0)), 5000, 1000)
-        b = LearningCurve(((1000, 7.5), (2000, 8.5)), 5000, 1000)
-        assert repeatability_deviation([a, b]) == 2.5
-
-    def test_mismatched_grids_rejected(self):
-        a = LearningCurve(((1000, 5.0),), 5000, 1000)
-        b = LearningCurve(((1000, 5.0), (2000, 6.0)), 5000, 1000)
-        with pytest.raises(ValidationError):
-            repeatability_deviation([a, b])
-
     def test_same_seed_synthetic_runs_repeat_exactly(self):
         from rleval.ingest import SynthSpec, synthesize_runs
 
@@ -158,7 +142,7 @@ class TestRepeatability:
         curves = [
             learning_curve(synthesize_runs(spec, seed=6)[0]) for _ in range(3)
         ]
-        assert repeatability_deviation(curves) == 0.0
+        assert curves[0].points == curves[1].points == curves[2].points
 
 
 class TestCsv:
@@ -169,7 +153,7 @@ class TestCsv:
         assert buf.getvalue() == "eval_step,value\n1000,1.5\n2000,2.5\n"
 
     def test_band_csv(self):
-        band = CurveBand(((1000, 1.0, 0.5, 4),), 5000, 1000)
+        band = CurveBand(((1000, 1.0, 0.5, 4),))
         buf = io.StringIO()
         write_band_csv(band, buf)
         assert buf.getvalue() == "eval_step,mean,se,n\n1000,1.0,0.5,4\n"

@@ -107,9 +107,8 @@ class TestBootstrap:
     def test_means_length_validated(self):
         with pytest.raises(ValidationError):
             BootstrapDistribution(
-                source_sample=(1.0, 2.0), resample_count=3,
-                means=np.array([1.0]), empirical_mean=1.0,
-                ci_low=1.0, ci_high=1.0, confidence=0.95, seed=0,
+                resample_count=3, means=np.array([1.0]), empirical_mean=1.0,
+                ci_low=1.0, ci_high=1.0,
             )
 
 
