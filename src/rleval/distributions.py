@@ -79,10 +79,6 @@ class Family:
     def sf_z(self, z, shapes):
         raise NotImplementedError
 
-    def mean_z(self, shapes):
-        """Standardized mean; None means 'integrate numerically'."""
-        return None
-
     def init_params(self, data):
         raise NotImplementedError
 
@@ -142,9 +138,6 @@ class Normal(Family):
     def sf_z(self, z, shapes):
         return special.std_normal_sf(z)
 
-    def mean_z(self, shapes):
-        return 0.0
-
     def init_params(self, data):
         return (), float(np.mean(data)), float(np.std(data))
 
@@ -181,10 +174,6 @@ class Beta(Family):
 
     def sf_z(self, z, shapes):
         return special.reg_inc_beta(shapes[1], shapes[0], 1.0 - np.clip(z, 0.0, 1.0))
-
-    def mean_z(self, shapes):
-        a, b = shapes
-        return a / (a + b)
 
     def init_params(self, data):
         loc, scale = _bounded_frame(data)
@@ -243,22 +232,6 @@ class JohnsonSB(Family):
         z = np.clip(z, 1e-300, 1.0 - 1e-16)
         return special.std_normal_sf(a + b * np.log(z / (1.0 - z)))
 
-    def mean_z(self, shapes):
-        # E z = E expit((u - a)/b) for u ~ N(0, 1), integrated in u: the
-        # density in z spikes at 0 and 1 for small b, the integrand in u is
-        # a smooth sigmoid of width b, resolved by cuts at a and a +- 40b.
-        a, b = shapes
-
-        def integrand(u):
-            x = (u - a) / b
-            e = np.exp(-np.abs(x))
-            return np.exp(-0.5 * u * u - _LOG_SQRT_2PI) * np.where(x >= 0.0, 1.0, e) / (1.0 + e)
-
-        cuts = np.clip([-38.5, a - 40.0 * b, a, a + 40.0 * b, 38.5], -38.5, 38.5)
-        return math.fsum(
-            special.integrate_fixed(integrand, lo, hi) for lo, hi in zip(cuts, cuts[1:])
-        )
-
     def init_params(self, data):
         loc, scale = _bounded_frame(data)
         z = (data - loc) / scale
@@ -312,17 +285,17 @@ def _johnsonsu_moments(v, u):
     b = 1/u: -e^(u^2/2) sinh v and expm1(u^2) (e^(u^2) cosh 2v + 1) / 2.
     Overflow gives inf, or nan where it meets u = 0; the fit calls it inside
     its np.errstate."""
-    mean_z = -np.exp(0.5 * u * u) * np.sinh(v)
-    var_z = 0.5 * np.expm1(u * u) * (np.exp(u * u) * np.cosh(2.0 * v) + 1.0)
-    return mean_z, var_z
+    z_mean = -np.exp(0.5 * u * u) * np.sinh(v)
+    z_var = 0.5 * np.expm1(u * u) * (np.exp(u * u) * np.cosh(2.0 * v) + 1.0)
+    return z_mean, z_var
 
 
-def _johnsonsu_moment_partials(v, u, mean_z):
-    """d mean_z / d(v, u) and d var_z / d(v, u) of `_johnsonsu_moments`."""
+def _johnsonsu_moment_partials(v, u, z_mean):
+    """d z_mean / d(v, u) and d z_var / d(v, u) of `_johnsonsu_moments`."""
     w = math.exp(u * u)
     cosh2v = math.cosh(2.0 * v)
     return (
-        (-math.exp(0.5 * u * u) * math.cosh(v), u * mean_z),
+        (-math.exp(0.5 * u * u) * math.cosh(v), u * z_mean),
         (math.expm1(u * u) * w * math.sinh(2.0 * v), u * w * (2.0 * w * cosh2v + 1.0 - cosh2v)),
     )
 
@@ -358,11 +331,6 @@ class JohnsonSU(Family):
         a, b = shapes
         return special.std_normal_sf(a + b * np.arcsinh(z))
 
-    def mean_z(self, shapes):
-        a, b = shapes
-        with np.errstate(all="ignore"):
-            return float(_johnsonsu_moments(a / b, 1.0 / b)[0])
-
     def init_params(self, data):
         loc = float(np.median(data))
         scale = _iqr_scale(data)
@@ -377,36 +345,36 @@ class JohnsonSU(Family):
     # (a, b) and (-a, -b) give one distribution.
     def to_search(self, theta, m, s):
         a, b, loc, scale = theta
-        mean_z, var_z = _johnsonsu_moments(a / b, 1.0 / b)
+        z_mean, z_var = _johnsonsu_moments(a / b, 1.0 / b)
         return np.array([
-            a / b, 1.0 / b, (loc + scale * mean_z - m) / s,
-            math.log(scale * math.sqrt(var_z) / s),
+            a / b, 1.0 / b, (loc + scale * z_mean - m) / s,
+            math.log(scale * math.sqrt(z_var) / s),
         ])
 
     def from_search(self, t, m, s):
         v, u, mu, log_sd = t
         u = abs(u)
-        mean_z, var_z = _johnsonsu_moments(v, u)
-        scale = s * np.exp(log_sd) / np.sqrt(var_z)  # u = 0 decodes to b = inf
-        return np.array([v / u, 1.0 / u, m + s * mu - scale * mean_z, scale])
+        z_mean, z_var = _johnsonsu_moments(v, u)
+        scale = s * np.exp(log_sd) / np.sqrt(z_var)  # u = 0 decodes to b = inf
+        return np.array([v / u, 1.0 / u, m + s * mu - scale * z_mean, scale])
 
     def search_score(self, t, theta, score, m, s):
         v, u = t[0], abs(t[1])
         g_a, g_b, g_loc, g_scale = score
         scale = theta[3]
-        mean_z, var_z = _johnsonsu_moments(v, u)
-        (dmean_v, dmean_u), (dvar_v, dvar_u) = _johnsonsu_moment_partials(v, u, mean_z)
-        # scale = s e^log_sd / sqrt(var_z) and loc = m + s mu - scale mean_z
-        dscale_v = -0.5 * scale * dvar_v / var_z
-        dscale_u = -0.5 * scale * dvar_u / var_z
-        g_v = g_a / u + g_scale * dscale_v - g_loc * (dscale_v * mean_z + scale * dmean_v)
+        z_mean, z_var = _johnsonsu_moments(v, u)
+        (dmean_v, dmean_u), (dvar_v, dvar_u) = _johnsonsu_moment_partials(v, u, z_mean)
+        # scale = s e^log_sd / sqrt(z_var) and loc = m + s mu - scale z_mean
+        dscale_v = -0.5 * scale * dvar_v / z_var
+        dscale_u = -0.5 * scale * dvar_u / z_var
+        g_v = g_a / u + g_scale * dscale_v - g_loc * (dscale_v * z_mean + scale * dmean_v)
         g_u = (
             -(g_a * v + g_b) / (u * u)
-            + g_scale * dscale_u - g_loc * (dscale_u * mean_z + scale * dmean_u)
+            + g_scale * dscale_u - g_loc * (dscale_u * z_mean + scale * dmean_u)
         )
         return np.array([
             g_v, math.copysign(1.0, t[1]) * g_u, s * g_loc,
-            scale * (g_scale - g_loc * mean_z),
+            scale * (g_scale - g_loc * z_mean),
         ])
 
 
@@ -459,10 +427,6 @@ class LogGamma(Family):
         c = shapes[0]
         tail = -np.expm1(self._log_tiny_cdf(z, c))
         return np.where(z < self._TINY_Z, tail, special.reg_inc_gamma_upper(c, np.exp(z)))
-
-    def mean_z(self, shapes):
-        # E log X for X ~ Gamma(c, 1)
-        return special.digamma(shapes[0])
 
     def init_params(self, data):
         # Profile a few shape candidates; psi/psi' are approximated, the
@@ -547,10 +511,6 @@ class SkewNormal(Family):
 
     def sf_z(self, z, shapes):
         return self.cdf_z(-z, (-shapes[0],))
-
-    def mean_z(self, shapes):
-        a = shapes[0]
-        return math.sqrt(2.0 / math.pi) * a / math.sqrt(1.0 + a * a)
 
     def init_params(self, data):
         m2 = float(np.var(data))
@@ -661,33 +621,6 @@ def survival(fit, x):
     """1 - cdf, evaluated in complementary form (no cancellation)."""
     out = _tail_z(fit.family, fit.shapes, _z(fit, x), upper=True)
     return float(out) if np.ndim(x) == 0 else out
-
-
-def pdf(fit, x):
-    z = _z(fit, x)
-    if fit.family.bounded:
-        inside = (z > 0.0) & (z < 1.0)
-        z = np.clip(z, 1e-300, 1.0)
-    else:
-        inside = np.isfinite(z)
-    with np.errstate(all="ignore"):
-        vals = np.exp(fit.family.logpdf_z(z, fit.shapes)) / fit.scale
-    out = np.where(inside, vals, 0.0)
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def mean(fit):
-    """The family's own mean_z where it has one, else quadrature of z pdf(z)
-    between the 1e-13 and 1 - 1e-13 quantiles."""
-    closed = fit.family.mean_z(fit.shapes)
-    if closed is not None:
-        return fit.loc + fit.scale * closed
-    zlo, zhi = _inverse_z(fit, np.array([1e-13, 1.0 - 1e-13]))
-    ez = special.integrate_fixed(
-        lambda z: z * np.exp(fit.family.logpdf_z(z, fit.shapes)), zlo, zhi,
-        panels=48, order=32,
-    )
-    return fit.loc + fit.scale * ez
 
 
 _INVERSE_RTOL = 1e-12

@@ -247,22 +247,29 @@ def synthesize_runs(spec: SynthSpec, seed: int):
         raise ValidationError("total_steps shorter than one episode")
     runs = []
     n = len(ends)
+    levels = np.array([spec.expected_level(step) for step in ends])
     for i in range(spec.run_count):
-        if spec.noise_scale > 0.0:
-            noise = spec.noise_scale * rng.standard_normal(n)
-        else:
-            noise = np.zeros(n)
-        episodes = tuple(
-            (step, spec.expected_level(step) + float(noise[j]))
-            for j, step in enumerate(ends)
-        )
+        run_id = f"synth-{i:02d}"
+        # Finite but huge levels or noise_scale overflow here; the check
+        # below rejects the spec before anything is written.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if spec.noise_scale > 0.0:
+                noise = spec.noise_scale * rng.standard_normal(n)
+            else:
+                noise = np.zeros(n)
+            returns = levels + noise
+        if not np.isfinite(returns).all():
+            raise ValidationError(
+                f"{run_id}: the spec's levels and noise_scale give non-finite returns"
+            )
+        episodes = tuple(zip(ends, returns.tolist()))
         meta = {
             "generator": "linear-ramp",
             "stream": i,
             "episode_steps": spec.episode_steps,
         }
         runs.append(
-            RunLog(run_id=f"synth-{i:02d}", episodes=episodes, seed=seed, metadata=meta)
+            RunLog(run_id=run_id, episodes=episodes, seed=seed, metadata=meta)
         )
     return runs
 

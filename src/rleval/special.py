@@ -710,19 +710,3 @@ def ks_one_sample_pvalue(d, n, mode="exact"):
     if 2 * (int(n * d) + 1) - 1 > 1200:
         return kolmogorov_sf(scaled)
     return min(max(1.0 - _ks_exact_cdf(n, d), 0.0), 1.0)
-
-
-# ---------------------------------------------------------------------------
-# fixed-node quadrature used for distribution moments
-# ---------------------------------------------------------------------------
-
-
-def integrate_fixed(f, lo, hi, panels=24, order=32):
-    """Composite Gauss-Legendre integral of a smooth vectorised integrand."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
-    return float(np.sum(w * f(x)))

@@ -73,16 +73,6 @@ def owens_t_ref(h: float, a: float) -> float:
     return float(value / (2 * mp.pi))
 
 
-def johnsonsb_mean_ref(a: float, b: float) -> float:
-    """Mean of the standard Johnson SB, E[1 / (1 + exp(-(u - a) / b))] over
-    u ~ N(0, 1), by quadrature split where the normal mass and the sigmoid
-    sit."""
-    a, b = mp.mpf(a), mp.mpf(b)
-    pts = sorted({-mp.inf, mp.mpf(-40), mp.mpf(0), mp.mpf(40), mp.inf,
-                  a - 40 * b, a - 5 * b, a, a + 5 * b, a + 40 * b})
-    return float(mp.quad(lambda u: mp.npdf(u) / (1 + mp.exp(-(u - a) / b)), pts))
-
-
 def kolmogorov_sf_ref(x: float) -> float:
     if x <= 0:
         return 1.0

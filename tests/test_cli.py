@@ -1,10 +1,14 @@
 """Command-line behavior: happy paths, exit codes, determinism, seed policy."""
 
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rleval
 from rleval._yamlio import dump_canonical, load_strict
 from rleval.cli import main
 
@@ -323,6 +327,16 @@ class TestSynth:
         assert err.startswith("error: validation:") and key in err
         assert not out.exists()
 
+    def test_overflowing_returns_exit_1_before_writing(self, tmp_path, capsys):
+        bad = tmp_path / "bad_spec.yaml"
+        bad.write_text(SPEC_TEXT.replace("noise_scale: 6.0", "noise_scale: 1.0e+308"))
+        out = tmp_path / "o"
+        out.mkdir()
+        assert main(["synth", str(bad), "--seed", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation: synth-00:") and "non-finite" in err
+        assert list(out.iterdir()) == []
+
 
 def test_inputs_never_mutated(workspace):
     before = {p: p.read_bytes() for p in (workspace / "runs").glob("*")}
@@ -333,3 +347,17 @@ def test_inputs_never_mutated(workspace):
     ])
     after = {p: p.read_bytes() for p in (workspace / "runs").glob("*")}
     assert before == after
+
+
+def test_runtime_imports_need_neither_scipy_nor_mpmath():
+    """Runtime dependencies stay numpy + PyYAML: scipy and mpmath are test
+    oracles only."""
+    code = (
+        "import sys, rleval.cli, rleval.pipeline; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath'}))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(rleval.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

@@ -43,13 +43,8 @@ class TestAgainstScipy:
         xs = np.linspace(ref.ppf(0.0005), ref.ppf(0.9995), 61)
         assert np.max(np.abs(D.cdf(fit, xs) - ref.cdf(xs))) <= 1e-11
         assert np.max(np.abs(D.survival(fit, xs) - ref.sf(xs))) <= 1e-11
-        scale_pdf = float(np.max(ref.pdf(xs)))
-        assert np.max(np.abs(D.pdf(fit, xs) - ref.pdf(xs))) <= 1e-10 * max(1.0, scale_pdf)
-
-    @pytest.mark.parametrize("name", sorted(REFERENCE))
-    def test_mean(self, name):
-        fit, ref = _pair(name)
-        assert D.mean(fit) == pytest.approx(float(ref.mean()), rel=1e-8)
+        logpdf = fit.family.logpdf_z((xs - fit.loc) / fit.scale, fit.shapes) - math.log(fit.scale)
+        assert np.max(np.abs(logpdf - ref.logpdf(xs))) <= 1e-12
 
 
 class TestStructure:
@@ -64,11 +59,6 @@ class TestStructure:
         xs = np.linspace(-10, 14, 41)
         assert np.max(np.abs(D.cdf(sn, xs) - D.cdf(nm, xs))) <= 1e-12
 
-    def test_beta_mean_closed_form(self):
-        fit = D.make_fit("beta", 824.65, 167.66, -175.37, 374.38)
-        expected = -175.37 + 374.38 * 824.65 / (824.65 + 167.66)
-        assert D.mean(fit) == pytest.approx(expected, abs=1e-9)
-
     def test_powernorm_survival_spot_value(self):
         import mpmath as mp
 
@@ -79,39 +69,13 @@ class TestStructure:
         assert mine == pytest.approx(oracle, abs=1e-12)
         assert mine == pytest.approx(0.0416, abs=0.0002)
 
-    def test_skewnorm_mean_closed_form_vs_quadrature(self):
-        a = 1.7
-        fit = D.make_fit("skewnorm", a, 0.0, 1.0)
-        closed = math.sqrt(2 / math.pi) * a / math.sqrt(1 + a * a)
-        assert D.mean(fit) == pytest.approx(closed, abs=1e-12)
-        quad = special.integrate_fixed(
-            lambda z: z * np.exp(fit.family.logpdf_z(z, fit.shapes)), -9.0, 9.0,
-            panels=48, order=32,
-        )
-        assert closed == pytest.approx(quad, abs=1e-9)
-
     @pytest.mark.parametrize("shapes", [(12.79, 8.57), (-726.15, 68.20), (0.4, 2.5), (-1.3, 0.6)])
     def test_johnsonsu_mean_closed_form(self, shapes):
-        family = D.get_family("johnsonsu")
-        closed = family.mean_z(shapes)
-        assert closed is not None
-        assert closed == pytest.approx(float(scipy_stats.johnsonsu.mean(*shapes)), rel=1e-12)
-
-    @pytest.mark.parametrize("shapes", [
-        (0.0, 0.3), (0.5, 0.1), (5.0, 0.05), (0.3, 0.02), (-1.62, 2.71), (1.0, 2.0),
-        (3.0, 10.0), (-50.0, 100.0),
-    ])
-    def test_johnsonsb_mean_vs_oracle(self, shapes):
-        fit = D.make_fit("johnsonsb", *shapes, 0.0, 1.0)
-        assert D.mean(fit) == pytest.approx(oracles.johnsonsb_mean_ref(*shapes), abs=1e-15)
-
-    @pytest.mark.parametrize("c", [0.01, 10.59, 2.1e5])
-    def test_loggamma_mean_closed_form(self, c):
-        """z = log X for X ~ Gamma(c, 1), so E z = psi(c)."""
-        import mpmath as mp
-
-        fit = D.make_fit("loggamma", c, 0.0, 1.0)
-        assert D.mean(fit) == pytest.approx(float(mp.digamma(c)), rel=1e-14)
+        """The mean and variance the johnsonsu search decodes through."""
+        a, b = shapes
+        z_mean, z_var = D._johnsonsu_moments(a / b, 1.0 / b)
+        assert z_mean == pytest.approx(float(scipy_stats.johnsonsu.mean(*shapes)), rel=1e-12)
+        assert z_var == pytest.approx(float(scipy_stats.johnsonsu.var(*shapes)), rel=1e-12)
 
     @pytest.mark.parametrize("name", sorted(REFERENCE))
     def test_sf_cdf_complementary(self, name):
@@ -159,17 +123,17 @@ class TestStructure:
 
     @pytest.mark.parametrize("name", sorted(REFERENCE))
     def test_pdf_integrates_to_one(self, name):
+        from scipy.integrate import quad
+
         fit, ref = _pair(name)
-        lo = float(ref.ppf(1e-12))
-        hi = float(ref.ppf(1.0 - 1e-12))
-        total = special.integrate_fixed(lambda x: D.pdf(fit, x), lo, hi, panels=64, order=24)
+        zlo, zhi = (ref.ppf([1e-12, 1.0 - 1e-12]) - fit.loc) / fit.scale
+        total, _ = quad(lambda z: math.exp(fit.family.logpdf_z(z, fit.shapes)), zlo, zhi)
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_outside_support(self):
         fit = D.make_fit("beta", 2.0, 3.0, 10.0, 5.0)
         assert D.cdf(fit, 9.0) == 0.0
         assert D.cdf(fit, 16.0) == 1.0
-        assert D.pdf(fit, 9.0) == 0.0
         assert D.survival(fit, 9.0) == 1.0
 
     def test_johnsonsu_concentrates_with_large_b(self):

@@ -34,11 +34,10 @@ class TestNormal:
 
     def test_quantile_vs_oracle(self):
         # mpmath erfinv at 400 digits, precomputed by
-        # data/make_quantile_oracle.py
-        ps = oracles.quantile_grid()
+        # data/make_quantile_oracle.py; p is read back from the fixture, so
+        # the check does not depend on how numpy rounds the grid
         fixture = np.loadtxt(Path(__file__).parent / "data" / "quantile_oracle.txt")
-        assert np.array_equal(fixture[:, 0], ps)
-        mine = sp.std_normal_quantile(ps)
+        mine = sp.std_normal_quantile(fixture[:, 0])
         ref = fixture[:, 1]
         assert np.max(np.abs(mine - ref)) <= 1e-9
 
