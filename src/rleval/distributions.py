@@ -20,21 +20,23 @@ ridges in their raw parameters, and search other coordinates:
 - beta searches (log a, log b, (loc - m)/s, log(scale/s)).
 
 Six families are fitted by `bfgs` on the negative log-likelihood and its
-analytic score (`Family.logpdf_z_score`, chained through the Jacobian of
-`from_search` by `Family.search_score`), which one pass over the data
-gives together. The line search halves the step until the log-likelihood
-rises enough, or, within its rounding noise, until the slope has
-flattened; a point outside the support has an infinite negative
-log-likelihood, so such a step is cut back too. `converged` means the score
-norm, max |d loglik / d t_i| / n over the search coordinates t, is at most
-_SCORE_TOL = 1e-9. loggamma, whose supremum on right-skewed data is its
-c -> inf normal limit, keeps the Nelder-Mead simplex on its raw
-parameters (`Family.simplex`) with large finite penalties for invalid
-parameters and non-finite log-densities. It alone also searches from two
-jitters of the moment start, drawn from the fitting seed, and reports the
-best of its three searches; its `converged` is the simplex's own test.
-Every fit records the iterations of the search it came from and the score
-norm at its result.
+analytic score. Each writes its log-density once, in
+`Family.logpdf_z_score`, which returns it and its derivatives at every
+point; `_loglik_score` alone sums them, and `search_score` chains the score
+through the Jacobian of `from_search`. The fit path sums with np.sum and
+never calls BLAS, whose kernel and thread count would move a sum's last
+bits. The line search halves the step until the log-likelihood rises
+enough, or, within its rounding noise, until the slope has flattened; a
+point outside the support has an infinite negative log-likelihood, so such
+a step is cut back too. `converged` means the score norm, max |d loglik /
+d t_i| / n over the search coordinates t, is at most _SCORE_TOL = 1e-9.
+loggamma, whose supremum on right-skewed data is its c -> inf normal limit,
+keeps the Nelder-Mead simplex on its raw parameters (`Family.simplex`) with
+large finite penalties for invalid parameters and non-finite log-densities.
+It alone also searches from two jitters of the moment start, drawn from the
+fitting seed, and reports the best of its three searches; its `converged`
+is the simplex's own test. Every fit records the iterations of the search
+it came from and the score norm at its result.
 """
 
 import dataclasses
@@ -66,11 +68,12 @@ class Family:
         return True
 
     def logpdf_z(self, z, shapes):
-        raise NotImplementedError
+        return self.logpdf_z_score(z, shapes)[0]
 
     def logpdf_z_score(self, z, shapes):
-        """(sum of logpdf_z, d logpdf_z / dz at each z, the sums of
-        d logpdf_z / d shape) in one pass: the value's arrays are reused."""
+        """(log-density, its d/dz, and a tuple of its d/d shape, one per
+        shape), each an array over z, from one pass that reuses the value's
+        arrays; `_loglik_score` alone sums them."""
         raise NotImplementedError
 
     def cdf_z(self, z, shapes):
@@ -126,11 +129,8 @@ def _bounded_frame(data):
 class Normal(Family):
     name = "normal"
 
-    def logpdf_z(self, z, shapes):
-        return -0.5 * z * z - _LOG_SQRT_2PI
-
     def logpdf_z_score(self, z, shapes):
-        return float(np.sum(self.logpdf_z(z, shapes))), -z, ()
+        return -0.5 * z * z - _LOG_SQRT_2PI, -z, ()
 
     def cdf_z(self, z, shapes):
         return special.std_normal_cdf(z)
@@ -150,23 +150,16 @@ class Beta(Family):
     def shapes_valid(self, shapes):
         return shapes[0] > 0 and shapes[1] > 0
 
-    def logpdf_z(self, z, shapes):
-        a, b = shapes
-        lnbeta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-        return (a - 1.0) * np.log(z) + (b - 1.0) * np.log1p(-z) - lnbeta
-
     def logpdf_z_score(self, z, shapes):
         a, b = shapes
-        n = z.size
-        sum_log_z = float(np.sum(np.log(z)))
-        sum_log_1mz = float(np.sum(np.log1p(-z)))
+        log_z = np.log(z)
+        log_1mz = np.log1p(-z)
         lnbeta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-        total = (a - 1.0) * sum_log_z + (b - 1.0) * sum_log_1mz - n * lnbeta
-        dz = (a - 1.0) / z - (b - 1.0) / (1.0 - z)
         psi_ab = special.digamma(a + b)
-        return total, dz, (
-            sum_log_z - n * (special.digamma(a) - psi_ab),
-            sum_log_1mz - n * (special.digamma(b) - psi_ab),
+        return (
+            (a - 1.0) * log_z + (b - 1.0) * log_1mz - lnbeta,
+            (a - 1.0) / z - (b - 1.0) / (1.0 - z),
+            (log_z - (special.digamma(a) - psi_ab), log_1mz - (special.digamma(b) - psi_ab)),
         )
 
     def cdf_z(self, z, shapes):
@@ -204,33 +197,25 @@ class JohnsonSB(Family):
     def shapes_valid(self, shapes):
         return shapes[1] > 0
 
-    def logpdf_z(self, z, shapes):
-        a, b = shapes
-        u = a + b * np.log(z / (1.0 - z))
-        return math.log(b) - np.log(z) - np.log1p(-z) - 0.5 * u * u - _LOG_SQRT_2PI
-
     def logpdf_z_score(self, z, shapes):
         a, b = shapes
         log_z = np.log(z)
         log_1mz = np.log1p(-z)
         r = log_z - log_1mz
-        u = b * r
-        u += a
-        total = z.size * (math.log(b) - _LOG_SQRT_2PI) - (
-            float(np.sum(log_z)) + float(np.sum(log_1mz)) + 0.5 * float(np.dot(u, u))
+        u = a + b * r
+        return (
+            (math.log(b) - _LOG_SQRT_2PI) - log_z - log_1mz - 0.5 * u * u,
+            (2.0 * z - 1.0 - b * u) / (z - z * z),
+            (-u, 1.0 / b - u * r),
         )
-        dz = (2.0 * z - 1.0 - b * u) / (z - z * z)
-        return total, dz, (-float(np.sum(u)), z.size / b - float(np.dot(u, r)))
 
     def cdf_z(self, z, shapes):
         a, b = shapes
         z = np.clip(z, 1e-300, 1.0 - 1e-16)
         return special.std_normal_cdf(a + b * np.log(z / (1.0 - z)))
 
-    def sf_z(self, z, shapes):
-        a, b = shapes
-        z = np.clip(z, 1e-300, 1.0 - 1e-16)
-        return special.std_normal_sf(a + b * np.log(z / (1.0 - z)))
+    def sf_z(self, z, shapes):  # 1 - Phi(u) is Phi(-u), and (-a, -b) gives -u
+        return self.cdf_z(z, (-shapes[0], -shapes[1]))
 
     def init_params(self, data):
         loc, scale = _bounded_frame(data)
@@ -307,29 +292,23 @@ class JohnsonSU(Family):
     def shapes_valid(self, shapes):
         return shapes[1] > 0
 
-    def logpdf_z(self, z, shapes):
-        a, b = shapes
-        u = a + b * np.arcsinh(z)
-        return math.log(b) - 0.5 * np.log1p(z * z) - 0.5 * u * u - _LOG_SQRT_2PI
-
     def logpdf_z_score(self, z, shapes):
         a, b = shapes
         h = np.arcsinh(z)
         u = a + b * h
         one_pz2 = 1.0 + z * z
-        total = float(np.sum(-0.5 * np.log(one_pz2) - 0.5 * u * u)) + z.size * (
-            math.log(b) - _LOG_SQRT_2PI
+        return (
+            (math.log(b) - _LOG_SQRT_2PI) - 0.5 * np.log(one_pz2) - 0.5 * u * u,
+            -(z + b * u * np.sqrt(one_pz2)) / one_pz2,
+            (-u, 1.0 / b - u * h),
         )
-        dz = -(z + b * u * np.sqrt(one_pz2)) / one_pz2
-        return total, dz, (-float(np.sum(u)), z.size / b - float(np.dot(u, h)))
 
     def cdf_z(self, z, shapes):
         a, b = shapes
         return special.std_normal_cdf(a + b * np.arcsinh(z))
 
-    def sf_z(self, z, shapes):
-        a, b = shapes
-        return special.std_normal_sf(a + b * np.arcsinh(z))
+    def sf_z(self, z, shapes):  # 1 - Phi(u) is Phi(-u), and (-a, -b) gives -u
+        return self.cdf_z(z, (-shapes[0], -shapes[1]))
 
     def init_params(self, data):
         loc = float(np.median(data))
@@ -389,6 +368,7 @@ class LogGamma(Family):
     def shapes_valid(self, shapes):
         return shapes[0] > 0
 
+    # The simplex evaluates the value alone, at every vertex.
     def logpdf_z(self, z, shapes):
         c = shapes[0]
         return c * z - np.exp(z) - math.lgamma(c)
@@ -396,9 +376,7 @@ class LogGamma(Family):
     def logpdf_z_score(self, z, shapes):
         c = shapes[0]
         exp_z = np.exp(z)
-        sum_z = float(np.sum(z))
-        total = c * sum_z - float(np.sum(exp_z)) - z.size * math.lgamma(c)
-        return total, c - exp_z, (sum_z - z.size * special.digamma(c),)
+        return c * z - exp_z - math.lgamma(c), c - exp_z, (z - special.digamma(c),)
 
     # The simplex searches the raw parameters.
     def to_search(self, theta, m, s):
@@ -454,25 +432,16 @@ class PowerNormal(Family):
     def shapes_valid(self, shapes):
         return shapes[0] > 0
 
-    def logpdf_z(self, z, shapes):
-        c = shapes[0]
-        return (
-            math.log(c)
-            - 0.5 * z * z
-            - _LOG_SQRT_2PI
-            + (c - 1.0) * special.std_normal_logcdf(-z)
-        )
-
     def logpdf_z_score(self, z, shapes):
         c = shapes[0]
         log_sf = special.std_normal_logcdf(-z)
         half_z2 = 0.5 * z * z
-        sum_log_sf = float(np.sum(log_sf))
-        total = (
-            z.size * (math.log(c) - _LOG_SQRT_2PI) - float(np.sum(half_z2)) + (c - 1.0) * sum_log_sf
-        )
         hazard = np.exp(-half_z2 - _LOG_SQRT_2PI - log_sf)  # phi(z) / Phi(-z)
-        return total, -z - (c - 1.0) * hazard, (z.size / c + sum_log_sf,)
+        return (
+            (math.log(c) - _LOG_SQRT_2PI) - half_z2 + (c - 1.0) * log_sf,
+            -z - (c - 1.0) * hazard,
+            (1.0 / c + log_sf,),
+        )
 
     def cdf_z(self, z, shapes):
         return -np.expm1(shapes[0] * special.std_normal_logcdf(-z))
@@ -488,23 +457,16 @@ class SkewNormal(Family):
     name = "skewnorm"
     shape_names = ("a",)
 
-    def logpdf_z(self, z, shapes):
-        a = shapes[0]
-        return (
-            math.log(2.0)
-            - 0.5 * z * z
-            - _LOG_SQRT_2PI
-            + special.std_normal_logcdf(a * z)
-        )
-
     def logpdf_z_score(self, z, shapes):
         a = shapes[0]
         az = a * z
         log_cdf = special.std_normal_logcdf(az)
-        half_z2 = 0.5 * z * z
-        total = z.size * (math.log(2.0) - _LOG_SQRT_2PI) + float(np.sum(log_cdf - half_z2))
         ratio = np.exp(-0.5 * az * az - _LOG_SQRT_2PI - log_cdf)  # phi(az) / Phi(az)
-        return total, a * ratio - z, (float(np.dot(z, ratio)),)
+        return (
+            (math.log(2.0) - _LOG_SQRT_2PI) - 0.5 * z * z + log_cdf,
+            a * ratio - z,
+            (z * ratio,),
+        )
 
     def cdf_z(self, z, shapes):
         return special.std_normal_cdf(z) - 2.0 * special.owens_t(z, shapes[0])
@@ -570,8 +532,8 @@ class FittedDistribution:
     score_norm: float = None  # max |score| / n in search coordinates
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValidationError(f"scale must be positive, got {self.scale}")
+        if not (all(map(math.isfinite, self.params)) and self.scale > 0):
+            raise ValidationError(f"parameters must be finite, scale positive: {self.params}")
         if len(self.shapes) != len(self.family.shape_names):
             raise ValidationError(
                 f"{self.family.name} takes {len(self.family.shape_names)} shape(s), "
@@ -790,7 +752,7 @@ def _backtrack(fn, x, f0, d0, p, alpha, f_noise):
     for _ in range(_LINE_MAX_EVALS):
         f, g = fn(x + alpha * p)
         if f - f0 <= _WOLFE_C1 * alpha * d0 or (
-            f <= f0 + f_noise and abs(float(g @ p)) <= -_WOLFE_C2 * d0
+            f <= f0 + f_noise and abs(float(np.sum(g * p))) <= -_WOLFE_C2 * d0
         ):
             return alpha, f, g
         alpha *= 0.5
@@ -818,12 +780,11 @@ def bfgs(fn, x0, gtol, f_scale):
             return SearchResult(x, f, True, iterations)
         if iterations == _BFGS_MAX_ITER:
             break
-        p = -g if inv_h is None else -(inv_h @ g)
-        d0 = float(g @ p)
-        if not d0 < 0.0:  # lost positive definiteness: restart from steepest descent
+        p = -g if inv_h is None else -np.sum(inv_h * g, axis=1)
+        if not np.sum(g * p) < 0.0:  # lost positive definiteness: restart from steepest descent
             inv_h = None
             p = -g
-            d0 = float(g @ p)
+        d0 = float(np.sum(g * p))
         alpha = 1.0 if inv_h is not None else min(1.0, 1.0 / float(np.max(np.abs(g))))
         step = _backtrack(fn, x, f, d0, p, alpha, _F_NOISE * (abs(f) + f_scale))
         if step is None:
@@ -832,15 +793,15 @@ def bfgs(fn, x0, gtol, f_scale):
         alpha, f_new, g_new = step
         s_k = alpha * p
         y_k = g_new - g
-        sy = float(s_k @ y_k)
+        sy = float(np.sum(s_k * y_k))
         if sy > 0.0:
             if inv_h is None:
-                inv_h = np.eye(x.size) * (sy / float(y_k @ y_k))
+                inv_h = np.eye(x.size) * (sy / float(np.sum(y_k * y_k)))
             rho = 1.0 / sy
-            hy = inv_h @ y_k
+            hy = np.sum(inv_h * y_k, axis=1)
             inv_h = (
                 inv_h
-                + (rho * rho * (sy + float(y_k @ hy))) * np.outer(s_k, s_k)
+                + (rho * rho * (sy + float(np.sum(y_k * hy)))) * np.outer(s_k, s_k)
                 - rho * (np.outer(hy, s_k) + np.outer(s_k, hy))
             )
         x, f, g = x + s_k, f_new, g_new
@@ -850,21 +811,21 @@ def bfgs(fn, x0, gtol, f_scale):
 def _loglik_score(family, data, theta):
     """Log-likelihood of theta = (shapes, loc, scale) and its gradient in
     theta, or (-inf, None) when theta is invalid or a point lies outside the
-    support. A bounded family's log z and log(1 - z) are not finite outside
-    (0, 1), so neither is the sum then."""
-    k = len(family.shape_names)
-    shapes = tuple(theta[:k])
-    loc = theta[k]
-    scale = theta[k + 1]
+    support. The one place that sums `logpdf_z_score`'s arrays, with np.sum,
+    whose bits do not depend on the BLAS. A bounded family's log z and
+    log(1 - z) are not finite outside (0, 1), so neither is the sum then."""
+    shapes, loc, scale = tuple(theta[:-2]), theta[-2], theta[-1]
     if not (all(map(math.isfinite, theta)) and scale > 0.0 and family.shapes_valid(shapes)):
         return -math.inf, None
     z = (data - loc) / scale
-    total, dz, shape_score = family.logpdf_z_score(z, shapes)
-    ll = float(total) - z.size * math.log(scale)
+    lp, dz, shape_dz = family.logpdf_z_score(z, shapes)
+    ll = float(np.sum(lp)) - z.size * math.log(scale)
     if not math.isfinite(ll):
         return -math.inf, None
     return ll, np.array([
-        *shape_score, -float(np.sum(dz)) / scale, -(float(np.dot(z, dz)) + z.size) / scale,
+        *(float(np.sum(d)) for d in shape_dz),
+        -float(np.sum(dz)) / scale,
+        -(float(np.sum(z * dz)) + z.size) / scale,
     ])
 
 
@@ -874,10 +835,7 @@ def _penalized_nll(family, data, theta):
     simplex. Called inside the fit's np.errstate."""
     if not all(map(math.isfinite, theta)):
         return _INVALID_PENALTY
-    k = len(family.shape_names)
-    shapes = tuple(theta[:k])
-    loc = theta[k]
-    scale = theta[k + 1]
+    shapes, loc, scale = tuple(theta[:-2]), theta[-2], theta[-1]
     if scale <= 0.0:
         return _INVALID_PENALTY * (1.0 + abs(scale))
     if not family.shapes_valid(shapes):
@@ -1033,22 +991,30 @@ def fit_record(fit):
     return rec
 
 
+def _finite(value, key):
+    """A record's number: a finite int or float, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValidationError(f"fit record {key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def fit_from_record(rec):
+    """The fit a `fit_record` mapping describes; its numbers must be finite."""
     try:
         family = get_family(rec["family"])
-        params = [float(v) for v in rec["parameters"]]
+        params = [_finite(v, "parameters") for v in rec["parameters"]]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed fit record: {exc}") from exc
-    fit = make_fit(family, *params)
-    ll = rec.get("log_likelihood")
+    number = lambda key: None if rec.get(key) is None else _finite(rec[key], key)
+    ll = number("log_likelihood")
     return dataclasses.replace(
-        fit,
-        log_likelihood=math.nan if ll is None else float(ll),
+        make_fit(family, *params),
+        log_likelihood=math.nan if ll is None else ll,
         converged=bool(rec.get("converged", True)),
         degenerate=bool(rec.get("degenerate", False)),
-        ks_statistic=rec.get("ks_statistic"),
-        ks_pvalue=rec.get("ks_pvalue"),
+        ks_statistic=number("ks_statistic"),
+        ks_pvalue=number("ks_pvalue"),
         post_fit_ks=bool(rec.get("post_fit_ks", False)),
         iterations=rec.get("iterations"),
-        score_norm=rec.get("score_norm"),
+        score_norm=number("score_norm"),
     )

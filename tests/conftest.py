@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from rleval import distributions as D
+from rleval.config import parse_config
 from rleval.distributions import FAMILY_NAMES, fit_mle
 from rleval.ingest import SynthSpec, synthesize_runs
 from rleval.metrics import run_average_return
-from rleval.pipeline import fitting_seed_for
+from rleval.pipeline import fitting_seed_for, run_analysis
 from rleval.resample import bootstrap_means
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -43,6 +44,34 @@ def _workload_runs(name, seed):
         (run,) = synthesize_runs(SynthSpec.from_mapping(spec).validate(), int(run_seed))
         runs.append(dataclasses.replace(run, run_id=f"run-{i:02d}"))
     return runs
+
+
+# The benchmark's experiment config and reported value.
+WORKLOAD_CONFIG = """\
+schema_version: 1
+name: {name}
+algorithm: algos.ppo
+environment: envs.hopper
+logger: logs.csv
+tuned_params:
+  hidden_layers: 2
+  hidden_size: 64
+  step_size: 0.0003
+  gamma: 0.99
+  lambda: 0.95
+fixed_params:
+  max_timesteps: 150000
+run_count: 10
+"""
+REPORTED = 158.56
+
+
+def workload_analysis(workload, runs, families=D.FAMILY_NAMES, reported=REPORTED,
+                      resamples=WORKLOAD_RESAMPLES):
+    """run_analysis with `analyze --seed 7 --reported 158.56`'s settings."""
+    config = parse_config(WORKLOAD_CONFIG.format(name=workload))
+    return run_analysis(config, runs, seed=WORKLOAD_SEED, resamples=resamples,
+                        reported=reported, families=families)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """The calls the benchmark's traced run makes into rleval
 (perfbench/tracing.py) still work: the stage-by-stage analysis writes the
-same bundle as `run_analysis`."""
+same bundle as `run_analysis`, except for a subset of the families, whose
+fits the traced run seeds by their place in the subset (strict xfail)."""
 
 import sys
 from pathlib import Path
@@ -22,22 +23,35 @@ def tracing(monkeypatch):
     sys.modules.pop("workloads", None)
 
 
-def test_traced_bundle_equals_run_analysis_bundle(tracing, tmp_path):
+def _manifests(tracing, tmp_path, families):
+    """The manifests of the untraced and the traced analysis of the
+    quick-start runs (B = 500, seed 7), fitting `families`."""
     from workloads import ALPHA, REPORTED, WORKLOADS
 
     workload = WORKLOADS["quickstart"]
     tracer = tracing.Tracer()
     tracing.synth_inputs(tracer, workload.synth_jobs(7), tmp_path / "synth")
     runs = sorted((tmp_path / "synth" / "job00").glob("*.csv"))
-    # All seven families in FAMILY_NAMES order: the traced run seeds each fit
-    # by its index in the list it is given, run_analysis by FAMILY_NAMES.
     settings = dict(seed=7, resamples=500, alpha=ALPHA, reported=REPORTED,
-                    families=list(FAMILY_NAMES))
+                    families=list(families))
     config_text = workload.config_text()
 
     tracing.analyze_untraced(config_text, runs, out=tmp_path / "untraced", **settings)
     report, _ = tracing.analyze_traced(tracer, config_text, runs, out=tmp_path / "traced",
                                        **settings)
-    assert len(report.fits) == len(FAMILY_NAMES)
-    manifest = (tmp_path / "untraced" / "manifest.txt").read_bytes()
-    assert manifest == (tmp_path / "traced" / "manifest.txt").read_bytes()
+    assert len(report.fits) == len(families)
+    return tuple((tmp_path / kind / "manifest.txt").read_bytes() for kind in ("untraced", "traced"))
+
+
+def test_traced_bundle_equals_run_analysis_bundle(tracing, tmp_path):
+    untraced, traced = _manifests(tracing, tmp_path, FAMILY_NAMES)
+    assert untraced == traced
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "tracing.py seeds each fit by the family's index in the list it is given, "
+    "run_analysis by its index in FAMILY_NAMES; only loggamma reads the seed (ROADMAP item 5)"
+))
+def test_traced_bundle_equals_run_analysis_bundle_for_a_subset(tracing, tmp_path):
+    untraced, traced = _manifests(tracing, tmp_path, ("normal", "loggamma"))
+    assert untraced == traced

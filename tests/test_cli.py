@@ -38,6 +38,16 @@ ramp_steps: 9000
 noise_scale: 6.0
 """
 
+VALID_RECORD = """\
+family: normal
+parameters: [100.0, 5.0]
+log_likelihood: -30.5
+converged: true
+ks_statistic: 0.1
+ks_pvalue: 0.5
+post_fit_ks: true
+"""
+
 
 @pytest.fixture()
 def workspace(tmp_path):
@@ -286,6 +296,30 @@ class TestFitVerify:
         bad = workspace / "bad_fit.yaml"
         bad.write_text(dump_canonical({"family": "beta"}))
         assert main(["verify", str(bad), "--reported", "1.0"]) == 1
+
+    @pytest.mark.parametrize("line", [
+        "parameters: [abc, 1.0]",
+        'ks_pvalue: "0.5"',
+        "log_likelihood: x",
+        "ks_pvalue: true",
+        "parameters: [0.0, .inf]",
+        "parameters: [.nan, 1.0]",
+    ], ids=["string-parameter", "string-pvalue", "string-loglik", "bool-pvalue", "inf-scale",
+            "nan-loc"])
+    def test_verify_rejects_a_field_that_is_not_a_finite_number(self, line, tmp_path, capsys):
+        """A string, a bool or a non-finite value where the record holds a
+        number is a validation error, reported before any verdict line."""
+        path = tmp_path / "fit.yaml"
+        path.write_text(VALID_RECORD)
+        assert main(["verify", str(path), "--reported", "100.0"]) == 0
+        capsys.readouterr()
+        key = line.split(":")[0]
+        path.write_text("".join(line + "\n" if row.startswith(key + ":") else row
+                                for row in VALID_RECORD.splitlines(keepends=True)))
+        assert main(["verify", str(path), "--reported", "100.0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: validation:")
 
 
 class TestSynth:

@@ -4,21 +4,26 @@ reaches scipy's maximum, the families with a normal limit reach the normal
 fit, converged means a small score, a score-searched fit does not read the
 fitting seed, no fit moves, no search takes another path, `analyze` and
 `fit` make the same fit of a family whichever other families they are
-asked for, and no bundle byte moves; a decision that moves with the
-resample count is a known fault (strict xfail)."""
+asked for, and no bundle byte moves, nor under another BLAS kernel or
+thread count; a decision that moves with the resample count is a known
+fault (strict xfail)."""
 
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import WORKLOAD_RESAMPLES, WORKLOAD_SEED, _workload_runs
+from conftest import WORKLOAD_RESAMPLES, WORKLOAD_SEED, _workload_runs, workload_analysis
 from rleval import distributions as D
 from rleval._yamlio import dump_canonical
 from rleval.cli import main
-from rleval.config import parse_config
 from rleval.metrics import run_average_return
-from rleval.pipeline import fitting_seed_for, run_analysis
+from rleval.pipeline import fitting_seed_for
 from rleval.report import MANIFEST_NAME, emit_bundle
 from rleval.resample import bootstrap_means, write_means_csv
 
@@ -134,7 +139,9 @@ def test_converged_means_a_small_score(workload, workload_fit, workload_means):
 # inputs), the other six's when they moved from the simplex to BFGS, again
 # where the jittered starts had won when those left the score search, and
 # beta's, johnsonsb's, johnsonsu's, powernorm's and skewnorm's when the line
-# search became plain backtracking. The fits must not move.
+# search became plain backtracking and again when the log-likelihood and
+# its score were summed elementwise instead of through BLAS. The fits must
+# not move.
 WORKLOAD_RECORDS = {
     "quickstart": {
         "normal": {
@@ -148,23 +155,23 @@ WORKLOAD_RECORDS = {
         "beta": {
             "family": "beta",
             "parameters": [
-                149.73612324950545, 228.49980102570638, 108.63050909693112, 9.197394908885967,
+                149.73612842070503, 228.49981081718, 108.63050904023366, 9.197395098301136,
             ],
-            "log_likelihood": 466.9931096381988,
+            "log_likelihood": 466.9931096358305,
             "converged": True,
         },
         "johnsonsb": {
             "family": "johnsonsb",
             "parameters": [
-                3.5736508011274792, 10.984057238789818, 107.89241923202289, 10.438124423070548,
+                3.5736508011337933, 10.984057238799327, 107.89241923201965, 10.438124423080033,
             ],
-            "log_likelihood": 466.9918401783907,
+            "log_likelihood": 466.99184017838706,
             "converged": True,
         },
         "johnsonsu": {
             "family": "johnsonsu",
             "parameters": [
-                -638.5083179695939, 68.19916039742421, 96.52052635315796, 0.002705521416010168,
+                -638.3730098872295, 68.19916039186216, 96.52052635536221, 0.002710894534153814,
             ],
             "log_likelihood": 466.9420695972003,
             "converged": True,
@@ -180,15 +187,15 @@ WORKLOAD_RECORDS = {
         "powernorm": {
             "family": "powernorm",
             "parameters": [
-                0.8104357148377523, 112.22901518385852, 0.21665598958518242,
+                0.8104357148377322, 112.22901518385851, 0.21665598958518076,
             ],
-            "log_likelihood": 466.87637176070893,
+            "log_likelihood": 466.87637176071075,
             "converged": True,
         },
         "skewnorm": {
             "family": "skewnorm",
             "parameters": [
-                0.6230797266238775, 112.1640815873216, 0.25475788033909275,
+                0.623079726623891, 112.1640815873216, 0.25475788033909363,
             ],
             "log_likelihood": 466.8886383701174,
             "converged": True,
@@ -206,25 +213,25 @@ WORKLOAD_RECORDS = {
         "beta": {
             "family": "beta",
             "parameters": [
-                3.274144736795203, 14.155007901025638, 67.73615451873135, 89.77659008611724,
+                3.2741447367946916, 14.15500790101404, 67.7361545187315, 89.77659008606847,
             ],
-            "log_likelihood": -34616.87038962325,
+            "log_likelihood": -34616.870389623284,
             "converged": True,
         },
         "johnsonsb": {
             "family": "johnsonsb",
             "parameters": [
-                1.619785305621675, 1.481288293239464, 66.78367850708185, 66.0458651181899,
+                1.6197853056216773, 1.481288293239465, 66.78367850708182, 66.04586511818997,
             ],
-            "log_likelihood": -34609.414875094895,
+            "log_likelihood": -34609.41487509489,
             "converged": True,
         },
         "johnsonsu": {
             "family": "johnsonsu",
             "parameters": [
-                -49.86164049535361, 3.0838469995517315, 59.31613341233243, 4.563851842754517e-06,
+                -49.64155924294155, 3.0838469990288084, 59.31613341409209, 4.9014583382596265e-06,
             ],
-            "log_likelihood": -34709.19176527293,
+            "log_likelihood": -34709.191765272946,
             "converged": True,
         },
         "loggamma": {
@@ -238,17 +245,17 @@ WORKLOAD_RECORDS = {
         "powernorm": {
             "family": "powernorm",
             "parameters": [
-                0.0016087847866312042, 69.48221648438741, 0.4893631446556922,
+                0.0016087847837322601, 69.48221648386617, 0.48936314422535054,
             ],
-            "log_likelihood": -34618.33927660084,
+            "log_likelihood": -34618.339276601706,
             "converged": True,
         },
         "skewnorm": {
             "family": "skewnorm",
             "parameters": [
-                6.017184116079121, 73.59190620083541, 13.723999973564702,
+                6.017184116079119, 73.59190620083541, 13.7239999735647,
             ],
-            "log_likelihood": -34645.464028133836,
+            "log_likelihood": -34645.46402813383,
             "converged": True,
         },
     },
@@ -280,18 +287,19 @@ def test_identity_search_fits_unchanged(family, workload_fit):
 # (iterations, objective calls, converged, fval as float.hex). loggamma's
 # three simplex searches were recorded before the simplex moved onto Python
 # floats, the other six's one BFGS search, from the moment start, when the
-# line search became plain backtracking. A search that reaches the same fit
-# by another path moves these.
+# line search became plain backtracking; beta's, johnsonsb's, johnsonsu's,
+# powernorm's and skewnorm's again when the sums left BLAS. A search that
+# reaches the same fit by another path moves these.
 WORKLOAD_STARTS = {
     "quickstart": {
         "normal": [
             (0, 1, True, "-0x1.d15813a8f7420p+8"),
         ],
         "beta": [
-            (255, 326, True, "-0x1.d2fe3c6ee9680p+8"),
+            (259, 324, True, "-0x1.d2fe3c6edf3c0p+8"),
         ],
         "johnsonsb": [
-            (32, 37, True, "-0x1.d2fde93ce90c0p+8"),
+            (32, 37, True, "-0x1.d2fde93ce9080p+8"),
         ],
         "johnsonsu": [
             (65, 70, True, "-0x1.d2f12b791e880p+8"),
@@ -302,7 +310,7 @@ WORKLOAD_STARTS = {
             (2514, 4394, True, "-0x1.d110c9fd88880p+8"),
         ],
         "powernorm": [
-            (18, 27, True, "-0x1.d2e059e653620p+8"),
+            (18, 27, True, "-0x1.d2e059e653640p+8"),
         ],
         "skewnorm": [
             (13, 27, True, "-0x1.d2e37dcde1a00p+8"),
@@ -313,13 +321,13 @@ WORKLOAD_STARTS = {
             (0, 1, True, "0x1.13357e594803ep+15"),
         ],
         "beta": [
-            (30, 43, True, "0x1.0e71bda3b56d4p+15"),
+            (30, 43, True, "0x1.0e71bda3b56d9p+15"),
         ],
         "johnsonsb": [
-            (18, 25, True, "0x1.0e62d46a82290p+15"),
+            (18, 25, True, "0x1.0e62d46a8228fp+15"),
         ],
         "johnsonsu": [
-            (53, 56, True, "0x1.0f2a622f0ecf8p+15"),
+            (53, 56, True, "0x1.0f2a622f0ecfap+15"),
         ],
         "loggamma": [
             (2582, 4490, True, "0x1.133a894f299aep+15"),
@@ -327,10 +335,10 @@ WORKLOAD_STARTS = {
             (2068, 3602, True, "0x1.133baaeea66f8p+15"),
         ],
         "powernorm": [
-            (73, 107, True, "0x1.0e74adb5a9a1dp+15"),
+            (73, 112, True, "0x1.0e74adb5a9a94p+15"),
         ],
         "skewnorm": [
-            (20, 28, True, "0x1.0eaaed9518768p+15"),
+            (20, 28, True, "0x1.0eaaed9518767p+15"),
         ],
     },
 }
@@ -343,34 +351,6 @@ def test_simplex_searches_unchanged(family, workload_fit):
         assert workload_fit.starts[workload, family] == WORKLOAD_STARTS[workload][family]
 
 
-# The benchmark's experiment config and reported value.
-CONFIG_TEXT = """\
-schema_version: 1
-name: {name}
-algorithm: algos.ppo
-environment: envs.hopper
-logger: logs.csv
-tuned_params:
-  hidden_layers: 2
-  hidden_size: 64
-  step_size: 0.0003
-  gamma: 0.99
-  lambda: 0.95
-fixed_params:
-  max_timesteps: 150000
-run_count: 10
-"""
-REPORTED = 158.56
-
-
-def _analysis(workload, runs, families=D.FAMILY_NAMES, reported=REPORTED,
-              resamples=WORKLOAD_RESAMPLES):
-    """run_analysis with `analyze --seed 7 --reported 158.56`'s settings."""
-    config = parse_config(CONFIG_TEXT.format(name=workload))
-    return run_analysis(config, runs, seed=WORKLOAD_SEED, resamples=resamples,
-                        reported=reported, families=families)
-
-
 @pytest.fixture(scope="module")
 def quickstart_analysis():
     """analysis(families): the analysis of the quick-start runs, fitting
@@ -380,7 +360,7 @@ def quickstart_analysis():
 
     def analysis(families=D.FAMILY_NAMES):
         if families not in cache:
-            cache[families] = _analysis("quickstart", runs, families)
+            cache[families] = workload_analysis("quickstart", runs, families)
         return cache[families]
 
     return analysis
@@ -422,9 +402,10 @@ def test_cli_fit_rederives_analyze_fit(family, quickstart_analysis, workload_mea
 # families on the benchmark's inputs (the skewed-runs logs are run-00 to
 # run-09), recorded before the bootstrap's Philox counters moved into
 # `philox_u32_blocks`, and the fits.yaml and probabilities.csv lines when
-# six families moved to BFGS, when their jittered starts were dropped and
-# when the line search became plain backtracking. It pins every bundle file: P_d, the KS statistics, the fits,
-# curves, band, summary, normality and provenance.
+# six families moved to BFGS, when their jittered starts were dropped, when
+# the line search became plain backtracking and when the sums left BLAS. It
+# pins every bundle file: P_d, the KS statistics, the fits, curves, band,
+# summary, normality and provenance.
 WORKLOAD_MANIFESTS = {
     "quickstart": (
         "9e3255a93724be0b9cdf44901d2b2e125783f8432d33e47abe9ca81466e78421  bands/band.csv\n"
@@ -439,9 +420,9 @@ WORKLOAD_MANIFESTS = {
         "5040a9525ddcf7a99e58777461dfcf26566d98942b336fd80f67daf3f7dcc9bd  curves/synth-07.csv\n"
         "9fd8724dfcdc19ae3ad688fc0cf928a9a88baad7310591899c2add7a4215b442  curves/synth-08.csv\n"
         "1bd6a6625a218682227c0d9279a37481990df0b3a426d5731dcba74b5e5e507c  curves/synth-09.csv\n"
-        "6abb1e543341d6de4e1e35216ac61a65c3c66eec836eba2c95d1c265e823074f  fits.yaml\n"
+        "4696781dd3403ea59dfb8dfa45e8ce0ebbb224f0a26f7485f48242e2b8dbb93d  fits.yaml\n"
         "2d95855e29b745bbd468127440efe0714006e40b7eceb96658783cc73500f00d  normality.csv\n"
-        "6115d891318d15de5198977cf71561ecd9953d58963805ba9303b14eccff30dc  probabilities.csv\n"
+        "65c2ee6bf1542e1b6389b7883dde3c7937c1fada2a4514d4e390d24e369a9d09  probabilities.csv\n"
         "e552af12e95d3eacdd383dd15396db927e4b9d50c695d7ad039ecfd17cd2ca42  provenance.yaml\n"
         "bd6a71412e155f0d3d1752cadf7812770f0c8f9eca7bbbec24bc322508acfb27  run_averages.csv\n"
         "7a9b2316e627beb42ecf5f79a54ebae6f2aa711721f6eb8a21003785c826f911  summary.csv\n"
@@ -459,9 +440,9 @@ WORKLOAD_MANIFESTS = {
         "ae7b1053fb53477c63e267f9efe98f38c0feda3a47eccbdd55d73a7df5181986  curves/run-07.csv\n"
         "400d693d5eaed1f62d4be892cee0ab1bea5676647de2cce03ac06d54ba8dd4dd  curves/run-08.csv\n"
         "132fdcb512f6fb5b0e46d34ed087cc098ff58af60e26288fde54b81b1e40eb11  curves/run-09.csv\n"
-        "2fd964c1f55c8b79e5352ec825b02fa810fbdbb0aace776c9476706c75c61a2a  fits.yaml\n"
+        "51ad2475aa2ab4be2469aea23f7130d890783f4b296f47d5cb56d273ebeecc0a  fits.yaml\n"
         "3cc055137ed0338b20ebb0b223efb910732b45f3b6f7bcdc7537e6d9e4730c7c  normality.csv\n"
-        "b94fba401bc5f7c4e4229c5d2101fd34eca3378e5e4ca05f9816041d49dc562b  probabilities.csv\n"
+        "4f98b630c4ee1eb5a6719b5c9576e280086345bdebc1f3dfad0cc13be901aedd  probabilities.csv\n"
         "e79b38e3e8ba52f675d512b7c21eba09786729d24c8c5114e2b7a82ff3b74b45  provenance.yaml\n"
         "898dc19e2f4f5feec598b161142441e58330e6d72274ce3b3ae8eb0a859b99b5  run_averages.csv\n"
         "1d7c6da4e003a7783bf228c8cea8a20e9b435f1af53c425ad7261a2bfe92418a  summary.csv\n"
@@ -474,9 +455,95 @@ def test_bundle_bytes_unchanged(workload, quickstart_analysis, tmp_path):
     if workload == "quickstart":
         report = quickstart_analysis()
     else:
-        report = _analysis(workload, _workload_runs(workload, WORKLOAD_SEED))
+        report = workload_analysis(workload, _workload_runs(workload, WORKLOAD_SEED))
     emit_bundle(report, tmp_path)
     assert (tmp_path / MANIFEST_NAME).read_text(encoding="utf-8") == WORKLOAD_MANIFESTS[workload]
+
+
+def _openblas_with_avx2():
+    """numpy links OpenBLAS and the CPU has AVX2, so OpenBLAS's Haswell and
+    Sandybridge kernels can both be picked by OPENBLAS_CORETYPE."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        cpuinfo = Path("/proc/cpuinfo").read_text(encoding="utf-8")
+    except (TypeError, KeyError, OSError):
+        return False
+    return "openblas" in blas.lower() and " avx2" in cpuinfo
+
+
+# Run by a fresh interpreter with one BLAS setting: write the quick-start
+# bundle to argv[1], or print the six score-searched fits on the quick-start
+# means at B = 30000.
+_BUNDLE_SCRIPT = """\
+import sys
+from conftest import WORKLOAD_SEED, _workload_runs, workload_analysis
+from rleval.report import emit_bundle
+emit_bundle(workload_analysis("quickstart", _workload_runs("quickstart", WORKLOAD_SEED)), sys.argv[1])
+"""
+_FITS_SCRIPT = """\
+from conftest import WORKLOAD_SEED, _workload_runs
+from rleval import distributions as D
+from rleval.metrics import run_average_return
+from rleval.resample import bootstrap_means
+runs = _workload_runs("quickstart", WORKLOAD_SEED)
+means = bootstrap_means([run_average_return(r) for r in runs], 30000, seed=WORKLOAD_SEED).means
+print([D.fit_record(D.fit_mle(f, means)) for f in D.FAMILY_NAMES if not D.get_family(f).simplex])
+"""
+
+
+def _bundle_files(root):
+    return {
+        path.relative_to(root).as_posix(): path.read_text(encoding="utf-8")
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
+
+
+def _without_ks_pvalues(bundle):
+    """The bundle with each ks_pvalue, p_d and combined value blanked, and
+    without the manifest lines of fits.yaml and probabilities.csv."""
+    out = dict(bundle, **{"fits.yaml": re.sub(r"ks_pvalue: .*", "", bundle["fits.yaml"])})
+    rows = [line.split(",") for line in bundle["probabilities.csv"].splitlines()]
+    blank = [rows[0].index("p_d"), rows[0].index("combined")]
+    out["probabilities.csv"] = [[v if i not in blank else "" for i, v in enumerate(row)]
+                                for row in rows]
+    out[MANIFEST_NAME] = [line for line in bundle[MANIFEST_NAME].splitlines()
+                          if not line.endswith((" fits.yaml", " probabilities.csv"))]
+    return out
+
+
+@pytest.mark.skipif(not _openblas_with_avx2(), reason="needs numpy on OpenBLAS and AVX2")
+def test_bundle_independent_of_blas(quickstart_analysis, tmp_path):
+    """The fits reduce without BLAS. Rerun in fresh interpreters, the
+    quick-start bundle is the in-process one byte for byte under OpenBLAS's
+    Haswell kernel and on one BLAS thread. Under its Sandybridge kernel only
+    the KS p-values may differ, whose exact path below sqrt(n) d = 2 powers
+    a matrix through BLAS (ROADMAP item 6). At B = 30000, where OpenBLAS
+    splits a long dot product over threads, the six score-searched fits are
+    the same on one thread and on two."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(D.__file__).parents[1]), str(Path(__file__).parent)]))
+    bundles = {"Haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+               "Sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge"},
+               "one thread": {"OPENBLAS_NUM_THREADS": "1"}}
+    procs = {
+        name: subprocess.Popen([sys.executable, "-c", _BUNDLE_SCRIPT, str(tmp_path / name)],
+                               env=dict(env, **setting), cwd=tmp_path)
+        for name, setting in bundles.items()
+    }
+    for threads in ("1", "2"):
+        procs[threads] = subprocess.Popen(
+            [sys.executable, "-c", _FITS_SCRIPT], env=dict(env, OPENBLAS_NUM_THREADS=threads),
+            cwd=tmp_path, stdout=subprocess.PIPE, text=True,
+        )
+    outputs = {name: proc.communicate()[0] for name, proc in procs.items()}
+    assert all(proc.returncode == 0 for proc in procs.values())
+    emit_bundle(quickstart_analysis(), tmp_path / "in-process")
+    expected = _bundle_files(tmp_path / "in-process")
+    assert _bundle_files(tmp_path / "Haswell") == expected
+    assert _bundle_files(tmp_path / "one thread") == expected
+    sandybridge = _bundle_files(tmp_path / "Sandybridge")
+    assert _without_ks_pvalues(sandybridge) == _without_ks_pvalues(expected)
+    assert outputs["1"] == outputs["2"]
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -489,7 +556,7 @@ def test_decision_independent_of_resample_count():
     runs = _workload_runs("skewed-runs", WORKLOAD_SEED)
     reported = float(np.mean([run_average_return(run) for run in runs]))
     decisions = {
-        resamples: _analysis("skewed-runs", runs, ("beta",), reported, resamples)
+        resamples: workload_analysis("skewed-runs", runs, ("beta",), reported, resamples)
         .verdicts[0].decision
         for resamples in (1000, 3000, 10000)
     }
