@@ -106,6 +106,10 @@ def cmd_analyze(args) -> int:
         stride=args.stride,
     )
     emit_bundle(report, args.out)
+    for fit in report.fits:
+        if not fit.converged:
+            print(f"warning: {fit.family.name} fit not converged: score norm {fit.score_norm:.3g}",
+                  file=sys.stderr)
     analyzed = report.provenance["runs_analyzed"]
     total = report.provenance["runs_total"]
     print(f"{analyzed} of {total} runs analyzed; bundle written to {args.out}")
@@ -118,13 +122,10 @@ def cmd_analyze(args) -> int:
 def cmd_fit(args) -> int:
     with open(args.means, "r", encoding="utf-8") as fh:
         means = read_means_csv(fh)
-    record = fit_record(fit_family(args.family, means, args.seed))
-    for key, value in record.items():
-        if isinstance(value, list):
-            value = "[" + ", ".join(fmt_shortest(v) for v in value) + "]"
-        print(f"{key}: {value}")
+    text = dump_canonical(fit_record(fit_family(args.family, means, args.seed)))
+    print(text, end="")
     if args.out:
-        Path(args.out).write_text(dump_canonical(record), encoding="utf-8")
+        Path(args.out).write_text(text, encoding="utf-8")
         print(f"fit record written to {args.out}")
     return EXIT_OK
 

@@ -28,15 +28,18 @@ never calls BLAS, whose kernel and thread count would move a sum's last
 bits. The line search halves the step until the log-likelihood rises
 enough, or, within its rounding noise, until the slope has flattened; a
 point outside the support has an infinite negative log-likelihood, so such
-a step is cut back too. `converged` means the score norm, max |d loglik /
-d t_i| / n over the search coordinates t, is at most _SCORE_TOL = 1e-9.
-loggamma, whose supremum on right-skewed data is its c -> inf normal limit,
-keeps the Nelder-Mead simplex on its raw parameters (`Family.simplex`) with
-large finite penalties for invalid parameters and non-finite log-densities.
-It alone also searches from two jitters of the moment start, drawn from the
-fitting seed, and reports the best of its three searches; its `converged`
-is the simplex's own test. Every fit records the iterations of the search
-it came from and the score norm at its result.
+a step is cut back too. loggamma, whose supremum on right-skewed data is
+its c -> inf normal limit, keeps the Nelder-Mead simplex on its raw
+parameters (`Family.simplex`) with large finite penalties for invalid
+parameters and non-finite log-densities. It alone also searches from two
+jitters of the moment start, drawn from the fitting seed, and reports the
+best of its three searches; the simplex's own tolerance decides only when
+a search stops.
+
+Every fit records the iterations of the search it came from and the score
+norm at its result, max |d loglik / d t_i| / n over the search coordinates
+t (loggamma's raw parameters). For every family, `converged` means that
+norm is at most _SCORE_TOL = 1e-9. Zero-variance data is an error.
 """
 
 import dataclasses
@@ -51,7 +54,6 @@ from .resample import empirical_quantile
 from .rng import DOMAIN_FIT, SeededRng
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_SIGMA_FLOOR = 1e-9  # relative floor for degenerate normal fits
 _POINT_PENALTY = 1e9
 _INVALID_PENALTY = 1e12
 
@@ -522,12 +524,11 @@ class FittedDistribution:
     shapes: tuple
     loc: float
     scale: float
-    log_likelihood: float = math.nan
+    log_likelihood: float = None
     converged: bool = True
     ks_statistic: float = None
     ks_pvalue: float = None
     post_fit_ks: bool = False
-    degenerate: bool = False
     iterations: int = None  # of its search (loggamma's best of three)
     score_norm: float = None  # max |score| / n in search coordinates
 
@@ -861,24 +862,15 @@ def _jitter_start(family, theta0, eta):
     return theta
 
 
-def _search_score_norm(family, data, t, m, s):
-    """max |score| / n in search coordinates t, nan where it is undefined."""
-    theta = family.from_search(t, m, s)
-    _, score = _loglik_score(family, data, theta)
-    if score is None:
-        return math.nan
-    return float(np.max(np.abs(family.search_score(t, theta, score, m, s)))) / data.size
-
-
 def fit_mle(family, data, fitting_seed=0):
     """Maximum-likelihood fit of one family (the module docstring), with
-    `converged` and the `iterations` of the search it came from and the
-    score norm at its result. `fitting_seed` draws loggamma's two jittered
+    the `iterations` of the search it came from, the score norm at its
+    result, and `converged` when that norm is at most _SCORE_TOL (false
+    where it is undefined). `fitting_seed` draws loggamma's two jittered
     simplex starts; no other family reads it.
 
     Non-convergence is reported through the `converged` flag, never raised.
-    Zero-variance data is an error for every family except normal, which
-    degrades to a flagged point mass with a floored sigma.
+    Zero-variance data raises NumericError for every family.
     """
     family = get_family(family)
     arr = np.asarray(data, dtype=np.float64)
@@ -887,12 +879,6 @@ def fit_mle(family, data, fitting_seed=0):
     if not np.all(np.isfinite(arr)):
         raise ValidationError("fit_mle requires finite data")
     if float(np.ptp(arr)) == 0.0:
-        if family.name == "normal":
-            center = float(arr[0])
-            return FittedDistribution(
-                family, (), center, _SIGMA_FLOOR * max(1.0, abs(center)),
-                log_likelihood=math.inf, converged=True, degenerate=True,
-            )
         raise NumericError(f"zero-variance data cannot be fit by {family.name}")
     shapes0, loc0, scale0 = family.init_params(arr)
     theta0 = np.array([*shapes0, loc0, scale0], dtype=np.float64)
@@ -921,12 +907,12 @@ def fit_mle(family, data, fitting_seed=0):
                 return -ll, -family.search_score(t, theta, score, m, s)
 
             best = bfgs(objective, family.to_search(theta0, m, s), _SCORE_TOL * arr.size, arr.size)
-        score_norm = _search_score_norm(family, arr, best.x, m, s)
         theta = family.from_search(best.x, m, s)
-    k = len(family.shape_names)
-    shapes = tuple(float(v) for v in theta[:k])
-    loc = float(theta[k])
-    scale = float(theta[k + 1])
+        _, score = _loglik_score(family, arr, theta)
+        # max |score| / n in search coordinates, nan where the score is undefined
+        score_norm = math.nan if score is None else float(
+            np.max(np.abs(family.search_score(best.x, theta, score, m, s)))) / arr.size
+    shapes, loc, scale = tuple(map(float, theta[:-2])), float(theta[-2]), float(theta[-1])
     if not np.all(np.isfinite(theta)) or scale <= 0.0 or not family.shapes_valid(shapes):
         raise NumericError(f"{family.name} fit ended outside the valid domain")
     if family.bounded:
@@ -935,7 +921,7 @@ def fit_mle(family, data, fitting_seed=0):
             raise NumericError(f"{family.name} fit left data outside its support")
     return FittedDistribution(
         family, shapes, loc, scale,
-        log_likelihood=-best.fval, converged=best.converged,
+        log_likelihood=-best.fval, converged=score_norm <= _SCORE_TOL,
         iterations=best.iterations, score_norm=score_norm,
     )
 
@@ -969,52 +955,60 @@ def with_gof(fit, data, mode="exact"):
 # ---------------------------------------------------------------------------
 
 
+def _number_or_null(value):
+    return None if value is None or math.isnan(value) else float(value)
+
+
 def fit_record(fit):
     """Plain mapping form of a fit (family, parameters in column order, KS,
-    and the search's `iterations` and `score_norm`, null for a degenerate
-    fit)."""
+    and the search's `iterations` and `score_norm`), which
+    `fit_from_record` reads back."""
     rec = {
         "family": fit.family.name,
         "parameters": [float(v) for v in fit.params],
-        "log_likelihood": None if math.isnan(fit.log_likelihood) else float(fit.log_likelihood),
+        "log_likelihood": _number_or_null(fit.log_likelihood),
         "converged": bool(fit.converged),
     }
-    if fit.degenerate:
-        rec["degenerate"] = True
     if fit.ks_statistic is not None:
-        rec["ks_statistic"] = float(fit.ks_statistic)
-        rec["ks_pvalue"] = float(fit.ks_pvalue)
-        rec["post_fit_ks"] = bool(fit.post_fit_ks)
-    rec["iterations"] = fit.iterations
-    norm = fit.score_norm
-    rec["score_norm"] = None if norm is None or math.isnan(norm) else float(norm)
+        rec.update(ks_statistic=float(fit.ks_statistic), ks_pvalue=float(fit.ks_pvalue),
+                   post_fit_ks=bool(fit.post_fit_ks))
+    rec.update(iterations=fit.iterations, score_norm=_number_or_null(fit.score_norm))
     return rec
 
 
-def _finite(value, key):
-    """A record's number: a finite int or float, not a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValidationError(f"fit record {key} must be a finite number, got {value!r}")
-    return float(value)
+def _is_finite(value):
+    """A finite int or float, not a bool or a string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+_NUMBER = (lambda v: v is None or _is_finite(v), "a finite number or null")
+_FLAG = (lambda v: isinstance(v, bool), "true or false")
+# Each key `fit_record` writes: the test its value must pass, and what that is.
+_RECORD_FIELDS = {
+    "family": (lambda v: isinstance(v, str), "a family name"),
+    "parameters": (lambda v: isinstance(v, list) and all(map(_is_finite, v)),
+                   "a list of finite numbers"),
+    "log_likelihood": _NUMBER,
+    "converged": _FLAG,
+    "ks_statistic": _NUMBER,
+    "ks_pvalue": _NUMBER,
+    "post_fit_ks": _FLAG,
+    "iterations": (lambda v: v is None or (type(v) is int and v >= 0), "a count or null"),
+    "score_norm": _NUMBER,
+}
 
 
 def fit_from_record(rec):
-    """The fit a `fit_record` mapping describes; its numbers must be finite."""
-    try:
-        family = get_family(rec["family"])
-        params = [_finite(v, "parameters") for v in rec["parameters"]]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed fit record: {exc}") from exc
-    number = lambda key: None if rec.get(key) is None else _finite(rec[key], key)
-    ll = number("log_likelihood")
-    return dataclasses.replace(
-        make_fit(family, *params),
-        log_likelihood=math.nan if ll is None else ll,
-        converged=bool(rec.get("converged", True)),
-        degenerate=bool(rec.get("degenerate", False)),
-        ks_statistic=number("ks_statistic"),
-        ks_pvalue=number("ks_pvalue"),
-        post_fit_ks=bool(rec.get("post_fit_ks", False)),
-        iterations=rec.get("iterations"),
-        score_norm=number("score_norm"),
-    )
+    """The fit a `fit_record` mapping describes. `family` and `parameters`
+    are required, the others default as `FittedDistribution`'s fields do,
+    and a key that `fit_record` does not write is an error."""
+    if not (isinstance(rec, dict) and {"family", "parameters"} <= rec.keys()):
+        raise ValidationError(f"fit record needs a family and parameters, got {rec!r}")
+    for key, value in rec.items():
+        if key not in _RECORD_FIELDS:
+            raise ValidationError(f"fit record has an unknown key: {key!r}")
+        ok, what = _RECORD_FIELDS[key]
+        if not ok(value):
+            raise ValidationError(f"fit record {key} must be {what}, got {value!r}")
+    rest = {k: v for k, v in rec.items() if k not in ("family", "parameters")}
+    return dataclasses.replace(make_fit(rec["family"], *map(float, rec["parameters"])), **rest)

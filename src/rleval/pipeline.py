@@ -57,6 +57,8 @@ def run_analysis(
     validate_seed(seed)
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+    if resamples < 20:  # the normality test and the fits need 20 means
+        raise ValidationError(f"resamples must be at least 20, got {resamples}")
     if reported is not None and not math.isfinite(reported):
         raise ValidationError(f"reported value must be finite, got {reported}")
     families = [get_family(f).name for f in families]

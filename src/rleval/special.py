@@ -553,9 +553,10 @@ def _single_threaded_blas():
     """Run the block with the BLAS on one thread, then restore its count.
 
     The KS band matrices have at most 1200 rows (a few hundred at
-    n = 10000), where a second BLAS thread gains little and a cold or
-    CPU-contended thread pool made the exact p-value up to ten times
-    slower. Not safe against BLAS calls from concurrent threads.
+    n = 10000). There a second BLAS thread spins: on a 2-vCPU host the
+    quick-start `analyze` without this guard wrote the same bytes in no
+    less wall time, with 0.4-0.5 s more CPU (1.25 -> 1.75 s median over 6
+    alternating pairs). Not safe against BLAS calls from concurrent threads.
     """
     controls = _blas_thread_controls()
     if controls is None:

@@ -1,6 +1,7 @@
 """Command-line behavior: happy paths, exit codes, determinism, seed policy."""
 
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 import rleval
 from rleval._yamlio import dump_canonical, load_strict
 from rleval.cli import main
+from rleval.distributions import fit_from_record, fit_record
 
 CONFIG_TEXT = """\
 schema_version: 1
@@ -145,7 +147,9 @@ class TestAnalyze:
         assert "no family requested" in capsys.readouterr().err
         assert not bundle.exists()
 
-    @pytest.mark.parametrize("setting, value", [("--alpha", "2"), ("--reported", "nan")])
+    @pytest.mark.parametrize("setting, value", [
+        ("--alpha", "2"), ("--reported", "nan"), ("--resamples", "19"),
+    ])
     def test_bad_setting_exit_1_before_any_stage(self, workspace, capsys, setting, value):
         bundle = workspace / "bad_setting"
         code = main([
@@ -156,6 +160,22 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error: validation:") and setting[2:] in err
         assert not bundle.exists()
+
+    def test_warns_for_each_unconverged_fit(self, workspace, capsys):
+        """One stderr warning per fit whose `converged` is false, naming the
+        family and its score norm; loggamma's simplex stops short here."""
+        bundle = workspace / "warn"
+        assert main([
+            "analyze", str(workspace / "config.yaml"), *_run_paths(workspace),
+            "--seed", "7", "--resamples", "1000", "--families", "normal,loggamma",
+            "--out", str(bundle),
+        ]) == 0
+        fits = load_strict((bundle / "fits.yaml").read_text())["fits"]
+        unconverged = [fit for fit in fits if not fit["converged"]]
+        assert [fit["family"] for fit in unconverged] == ["loggamma"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: loggamma fit not converged: score norm {unconverged[0]['score_norm']:.3g}"
+        ]
 
     def test_duplicate_run_exit_1(self, workspace, capsys):
         paths = _run_paths(workspace)
@@ -286,11 +306,31 @@ class TestFitVerify:
         assert exit_info.value.code == 1
 
     def test_numeric_failure_exit_2(self, workspace, capsys):
+        """Zero-variance means are a numeric failure for normal too: no
+        point-mass fit is made up, and nothing is printed."""
         means = workspace / "degenerate.csv"
         means.write_text("mean\n" + "5.0\n" * 30)
-        code = main(["fit", str(means), "--family", "beta", "--seed", "1"])
-        assert code == 2
-        assert "error: numeric:" in capsys.readouterr().err
+        for family in ("beta", "normal"):
+            code = main(["fit", str(means), "--family", family, "--seed", "1"])
+            assert code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: numeric:")
+
+    @pytest.mark.parametrize("family", ["normal", "loggamma"])
+    def test_fit_prints_the_record_it_writes(self, family, tmp_path, capsys):
+        """stdout starts with the --out file's bytes, which read back to the
+        same record."""
+        rng = random.Random(3)
+        means = tmp_path / "means.csv"
+        means.write_text("mean\n" + "".join(f"{rng.gauss(100.0, 5.0)!r}\n" for _ in range(200)))
+        path = tmp_path / "fit.yaml"
+        assert main(["fit", str(means), "--family", family, "--seed", "7",
+                     "--out", str(path)]) == 0
+        text = path.read_text(encoding="utf-8")
+        assert capsys.readouterr().out == text + f"fit record written to {path}\n"
+        record = load_strict(text)
+        assert fit_record(fit_from_record(record)) == record
 
     def test_verify_bad_record_exit_1(self, workspace):
         bad = workspace / "bad_fit.yaml"
@@ -320,6 +360,30 @@ class TestFitVerify:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: validation:")
+
+    @pytest.mark.parametrize("line", [
+        'converged: "no"',
+        'post_fit_ks: "false"',
+        "iterations: many",
+        "iterations: -1",
+        "iterations: 1.5",
+        "seed: 7",
+        "degenerate: true",
+    ], ids=["string-converged", "string-post-fit-ks", "string-iterations",
+            "negative-iterations", "float-iterations", "unknown-key", "degenerate"])
+    def test_verify_rejects_a_record_fit_does_not_write(self, line, tmp_path, capsys):
+        """A flag that is not a YAML bool, iterations that are not a count,
+        or a key `fit_record` does not write, the retired `degenerate`
+        included, is a validation error naming the key, reported before
+        any verdict line."""
+        key = line.split(":")[0]
+        path = tmp_path / "fit.yaml"
+        path.write_text("".join(row for row in VALID_RECORD.splitlines(keepends=True)
+                                if not row.startswith(key + ":")) + line + "\n")
+        assert main(["verify", str(path), "--reported", "100.0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: validation:") and key in err
 
 
 class TestSynth:

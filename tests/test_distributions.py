@@ -185,15 +185,11 @@ class TestFit:
         assert len(calls) > 1000
         assert len(entered) == 7  # six shape candidates in init_params, one fit
 
-    def test_degenerate_normal(self):
-        fit = D.fit_mle("normal", [4.0] * 25)
-        assert fit.degenerate
-        assert fit.loc == 4.0
-        assert fit.scale > 0.0
-
-    def test_zero_variance_rejected_elsewhere(self):
-        with pytest.raises(NumericError):
-            D.fit_mle("beta", [4.0] * 25)
+    @pytest.mark.parametrize("family", D.FAMILY_NAMES)
+    def test_zero_variance_rejected(self, family):
+        """No family makes up a fit, such as a point mass, for constant data."""
+        with pytest.raises(NumericError, match="zero-variance"):
+            D.fit_mle(family, [4.0] * 25)
 
     def test_small_sample_rejected(self):
         with pytest.raises(ValidationError):
