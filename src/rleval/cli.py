@@ -90,6 +90,14 @@ def cmd_curves(args) -> int:
     return EXIT_OK
 
 
+def _warn_if_unconverged(fit):
+    """A stderr warning for a fit whose `converged` is false, with its
+    score norm when it has one."""
+    if not fit.converged:
+        norm = "" if fit.score_norm is None else f": score norm {fit.score_norm:.3g}"
+        print(f"warning: {fit.family.name} fit not converged{norm}", file=sys.stderr)
+
+
 def cmd_analyze(args) -> int:
     config = _read_config(args.config)
     runs = [read_run_log_path(p) for p in args.runs]
@@ -107,9 +115,7 @@ def cmd_analyze(args) -> int:
     )
     emit_bundle(report, args.out)
     for fit in report.fits:
-        if not fit.converged:
-            print(f"warning: {fit.family.name} fit not converged: score norm {fit.score_norm:.3g}",
-                  file=sys.stderr)
+        _warn_if_unconverged(fit)
     analyzed = report.provenance["runs_analyzed"]
     total = report.provenance["runs_total"]
     print(f"{analyzed} of {total} runs analyzed; bundle written to {args.out}")
@@ -134,6 +140,7 @@ def cmd_verify(args) -> int:
     doc = load_strict(Path(args.fit).read_text(encoding="utf-8"))
     fit = fit_from_record(doc)
     verdict = make_verdict(fit, args.reported, alpha=args.alpha)
+    _warn_if_unconverged(fit)
     print(f"family: {fit.family.name}")
     print(f"reported_value: {fmt_shortest(verdict.reported_value)}")
     print(f"p_v: {fmt_shortest(verdict.p_v)}")

@@ -18,8 +18,11 @@ into the two 32-bit Philox key words. Counter layout:
 Domain tag 3 belonged to a consumer that was removed; it is never reused,
 so no stream drawn today repeats one that an older release drew.
 
-Everything here is integer arithmetic plus IEEE-754 double adds performed
-in a defined order, so the output is bit-identical across platforms.
+The uniforms and the bootstrap means are integer arithmetic plus IEEE-754
+double operations in a defined order, so they are bit-identical across
+platforms. `standard_normal` is so only for the 85% of draws whose
+uniform lies within 0.425 of 1/2: the quantile's tails call np.log, whose
+loop numpy picks per SIMD class.
 """
 
 import numpy as np

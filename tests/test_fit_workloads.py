@@ -133,70 +133,67 @@ def test_converged_means_a_small_score(workload, workload_fit, workload_means):
         assert fit.converged == (fit.score_norm <= D._SCORE_TOL)
 
 
-# fit_record of every family's fit on both inputs: loggamma's recorded
-# before the restart polish was deleted from fit_mle (it never ran on these
-# inputs), the other six's when they moved from the simplex to BFGS, again
-# where the jittered starts had won when those left the score search, and
-# beta's, johnsonsb's, johnsonsu's, powernorm's and skewnorm's when the line
-# search became plain backtracking and again when the log-likelihood and
-# its score were summed elementwise instead of through BLAS; loggamma's
-# `converged` when it became the score test. The fits must not move.
+# fit_record of every family's fit on both inputs, all seven recorded when
+# the normal quantile became Wichura's AS 241, which redrew the synth run
+# logs and so the bootstrap means (and loggamma's jittered starts). The
+# six BFGS log-likelihoods moved by at most 2.5e-9 nats then. The fits must
+# not move.
 WORKLOAD_RECORDS = {
     "quickstart": {
         "normal": {
             "family": "normal",
             "parameters": [
-                112.27157587810578, 0.23096873170577206,
+                112.27157587810578, 0.23096873170577106,
             ],
-            "log_likelihood": 465.3440499881417,
+            "log_likelihood": 465.3440499881872,
             "converged": True,
         },
         "beta": {
             "family": "beta",
             "parameters": [
-                149.73612842070503, 228.49981081718, 108.63050904023366, 9.197395098301136,
+                149.73612707488155, 228.49980764353248, 108.63050905291455, 9.197395039043526,
             ],
-            "log_likelihood": 466.9931096358305,
+            "log_likelihood": 466.99310963830067,
             "converged": True,
         },
         "johnsonsb": {
             "family": "johnsonsb",
             "parameters": [
-                3.5736508011337933, 10.984057238799327, 107.89241923201965, 10.438124423080033,
+                3.57365080110523, 10.984057238757048, 107.89241923203396, 10.438124423037781,
             ],
-            "log_likelihood": 466.99184017838706,
+            "log_likelihood": 466.991840178438,
             "converged": True,
         },
         "johnsonsu": {
             "family": "johnsonsu",
             "parameters": [
-                -638.3730098872295, 68.19916039186216, 96.52052635536221, 0.002710894534153814,
+                -638.3508009837976, 68.19916038891944, 96.52052635618273, 0.002711777473403971,
             ],
-            "log_likelihood": 466.9420695972003,
+            "log_likelihood": 466.942069597244,
             "converged": True,
         },
         "loggamma": {
             "family": "loggamma",
             "parameters": [
-                133259.19806255336, -883.5690716529782, 84.39293318233962,
+                136206.2529579847, -896.0445952330674, 85.29206779108705,
             ],
-            "log_likelihood": 465.1306390163736,
+            "log_likelihood": 465.13791837895405,
             "converged": False,
         },
         "powernorm": {
             "family": "powernorm",
             "parameters": [
-                0.8104357148377322, 112.22901518385851, 0.21665598958518076,
+                0.8104357148377371, 112.22901518385852, 0.21665598958518026,
             ],
-            "log_likelihood": 466.87637176071075,
+            "log_likelihood": 466.87637176075077,
             "converged": True,
         },
         "skewnorm": {
             "family": "skewnorm",
             "parameters": [
-                0.623079726623891, 112.1640815873216, 0.25475788033909363,
+                0.6230797266238824, 112.16408158732162, 0.2547578803390921,
             ],
-            "log_likelihood": 466.8886383701174,
+            "log_likelihood": 466.88863837016106,
             "converged": True,
         },
     },
@@ -212,41 +209,41 @@ WORKLOAD_RECORDS = {
         "beta": {
             "family": "beta",
             "parameters": [
-                3.2741447367946916, 14.15500790101404, 67.7361545187315, 89.77659008606847,
+                3.2741447367951992, 14.1550079010254, 67.73615451873135, 89.77659008611604,
             ],
-            "log_likelihood": -34616.870389623284,
+            "log_likelihood": -34616.870389623175,
             "converged": True,
         },
         "johnsonsb": {
             "family": "johnsonsb",
             "parameters": [
-                1.6197853056216773, 1.481288293239465, 66.78367850708182, 66.04586511818997,
+                1.6197853056216727, 1.4812882932394629, 66.78367850708183, 66.04586511818987,
             ],
-            "log_likelihood": -34609.41487509489,
+            "log_likelihood": -34609.41487509488,
             "converged": True,
         },
         "johnsonsu": {
             "family": "johnsonsu",
             "parameters": [
-                -49.64155924294155, 3.0838469990288084, 59.31613341409209, 4.9014583382596265e-06,
+                -49.85153285031481, 3.083847002283863, 59.31613340144949, 4.578834973048335e-06,
             ],
-            "log_likelihood": -34709.191765272946,
+            "log_likelihood": -34709.19176527296,
             "converged": True,
         },
         "loggamma": {
             "family": "loggamma",
             "parameters": [
-                210415.16160593642, -46145.93404983712, 3771.8163792220657,
+                265214.9403881943, -52786.0698599079, 4233.618200541316,
             ],
-            "log_likelihood": -35229.26818208709,
+            "log_likelihood": -35228.99065386146,
             "converged": False,
         },
         "powernorm": {
             "family": "powernorm",
             "parameters": [
-                0.0016087847837322601, 69.48221648386617, 0.48936314422535054,
+                0.0016087847866633129, 69.4822164843901, 0.4893631446606895,
             ],
-            "log_likelihood": -34618.339276601706,
+            "log_likelihood": -34618.33927660127,
             "converged": True,
         },
         "skewnorm": {
@@ -283,36 +280,34 @@ def test_identity_search_fits_unchanged(family, workload_fit):
 
 
 # Each search of every family's fit on both inputs, one per start:
-# (iterations, objective calls, converged, fval as float.hex). loggamma's
-# three simplex searches were recorded before the simplex moved onto Python
-# floats, the other six's one BFGS search, from the moment start, when the
-# line search became plain backtracking; beta's, johnsonsb's, johnsonsu's,
-# powernorm's and skewnorm's again when the sums left BLAS. A search that
+# (iterations, objective calls, converged, fval as float.hex): loggamma's
+# three simplex searches, the other six's one BFGS search from the moment
+# start, all recorded when the normal quantile became AS 241. A search that
 # reaches the same fit by another path moves these.
 WORKLOAD_STARTS = {
     "quickstart": {
         "normal": [
-            (0, 1, True, "-0x1.d15813a8f7420p+8"),
+            (0, 1, True, "-0x1.d15813a8f7740p+8"),
         ],
         "beta": [
-            (259, 324, True, "-0x1.d2fe3c6edf3c0p+8"),
+            (261, 334, True, "-0x1.d2fe3c6ee9d80p+8"),
         ],
         "johnsonsb": [
-            (32, 37, True, "-0x1.d2fde93ce9080p+8"),
+            (32, 37, True, "-0x1.d2fde93ce9400p+8"),
         ],
         "johnsonsu": [
-            (65, 70, True, "-0x1.d2f12b791e880p+8"),
+            (65, 70, True, "-0x1.d2f12b791eb80p+8"),
         ],
         "loggamma": [
-            (1946, 3355, True, "-0x1.d10aef380d700p+8"),
-            (2694, 4686, True, "-0x1.d121718efee80p+8"),
-            (2514, 4394, True, "-0x1.d110c9fd88880p+8"),
+            (1946, 3355, True, "-0x1.d10aef3590200p+8"),
+            (2860, 4966, True, "-0x1.d1234e9e6f200p+8"),
+            (2667, 4644, True, "-0x1.d11c2850ffe80p+8"),
         ],
         "powernorm": [
-            (18, 27, True, "-0x1.d2e059e653640p+8"),
+            (18, 27, True, "-0x1.d2e059e653900p+8"),
         ],
         "skewnorm": [
-            (13, 27, True, "-0x1.d2e37dcde1a00p+8"),
+            (13, 27, True, "-0x1.d2e37dcde1d00p+8"),
         ],
     },
     "skewed-runs": {
@@ -320,21 +315,21 @@ WORKLOAD_STARTS = {
             (0, 1, True, "0x1.13357e594803ep+15"),
         ],
         "beta": [
-            (30, 43, True, "0x1.0e71bda3b56d9p+15"),
+            (30, 43, True, "0x1.0e71bda3b56cap+15"),
         ],
         "johnsonsb": [
-            (18, 25, True, "0x1.0e62d46a8228fp+15"),
+            (18, 25, True, "0x1.0e62d46a8228ep+15"),
         ],
         "johnsonsu": [
-            (53, 56, True, "0x1.0f2a622f0ecfap+15"),
+            (53, 56, True, "0x1.0f2a622f0ecfcp+15"),
         ],
         "loggamma": [
             (2582, 4490, True, "0x1.133a894f299aep+15"),
-            (2164, 3780, True, "0x1.133aded725ae0p+15"),
-            (2068, 3602, True, "0x1.133baaeea66f8p+15"),
+            (2387, 4151, True, "0x1.133a004d2fccep+15"),
+            (2606, 4527, True, "0x1.1339fb36fba14p+15"),
         ],
         "powernorm": [
-            (73, 112, True, "0x1.0e74adb5a9a94p+15"),
+            (77, 115, True, "0x1.0e74adb5a9a58p+15"),
         ],
         "skewnorm": [
             (20, 28, True, "0x1.0eaaed9518767p+15"),
@@ -397,54 +392,70 @@ def test_cli_fit_rederives_analyze_fit(family, quickstart_analysis, workload_mea
     assert out.read_text(encoding="utf-8") == dump_canonical(expected)
 
 
+@pytest.mark.parametrize("family", ["loggamma", "normal"])
+def test_verify_warns_on_an_unconverged_record(family, quickstart_analysis, tmp_path, capsys):
+    """`rleval verify` prints `analyze`'s stderr warning for a record whose
+    `converged` is false (quick-start loggamma's), with its score norm
+    where the record has one, and nothing for a converged record (normal's);
+    stdout carries the verdict either way."""
+    record = _records(quickstart_analysis())[family]
+    assert record["converged"] == (family == "normal")
+    path = tmp_path / "fit.yaml"
+    norm = record["score_norm"]
+    for score_norm, detail in ((norm, f": score norm {norm:.3g}"), (None, "")):
+        path.write_text(dump_canonical({**record, "score_norm": score_norm}), encoding="utf-8")
+        assert main(["verify", str(path), "--reported", "158.56"]) == 0
+        out, err = capsys.readouterr()
+        assert out.endswith("decision: rejected\n")
+        warning = [] if record["converged"] else [f"warning: {family} fit not converged{detail}"]
+        assert err.splitlines() == warning
+
+
 # manifest.txt of `rleval analyze --seed 7 --reported 158.56` with all seven
 # families on the benchmark's inputs (the skewed-runs logs are run-00 to
-# run-09), recorded before the bootstrap's Philox counters moved into
-# `philox_u32_blocks`, and the fits.yaml and probabilities.csv lines when
-# six families moved to BFGS, when their jittered starts were dropped, when
-# the line search became plain backtracking and when the sums left BLAS, and
-# the fits.yaml line when loggamma's `converged` became the score test. It
-# pins every bundle file: P_d, the KS statistics, the fits, curves, band,
-# summary, normality and provenance.
+# run-09), recorded when the normal quantile became AS 241: that redrew the
+# synth run logs, so every line but summary.csv's and provenance.yaml's
+# moved. It pins every bundle file: P_d, the KS statistics, the fits,
+# curves, band, summary, normality and provenance.
 WORKLOAD_MANIFESTS = {
     "quickstart": (
-        "9e3255a93724be0b9cdf44901d2b2e125783f8432d33e47abe9ca81466e78421  bands/band.csv\n"
-        "2f1cce574881e36d69b6be6f4d72caa7d2688e7a58bee49876cb0c6809ecf606  bootstrap_means/means.csv\n"
-        "c09ffd8f57f1105f7c82ed847d771b82a42d3311280818524061993b3f33f9e9  curves/synth-00.csv\n"
-        "cd63e1930743da5f0e132823f3957e211b5d6316813cfa16cbd4198148b2aa43  curves/synth-01.csv\n"
-        "98d82ad191aef4b756f9caf8a063d995763a867b00429a8f49eb5e658e795b6e  curves/synth-02.csv\n"
-        "b5d35c8ee366b5c32892b4b28dc3d885835fdf02eaf54b72201f582c06c1396e  curves/synth-03.csv\n"
-        "b72bf06d7f09f43127f84a598a9d86a9219712da205d9a95858f477670222cbd  curves/synth-04.csv\n"
-        "48f696261a5b39d00fe475e831caeea5e3259f97df09c22111f10788d8620172  curves/synth-05.csv\n"
-        "b35ed786597d576d3cf5caad59343566dd1f731198d7ae051975f3b83ed5d4a2  curves/synth-06.csv\n"
-        "5040a9525ddcf7a99e58777461dfcf26566d98942b336fd80f67daf3f7dcc9bd  curves/synth-07.csv\n"
-        "9fd8724dfcdc19ae3ad688fc0cf928a9a88baad7310591899c2add7a4215b442  curves/synth-08.csv\n"
-        "1bd6a6625a218682227c0d9279a37481990df0b3a426d5731dcba74b5e5e507c  curves/synth-09.csv\n"
-        "f73e5c8fc7ac18afb8334ca0a9e2ac0023b0ee896feda08350142780120b87e7  fits.yaml\n"
-        "2d95855e29b745bbd468127440efe0714006e40b7eceb96658783cc73500f00d  normality.csv\n"
-        "65c2ee6bf1542e1b6389b7883dde3c7937c1fada2a4514d4e390d24e369a9d09  probabilities.csv\n"
+        "945bf83158a1195eca4d1c1992005c6a1a9e338b0cd1a3451be665e735ab0490  bands/band.csv\n"
+        "af5f0233cee7465698af1fe36d1a555c62c1992aa0372106704e72d8bb9f51fc  bootstrap_means/means.csv\n"
+        "18ea2bcf77cf90a1a8115603cf8b928c5139c0c0a866d1be505e7aa7f0612a51  curves/synth-00.csv\n"
+        "ab6a104d775fdac0b7f55cb8e7a18a6a5d55cdeb5f208c778b11d6eb37508b4b  curves/synth-01.csv\n"
+        "b44ca39b0c4ec4c1707aba0efa4279fc2fb86facb42f25b2110bf0faa498fa0d  curves/synth-02.csv\n"
+        "3fc8aced5424d25a459417f8f1a606e7907c940a4ccdc078996f55ee41e6fe90  curves/synth-03.csv\n"
+        "df15449cc94515a4e9e8f01cc5dacfeebaa5f43f0e93e603a08fd13ca807b88d  curves/synth-04.csv\n"
+        "a5f8da444ade8c3b7ed0d91a4f5ec6d718a71a432ce3c3fdb93bf4bfcf3708d6  curves/synth-05.csv\n"
+        "ab26a732374f191ffc8ef4ebc6036d67be8e9a851eb799934b98371e486ae68a  curves/synth-06.csv\n"
+        "306e76ac3197096f616d833ba4a0f2f956f2a9822499dc46c8c0a589850f4b2f  curves/synth-07.csv\n"
+        "92e4a52f047964f227735e065a9618a78b61168f443088139f16d5462b32b418  curves/synth-08.csv\n"
+        "7947207407e632e3f5b5ffd1322c9d64723fcbb1ce67bcf89722c17ceb0abfda  curves/synth-09.csv\n"
+        "6865dcc73b00073948a9f30b98c228f219411d62c430de0decb284570f5681e0  fits.yaml\n"
+        "deb8035d8a595bc8f2fcca5b16a02f70370cd6c3557ced6918547116ae249347  normality.csv\n"
+        "043788f3381e33bd5b9c527e0479b676d6c342cb36a83f72d4b7e8c66194f88d  probabilities.csv\n"
         "e552af12e95d3eacdd383dd15396db927e4b9d50c695d7ad039ecfd17cd2ca42  provenance.yaml\n"
-        "bd6a71412e155f0d3d1752cadf7812770f0c8f9eca7bbbec24bc322508acfb27  run_averages.csv\n"
+        "3e0c988c5ff21cf81438c5e371bd226fa40a3273c1264c9aa64ea6db509e1d7d  run_averages.csv\n"
         "7a9b2316e627beb42ecf5f79a54ebae6f2aa711721f6eb8a21003785c826f911  summary.csv\n"
     ),
     "skewed-runs": (
-        "a6b142c3be930e3ba5ebcc192b1e1448e6af549b0211f406034638a4dc514eb9  bands/band.csv\n"
-        "6884163dc0a7a9be03248bf00b7f51de588a37093a4c5b9fafbef2c2ba58c535  bootstrap_means/means.csv\n"
-        "1666900d776954d6c154b49a6cb09a78b0b5aa4478fe51967747d9c8b31c5592  curves/run-00.csv\n"
-        "65348d6c5dab9c30c6ecb7436c04704809576dfec0b668b7a763b028ac2f99f2  curves/run-01.csv\n"
-        "4260c260ab24cabb3c729ceea9c7af6e26ca393cb5ddf86c31363c9fdaace793  curves/run-02.csv\n"
-        "d87654057f543255cd4463f29ec54c442ceae01f23a7ff56e06a90e2b9d25794  curves/run-03.csv\n"
-        "2eff8c3ac7dd5ede5f9b8c615a5a2ae2a951272c139f73fb3624d2acc1e882bd  curves/run-04.csv\n"
-        "b82c9ac4c84138f607e0527ecbb9daf4ac6dc43cf146ac5763d3329595363831  curves/run-05.csv\n"
-        "3806be5cb348b09d6fa5b7a1daf313a6d1b6c1ac61e8caf97565feab7b28fbcb  curves/run-06.csv\n"
-        "ae7b1053fb53477c63e267f9efe98f38c0feda3a47eccbdd55d73a7df5181986  curves/run-07.csv\n"
-        "400d693d5eaed1f62d4be892cee0ab1bea5676647de2cce03ac06d54ba8dd4dd  curves/run-08.csv\n"
-        "132fdcb512f6fb5b0e46d34ed087cc098ff58af60e26288fde54b81b1e40eb11  curves/run-09.csv\n"
-        "a8341c796f91c38910005f022ceb3a1752a647f8ecd9d4da4fe275b9aa3a51ca  fits.yaml\n"
-        "3cc055137ed0338b20ebb0b223efb910732b45f3b6f7bcdc7537e6d9e4730c7c  normality.csv\n"
-        "4f98b630c4ee1eb5a6719b5c9576e280086345bdebc1f3dfad0cc13be901aedd  probabilities.csv\n"
+        "baec5345f6d597bfe7a079be235d5123eeb52d41ca3b04ebb9006697ac09841c  bands/band.csv\n"
+        "9bece86825a57053411e59e3d31da54380dd47f893e2d0739f5f4fc4667cbb52  bootstrap_means/means.csv\n"
+        "423f20d2b3eb8fe7f990530f8d6b57e8e7644fa953b41259ce49527d0cb43a28  curves/run-00.csv\n"
+        "a124bf25b6c55f8f434ba70b8d530b41211e5d9423d55619f48321df9b738cbf  curves/run-01.csv\n"
+        "090467aee5b913c61e29962efba8b64e26e8326e7e14af5800866221613c2b5e  curves/run-02.csv\n"
+        "f1f91f29ba19b4b51f62ac57dc337f037bb3e717e4210f1e189c311269f9b58c  curves/run-03.csv\n"
+        "407e3a1039b47d103cf2ff6a533f94345a6111b61ac76deeb09d34889bde17b7  curves/run-04.csv\n"
+        "874b9d434db69ed94b285d6ce897b85d94a0a73d7bfbe937753df04bb6086b68  curves/run-05.csv\n"
+        "ab4ecfbc2806d9d27b4a287886e5ae9b0a0b1fbeb2bfb7758617adc6aec6c890  curves/run-06.csv\n"
+        "5f175623a3a8cb7963df1f06d55a5e579a663ae547f70bd50d69d31bd0318035  curves/run-07.csv\n"
+        "5082f363bbdc6ffc8ed96826ad7503cde9bac9b2f1db10ac850f760f73636cbb  curves/run-08.csv\n"
+        "4f3595b34701e1d5375c46f2d4cc6a1464c7c6ac576795f819176b5abda77472  curves/run-09.csv\n"
+        "348b600597ff1fad9066398f35a1554ff7bbf40c70b1f45b23c0e02926622edb  fits.yaml\n"
+        "9f3f2c1fe77a6870964ccb27b568cdd022ba262365574aa535489a1b2377ff2a  normality.csv\n"
+        "88c7dadecdf99feb9dbea13a1c8c142c5856a79411ed10aa748d39e2b142d6ea  probabilities.csv\n"
         "e79b38e3e8ba52f675d512b7c21eba09786729d24c8c5114e2b7a82ff3b74b45  provenance.yaml\n"
-        "898dc19e2f4f5feec598b161142441e58330e6d72274ce3b3ae8eb0a859b99b5  run_averages.csv\n"
+        "70746998360540f848480fc2c810e153fda8a3b0b96933ce2d910eb9a29e8d06  run_averages.csv\n"
         "1d7c6da4e003a7783bf228c8cea8a20e9b435f1af53c425ad7261a2bfe92418a  summary.csv\n"
     ),
 }

@@ -177,7 +177,7 @@ class TestSynth:
             write_run_log(run, buf)
             digest.update(buf.getvalue().encode("utf-8"))
         assert digest.hexdigest() == (
-            "f68a88e348038533c0cc894e7bf8517c77d8a8cea510019cf9c638c66e1f977a"
+            "58f1145c50f57bc9c0806c154b31908882d086c64a0f3ad67c504c512a27ccb4"
         )
 
     def test_step_rate_keys_are_rejected(self):

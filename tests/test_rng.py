@@ -2,6 +2,10 @@
 determinism of the derived draws."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,16 +79,54 @@ def test_standard_normal_moments():
     assert abs(float(np.std(z)) - 1.0) < 0.01
 
 
-@pytest.mark.parametrize("seed,digest", [
-    (7, "893c9bac2e24e3969326f1dbda7cf0756b9cd2ccff769a815b45a109e73b5588"),
-    (20240917, "34969346bcb4f39611a8727072be38c0a8b2b6535d9c86d3721a5372297258ed"),
-])
-def test_standard_normal_pinned_bytes(seed, digest):
-    # A million draws reach |z| > 4.8, so the quantile's tail branch
-    # (|z| >= 3.54, a few hundred draws) is pinned too; the synth run logs
-    # are made of these values.
-    z = SeededRng(seed).standard_normal(1_000_000)
-    assert hashlib.sha256(np.asarray(z, dtype="<f8").tobytes()).hexdigest() == digest
+def _draw_branches(seed, count):
+    """SeededRng(seed).standard_normal(count), split by the quantile's
+    branch: the central draws (|u - 1/2| <= 0.425, + - * / only) and the
+    tail draws (through np.log)."""
+    u = SeededRng(seed).uniform01(count)
+    z = SeededRng(seed).standard_normal(count)
+    central = np.abs(u - 0.5) <= 0.425
+    return z[central], z[~central]
+
+
+def _sha256(values):
+    return hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()
+
+
+# sha256 of the central and of the tail draws of a million normals. A
+# change to the tail alone (a portable log, say) re-pins only the second.
+PINNED_NORMALS = {
+    7: ("92f69cdbca7124857172dd6852f6dae06ab3f8d88ae6d393cf97deea8040605e",
+        "5caf17fe4642e3b616ba150c6d94e20be1689e5972981dbb7361e2a4e7e2badb"),
+    20240917: ("f5e2bbb01032acd9a9950a76a41f56d41866731b2baa8975ad6a6eec92fc98b6",
+               "4baad24f60e53246f2026d7e824509761524229ddc989db83df5102d4b965845"),
+}
+
+
+@pytest.mark.parametrize("seed", PINNED_NORMALS)
+def test_standard_normal_pinned_bytes(seed):
+    # A million draws reach |z| > 4.8, so the tail rational in r - 1.6 is
+    # pinned too (the one in r - 5 starts at p < 1.4e-11); the synth run
+    # logs are made of these values.
+    central, tail = _draw_branches(seed, 1_000_000)
+    assert (_sha256(central), _sha256(tail)) == PINNED_NORMALS[seed]
+
+
+_AVX512 = bool(np._core._multiarray_umath.__cpu_features__.get("AVX512_SKX"))
+
+
+@pytest.mark.skipif(not _AVX512, reason="needs a CPU whose numpy loops include AVX-512")
+def test_central_normals_do_not_depend_on_simd_class():
+    """The central draws use only + - * /, so numpy's AVX2 loops give the
+    same bytes as its AVX-512 loops; the tail draws go through np.log,
+    whose loops differ, and are not compared."""
+    script = ("import sys, test_rng; "
+              "sys.stdout.write(test_rng._sha256(test_rng._draw_branches(7, 10**6)[0]))")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, cwd=Path(__file__).parent).stdout
+    assert out == _sha256(_draw_branches(7, 10**6)[0])
 
 
 def test_stream_allocation_is_positional():
