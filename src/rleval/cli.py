@@ -7,6 +7,13 @@ consumes randomness requires an explicit --seed; there is no silent
 time-based seeding.
 
 Exit codes: 0 success, 1 validation error, 2 numeric failure, 3 I/O error.
+
+Every command pays this module's start-up, and `validate` needs only
+PyYAML. So the module level imports only the standard library and the
+numpy-free modules: `config` with its YAML and number formatting,
+`errors`, and `metrics`. Each other command imports its library modules
+when it runs, so `validate`, `--help`, `--version` and usage errors never
+load numpy.
 """
 
 import argparse
@@ -18,10 +25,7 @@ from . import __version__
 from ._fmt import fmt_shortest
 from ._yamlio import dump_canonical, load_strict
 from .config import config_hash, parse_config
-from .distributions import FAMILY_NAMES, fit_from_record, fit_record
 from .errors import ConfigWarning, NumericError, RlevalError
-from .inference import make_verdict
-from .ingest import SynthSpec, check_runs, read_run_log_path, synthesize_runs, write_run_dir
 from .metrics import (
     DEFAULT_STRIDE,
     DEFAULT_WINDOW,
@@ -30,9 +34,6 @@ from .metrics import (
     write_band_csv,
     write_curve_csv,
 )
-from .pipeline import fit_family, run_analysis
-from .report import emit_bundle, render_probability_table, render_summary_table
-from .resample import read_means_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -72,6 +73,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_curves(args) -> int:
+    from .ingest import check_runs, read_run_log_path
+
     config = _read_config(args.config)
     runs = [read_run_log_path(p) for p in args.runs]
     check_runs(runs, config)
@@ -99,6 +102,11 @@ def _warn_if_unconverged(fit):
 
 
 def cmd_analyze(args) -> int:
+    from .distributions import FAMILY_NAMES
+    from .ingest import read_run_log_path
+    from .pipeline import run_analysis
+    from .report import emit_bundle, render_probability_table, render_summary_table
+
     config = _read_config(args.config)
     runs = [read_run_log_path(p) for p in args.runs]
     families = args.families.split(",") if args.families else list(FAMILY_NAMES)
@@ -126,6 +134,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from .distributions import fit_record, get_family
+    from .pipeline import fit_family
+    from .resample import read_means_csv
+
+    get_family(args.family)  # an unknown family fails before the means are read
     with open(args.means, "r", encoding="utf-8") as fh:
         means = read_means_csv(fh)
     text = dump_canonical(fit_record(fit_family(args.family, means, args.seed)))
@@ -137,6 +150,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .distributions import fit_from_record
+    from .inference import make_verdict
+
     doc = load_strict(Path(args.fit).read_text(encoding="utf-8"))
     fit = fit_from_record(doc)
     verdict = make_verdict(fit, args.reported, alpha=args.alpha)
@@ -152,6 +168,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .ingest import SynthSpec, synthesize_runs, write_run_dir
+
     doc = load_strict(Path(args.spec).read_text(encoding="utf-8"))
     spec = SynthSpec.from_mapping(doc)
     runs = synthesize_runs(spec, seed=args.seed)
@@ -204,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit one family to a means vector")
     p.add_argument("means")
-    p.add_argument("--family", required=True, choices=FAMILY_NAMES)
+    p.add_argument("--family", required=True, help="one of the families analyze fits")
     p.add_argument(
         "--seed", type=int, required=True,
         help="analyze's --seed; only loggamma's fit reads it, for its jittered starts",

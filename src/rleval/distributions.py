@@ -1001,7 +1001,9 @@ _RECORD_FIELDS = {
 def fit_from_record(rec):
     """The fit a `fit_record` mapping describes. `family` and `parameters`
     are required, the others default as `FittedDistribution`'s fields do,
-    and a key that `fit_record` does not write is an error."""
+    and a key that `fit_record` does not write is an error. So is a
+    numeric `score_norm` that `converged` contradicts, since `fit_mle`
+    sets `converged` to score_norm <= _SCORE_TOL."""
     if not (isinstance(rec, dict) and {"family", "parameters"} <= rec.keys()):
         raise ValidationError(f"fit record needs a family and parameters, got {rec!r}")
     for key, value in rec.items():
@@ -1011,4 +1013,10 @@ def fit_from_record(rec):
         if not ok(value):
             raise ValidationError(f"fit record {key} must be {what}, got {value!r}")
     rest = {k: v for k, v in rec.items() if k not in ("family", "parameters")}
-    return dataclasses.replace(make_fit(rec["family"], *map(float, rec["parameters"])), **rest)
+    fit = dataclasses.replace(make_fit(rec["family"], *map(float, rec["parameters"])), **rest)
+    if fit.score_norm is not None and fit.converged != (fit.score_norm <= _SCORE_TOL):
+        raise ValidationError(
+            f"fit record converged: {str(fit.converged).lower()} contradicts score_norm "
+            f"{fit.score_norm!r}; converged means score_norm <= {_SCORE_TOL:g}"
+        )
+    return fit

@@ -1,6 +1,7 @@
 """Command-line behavior: happy paths, exit codes, determinism, seed policy."""
 
 import os
+import pkgutil
 import random
 import shutil
 import subprocess
@@ -305,6 +306,19 @@ class TestFitVerify:
             main(["fit", "whatever.csv", "--family", "normal"])
         assert exit_info.value.code == 1
 
+    def test_unknown_family_exit_1_before_reading_means(self, tmp_path, capsys):
+        """An unknown family is a validation error that lists the known
+        ones, raised before the means file is opened: here it does not
+        exist, and the exit is still 1, not 3."""
+        code = main(["fit", str(tmp_path / "missing.csv"), "--family", "gamma", "--seed", "1"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: validation: unknown family 'gamma'; known: normal, beta, johnsonsb, "
+            "johnsonsu, loggamma, powernorm, skewnorm\n"
+        )
+
     def test_numeric_failure_exit_2(self, workspace, capsys):
         """Zero-variance means are a numeric failure for normal too: no
         point-mass fit is made up, and nothing is printed."""
@@ -385,6 +399,31 @@ class TestFitVerify:
         assert out == ""
         assert err.startswith("error: validation:") and key in err
 
+    @pytest.mark.parametrize("converged, score_norm", [("true", "0.0037"), ("false", "1.0e-12")])
+    def test_verify_rejects_converged_that_contradicts_score_norm(
+        self, converged, score_norm, tmp_path, capsys
+    ):
+        """`converged` means score_norm <= 1e-9, so a record whose flag says
+        otherwise, like quick-start loggamma's from before every family's
+        flag came from the score test, is a validation error before any
+        verdict line."""
+        path = tmp_path / "fit.yaml"
+        path.write_text(
+            "family: loggamma\n"
+            "parameters: [136206.2529579847, -896.0445952330674, 85.29206779108705]\n"
+            "log_likelihood: 465.13791837895405\n"
+            f"converged: {converged}\n"
+            "ks_statistic: 0.008804077966155344\n"
+            "ks_pvalue: 0.41795714393842687\n"
+            "post_fit_ks: true\n"
+            "iterations: 2860\n"
+            f"score_norm: {score_norm}\n"
+        )
+        assert main(["verify", str(path), "--reported", "158.56"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: validation: fit record converged: {converged} contradicts")
+
 
 class TestSynth:
     def test_deterministic_outputs(self, workspace, tmp_path):
@@ -449,9 +488,12 @@ def test_inputs_never_mutated(workspace):
 
 def test_runtime_imports_need_neither_scipy_nor_mpmath():
     """Runtime dependencies stay numpy + PyYAML: scipy and mpmath are test
-    oracles only."""
+    oracles only. Every module of the package is imported, since the CLI
+    imports most of them only when a command runs."""
+    names = [f"rleval.{m.name}" for m in pkgutil.iter_modules(rleval.__path__)]
+    assert {"rleval.cli", "rleval.pipeline", "rleval.special"} <= set(names)
     code = (
-        "import sys, rleval.cli, rleval.pipeline; "
+        f"import importlib, sys; [importlib.import_module(m) for m in {names!r}]; "
         "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath'}))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(rleval.__file__).resolve().parents[1])}
@@ -459,3 +501,35 @@ def test_runtime_imports_need_neither_scipy_nor_mpmath():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+# `python -m rleval.cli ARGS` in a fresh interpreter, then the numeric
+# modules that it loaded, on stderr's last line.
+_RUN_CLI = """\
+import runpy, sys
+sys.argv = ["rleval", *sys.argv[1:]]
+try:
+    runpy.run_module("rleval.cli", run_name="__main__")
+finally:
+    numeric = {"numpy", "rleval.special", "rleval.distributions", "rleval.pipeline"}
+    print(sorted(numeric & set(sys.modules)), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, code, stdout", [
+    (["validate", "config.yaml"], 0, "  config.yaml\n"),
+    (["--version"], 0, f"rleval {rleval.__version__}\n"),
+    (["--help"], 0, "validate,curves,analyze,fit,verify,synth}"),
+    (["fit", "means.csv"], 1, ""),
+], ids=["validate", "version", "help", "usage-error"])
+def test_start_up_without_numpy(argv, code, stdout, tmp_path):
+    """`validate`, `--version`, `--help` and usage errors load no numeric
+    module: every command pays the CLI's start-up, and these need only
+    PyYAML."""
+    (tmp_path / "config.yaml").write_text(CONFIG_TEXT)
+    env = {**os.environ, "PYTHONPATH": str(Path(rleval.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", _RUN_CLI, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == code, done.stderr
+    assert stdout in done.stdout and (stdout or not done.stdout)
+    assert done.stderr.splitlines()[-1] == "[]"

@@ -4,9 +4,10 @@ reaches scipy's maximum, the families with a normal limit reach the normal
 fit, converged means a small score, a score-searched fit does not read the
 fitting seed, no fit moves, no search takes another path, `analyze` and
 `fit` make the same fit of a family whichever other families they are
-asked for, and no bundle byte moves, nor under another BLAS kernel or
-thread count; a decision that moves with the resample count is a known
-fault (strict xfail)."""
+asked for, no bundle byte moves, nor under another BLAS kernel or thread
+count, and no decision moves at a reported value near the mean; a
+decision that moves with the resample count is a known fault (strict
+xfail)."""
 
 import os
 import re
@@ -20,8 +21,10 @@ import pytest
 
 from conftest import WORKLOAD_RESAMPLES, WORKLOAD_SEED, _workload_runs, workload_analysis
 from rleval import distributions as D
+from rleval._fmt import fmt_shortest
 from rleval._yamlio import dump_canonical
 from rleval.cli import main
+from rleval.inference import make_verdict
 from rleval.metrics import run_average_return
 from rleval.pipeline import fitting_seed_for
 from rleval.report import MANIFEST_NAME, emit_bundle
@@ -469,6 +472,49 @@ def test_bundle_bytes_unchanged(workload, quickstart_analysis, tmp_path):
         report = workload_analysis(workload, _workload_runs(workload, WORKLOAD_SEED))
     emit_bundle(report, tmp_path)
     assert (tmp_path / MANIFEST_NAME).read_text(encoding="utf-8") == WORKLOAD_MANIFESTS[workload]
+
+
+# Each family's decision and printed `combined` (as `rleval verify` prints
+# it) at the reported value r = m + 1.5 sd, where m and sd are the mean and
+# the population sd of the workload's bootstrap means. At 158.56 every
+# family rejects on both workloads, whatever its fit; here quickstart splits
+# the families, so a change that moves a decision fails this pin.
+NEAR_MEAN_VERDICTS = {
+    "quickstart": {
+        "normal": ("rejected", "0.029955880103865476"),
+        "beta": ("failed_to_reject", "0.057345970595806414"),
+        "johnsonsb": ("failed_to_reject", "0.05738838524601469"),
+        "johnsonsu": ("failed_to_reject", "0.059635425787576295"),
+        "loggamma": ("rejected", "0.027938736809334962"),
+        "powernorm": ("failed_to_reject", "0.05766539896361369"),
+        "skewnorm": ("failed_to_reject", "0.06033659109447525"),
+    },
+    "skewed-runs": {
+        "normal": ("rejected", "5.421353114233768e-29"),
+        "beta": ("rejected", "1.986366573678196e-06"),
+        "johnsonsb": ("rejected", "1.4586039037466144e-06"),
+        "johnsonsu": ("rejected", "2.3492908694775556e-10"),
+        "loggamma": ("rejected", "3.161512647627035e-29"),
+        "powernorm": ("rejected", "5.665972972385475e-09"),
+        "skewnorm": ("rejected", "6.5475768619314654e-24"),
+    },
+}
+
+
+def test_decisions_near_the_mean_unchanged(workload_fit, workload_means):
+    """The pin above, from the session's fits; at least one workload's
+    decisions are mixed, so the pin can see a decision move."""
+    found = {}
+    for workload in WORKLOADS:
+        means = workload_means[workload]
+        reported = float(np.mean(means)) + 1.5 * float(np.std(means))
+        found[workload] = {}
+        for family in D.FAMILY_NAMES:
+            fit = D.with_gof(workload_fit(workload, family), means)
+            verdict = make_verdict(fit, reported)
+            found[workload][family] = (verdict.decision.value, fmt_shortest(verdict.combined))
+    assert found == NEAR_MEAN_VERDICTS
+    assert any(len({d for d, _ in v.values()}) == 2 for v in NEAR_MEAN_VERDICTS.values())
 
 
 def _openblas_with_avx2():
