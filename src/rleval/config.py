@@ -11,10 +11,8 @@ import hashlib
 import warnings
 from dataclasses import dataclass, field
 
-from ._fmt import fmt_shortest
 from ._yamlio import dump_canonical, load_strict
-from .errors import ConfigWarning, SchemaError, ValidationError
-from .tabular import Table
+from .errors import ConfigWarning, SchemaError
 
 SCHEMA_VERSION = 1
 
@@ -61,7 +59,6 @@ FIXED_KEY_ORDER = (
 _UNIT_INTERVAL_PARAMS = ("gamma", "lambda")
 _POSITIVE_INT_PARAMS = ("hidden_layers", "hidden_size", "batch_size", "optim_batch_size")
 _POSITIVE_PARAMS = ("step_size", "delta_kl")
-_PLACEHOLDER = "-"
 
 
 @dataclass(frozen=True)
@@ -255,31 +252,3 @@ def config_hash(config: ExperimentConfig) -> str:
     """SHA-256 of the canonical serialization, lowercase hex."""
     return hashlib.sha256(canonicalize(config).encode("utf-8")).hexdigest()
 
-
-def hyperparameter_report(configs) -> Table:
-    """One row per config, one column per tuned parameter in the union.
-
-    All configs must name the same algorithm; absent parameters render as
-    the '-' placeholder.
-    """
-    configs = list(configs)
-    if not configs:
-        raise ValidationError("hyperparameter_report requires at least one config")
-    algorithms = {c.algorithm for c in configs}
-    if len(algorithms) > 1:
-        raise ValidationError(
-            f"configs mix algorithms: {', '.join(sorted(algorithms))}"
-        )
-    union = {}
-    for config in configs:
-        for key in config.tuned_params:
-            union[key] = None
-    columns = list(_ordered_params(union, TUNED_KEY_ORDER))
-    rows = []
-    for config in configs:
-        row = [config.name]
-        for key in columns:
-            value = config.tuned_params.get(key)
-            row.append(_PLACEHOLDER if value is None else fmt_shortest(value))
-        rows.append(row)
-    return Table(columns=["config", *columns], rows=rows)

@@ -73,51 +73,26 @@ def build_provenance(
     }
 
 
-def _reports_list(report_or_reports):
-    if isinstance(report_or_reports, AnalysisReport):
-        return [report_or_reports]
-    reports = list(report_or_reports)
-    if not reports:
-        raise ValidationError("no reports to render")
-    return reports
-
-
-def render_summary_table(report_or_reports) -> Table:
-    """Per-configuration summary: reported value, bootstrap mean, CI."""
-    reports = _reports_list(report_or_reports)
-    rows = []
-    for rep in reports:
-        rows.append([
-            rep.config.name,
-            fmt_fixed(rep.reported_value, 2),
-            fmt_fixed(rep.bootstrap.empirical_mean, 2),
-            fmt_fixed(rep.bootstrap.ci_low, 2),
-            fmt_fixed(rep.bootstrap.ci_high, 2),
-        ])
+def render_summary_table(report) -> Table:
+    """The summary row: reported value, bootstrap mean, CI."""
+    boot = report.bootstrap
     return Table(
         columns=["config", "reported", "mean", "ci_low", "ci_high"],
-        rows=rows,
+        rows=[[
+            report.config.name,
+            fmt_fixed(report.reported_value, 2),
+            fmt_fixed(boot.empirical_mean, 2),
+            fmt_fixed(boot.ci_low, 2),
+            fmt_fixed(boot.ci_high, 2),
+        ]],
     )
 
 
-def render_probability_table(report_or_reports) -> Table:
-    """Families x configurations matrix of combined probabilities."""
-    reports = _reports_list(report_or_reports)
-    for rep in reports:
-        if not rep.verdicts:
-            raise ValidationError(
-                f"{rep.config.name}: no verdicts (analyze ran without a "
-                "reported value)"
-            )
-    families = [v.fit.family.name for v in reports[0].verdicts]
-    for rep in reports[1:]:
-        if [v.fit.family.name for v in rep.verdicts] != families:
-            raise ValidationError("reports carry different family sets")
-    matrix = [
-        [rep.verdicts[i] for rep in reports] for i in range(len(families))
-    ]
+def render_probability_table(report) -> Table:
+    """The paper's probability table for one configuration: the combined
+    probability per family, starred where not rejected."""
     return significance_summary(
-        matrix, family_names=families, config_names=[r.config.name for r in reports]
+        [[v] for v in report.verdicts], config_names=[report.config.name]
     )
 
 
@@ -130,10 +105,10 @@ def emit_bundle(report: AnalysisReport, directory) -> list:
 
     Layout: summary.csv, probabilities.csv, normality.csv, fits.yaml,
     curves/<run>.csv, bands/band.csv, bootstrap_means/means.csv,
-    provenance.yaml, manifest.txt.
+    provenance.yaml, manifest.txt. A directory holding any other file is
+    refused before a file is written, so no stale file sits beside the bundle.
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     files = {}
 
     files["summary.csv"] = render_summary_table(report).to_csv()
@@ -183,6 +158,12 @@ def emit_bundle(report: AnalysisReport, directory) -> list:
 
     files["provenance.yaml"] = dump_canonical(report.provenance)
 
+    stale = sorted({p.relative_to(directory).as_posix() for p in directory.rglob("*")
+                    if p.is_file()} - {*files, MANIFEST_NAME})
+    if stale:
+        more = f" and {len(stale) - 3} more" if len(stale) > 3 else ""
+        raise ValidationError(f"{directory} holds files this bundle would not write: "
+                              f"{', '.join(stale[:3])}{more}; use a new or empty directory")
     manifest = []
     for rel in sorted(files):
         data = files[rel].encode("utf-8")

@@ -137,6 +137,23 @@ class TestAnalyze:
             assert a == (workspace / "b2" / rel).read_bytes(), rel
             assert a == (workspace / "b3" / rel).read_bytes(), rel
 
+    def test_reused_out_with_stale_files_exit_1(self, workspace, capsys):
+        """A second analysis into the first one's directory would leave the
+        first one's probabilities.csv beside it: exit 1 with no byte written.
+        The first analysis reruns into its own bundle."""
+        bundle = workspace / "bundle"
+        args = ["analyze", str(workspace / "config.yaml"), *_run_paths(workspace),
+                "--seed", "7", "--resamples", "500", "--out", str(bundle)]
+        first = [*args, "--reported", "158.56", "--families", "normal,skewnorm"]
+        assert main(first) == 0
+        before = {p: p.read_bytes() for p in bundle.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main([*args, "--families", "normal"]) == 1
+        assert "probabilities.csv" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in bundle.rglob("*") if p.is_file()} == before
+        assert main(first) == 0
+        assert (bundle / "manifest.txt").read_bytes() == before[bundle / "manifest.txt"]
+
     def test_no_family_exit_1(self, workspace, capsys):
         bundle = workspace / "no_family"
         code = main([

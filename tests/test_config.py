@@ -1,4 +1,4 @@
-"""Config parsing, canonical form, hashing, and the hyperparameter table."""
+"""Config parsing, canonical form and hashing."""
 
 import warnings
 
@@ -14,7 +14,6 @@ from rleval.errors import (
     ConfigWarning,
     DuplicateKeyError,
     SchemaError,
-    ValidationError,
 )
 
 MINIMAL = """\
@@ -197,54 +196,3 @@ def test_hash_invariant_under_source_permutation(seed):
     b = _parse_quiet(dump_canonical(shuffled))
     assert C.config_hash(a) == C.config_hash(b)
 
-
-class TestReport:
-    def _configs(self, algorithm):
-        return [
-            _parse_quiet(_doc(algorithm, i))
-            for i in range(5)
-        ]
-
-    def test_trpo_table_values_verbatim(self):
-        table = C.hyperparameter_report(self._configs("trpo"))
-        assert table.columns == [
-            "config", "hidden_layers", "hidden_size", "batch_size",
-            "step_size", "gamma", "lambda", "delta_kl",
-        ]
-        assert len(table.rows) == 5
-        expected_row_1 = ["trpo-c1", "2", "64", "4096", "0.00472", "0.96833", "0.99874", "0.02437"]
-        assert table.rows[0] == expected_row_1
-        for i, row in enumerate(ref.TRPO_CONFIGS):
-            for j, key in enumerate(table.columns[1:], start=1):
-                assert table.rows[i][j] == repr(row[key]) or table.rows[i][j] == str(row[key])
-
-    def test_ppo_table_has_optim_batch_size(self):
-        table = C.hyperparameter_report(self._configs("ppo"))
-        assert "optim_batch_size" in table.columns
-        assert len(table.rows) == 5
-
-    def test_single_config(self):
-        table = C.hyperparameter_report(self._configs("trpo")[:1])
-        assert len(table.rows) == 1
-
-    def test_missing_key_placeholder(self):
-        partial = C.ExperimentConfig(
-            name="p", algorithm="baselines.trpo", environment="e", logger="l",
-            tuned_params={"gamma": 0.5}, fixed_params={}, run_count=1,
-        ).validate()
-        full = _parse_quiet(_doc("trpo", 0))
-        full_named = C.ExperimentConfig(
-            name=full.name, algorithm="baselines.trpo", environment=full.environment,
-            logger=full.logger, tuned_params=full.tuned_params,
-            fixed_params=full.fixed_params, run_count=full.run_count,
-        ).validate()
-        table = C.hyperparameter_report([partial, full_named])
-        assert "-" in table.rows[0]
-
-    def test_mixed_algorithms_rejected(self):
-        with pytest.raises(ValidationError):
-            C.hyperparameter_report([self._configs("trpo")[0], self._configs("ppo")[0]])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            C.hyperparameter_report([])

@@ -61,9 +61,6 @@ class TestTables:
         assert table.columns == ["family", "report-demo"]
         assert [row[0] for row in table.rows] == ["normal", "skewnorm"]
         assert table.footer.startswith("rejected ")
-        normal_only = dataclasses.replace(report, verdicts=report.verdicts[:1])
-        with pytest.raises(ValidationError, match="different family sets"):
-            render_probability_table([report, normal_only])
 
     def test_probability_requires_verdicts(self):
         runs = synthesize_runs(SPEC, seed=33)
@@ -71,10 +68,6 @@ class TestTables:
                            families=("normal",))
         with pytest.raises(ValidationError):
             render_probability_table(rep)
-
-    def test_multi_report_columns(self, report):
-        table = render_summary_table([report, report])
-        assert len(table.rows) == 2
 
 
 class TestBundle:
@@ -107,6 +100,15 @@ class TestBundle:
             a = (tmp_path / "a" / rel).read_bytes()
             b = (tmp_path / "b" / rel).read_bytes()
             assert a == b, rel
+
+    def test_stale_curve_refused_before_any_byte(self, report, tmp_path):
+        emit_bundle(report, tmp_path / "d")
+        before = {p: p.read_bytes() for p in (tmp_path / "d").rglob("*") if p.is_file()}
+        fewer = dataclasses.replace(report, curves=report.curves[:2])
+        with pytest.raises(ValidationError, match=r"curves/.* and 1 more; use a new"):
+            emit_bundle(fewer, tmp_path / "d")
+        assert {p: p.read_bytes() for p in (tmp_path / "d").rglob("*") if p.is_file()} == before
+        assert emit_bundle(report, tmp_path / "d") == emit_bundle(report, tmp_path / "e")
 
     def test_repeated_run_id_rejected_before_any_bundle(self, tmp_path):
         # one curve file per run id: three runs named alike would leave one
