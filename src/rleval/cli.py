@@ -74,11 +74,14 @@ def cmd_validate(args) -> int:
 
 def cmd_curves(args) -> int:
     from .ingest import check_runs, read_run_log_path
+    from .report import curve_files, refuse_stale_files
 
     config = _read_config(args.config)
     runs = [read_run_log_path(p) for p in args.runs]
     check_runs(runs, config)
     out = Path(args.out)
+    refuse_stale_files(out, curve_files([run.run_id for run in runs]),
+                       what="curves call")
     out.mkdir(parents=True, exist_ok=True)
     curves = []
     for run in runs:
@@ -103,12 +106,21 @@ def _warn_if_unconverged(fit):
 
 def cmd_analyze(args) -> int:
     from .distributions import FAMILY_NAMES
-    from .ingest import read_run_log_path
+    from .ingest import apply_exclusions, read_run_log_path
     from .pipeline import run_analysis
-    from .report import emit_bundle, render_probability_table, render_summary_table
+    from .report import (
+        bundle_files,
+        emit_bundle,
+        refuse_stale_files,
+        render_probability_table,
+        render_summary_table,
+    )
 
     config = _read_config(args.config)
     runs = [read_run_log_path(p) for p in args.runs]
+    kept = apply_exclusions(runs, config).runs
+    refuse_stale_files(args.out, bundle_files([run.run_id for run in kept],
+                                              args.reported is not None))
     families = args.families.split(",") if args.families else list(FAMILY_NAMES)
     report = run_analysis(
         config,

@@ -96,6 +96,39 @@ def render_probability_table(report) -> Table:
     )
 
 
+def curve_files(run_ids, curve_dir="", band_dir="") -> list:
+    """The curve files for runs `run_ids`: `<run>.csv` each, and `band.csv`
+    when there are two runs or more."""
+    names = [f"{curve_dir}{run_id}.csv" for run_id in run_ids]
+    if len(names) >= 2:
+        names.append(f"{band_dir}band.csv")
+    return names
+
+
+def bundle_files(run_ids, with_probabilities: bool) -> list:
+    """Every file, manifest included, that `emit_bundle` writes for the kept
+    runs `run_ids`; `probabilities.csv` is there when there are verdicts,
+    which is when a reported value is given."""
+    names = ["summary.csv", "normality.csv", "run_averages.csv", "fits.yaml",
+             "bootstrap_means/means.csv", "provenance.yaml", MANIFEST_NAME]
+    if with_probabilities:
+        names.append("probabilities.csv")
+    return names + curve_files(run_ids, "curves/", "bands/")
+
+
+def refuse_stale_files(directory, names, what="bundle") -> None:
+    """Raise ValidationError if `directory` holds a file whose relative path
+    is not in `names`, naming up to three of them; a missing directory
+    passes. Nothing is deleted."""
+    directory = Path(directory)
+    stale = sorted({p.relative_to(directory).as_posix() for p in directory.rglob("*")
+                    if p.is_file()} - set(names))
+    if stale:
+        more = f" and {len(stale) - 3} more" if len(stale) > 3 else ""
+        raise ValidationError(f"{directory} holds files this {what} would not write: "
+                              f"{', '.join(stale[:3])}{more}; use a new or empty directory")
+
+
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -105,10 +138,13 @@ def emit_bundle(report: AnalysisReport, directory) -> list:
 
     Layout: summary.csv, probabilities.csv, normality.csv, fits.yaml,
     curves/<run>.csv, bands/band.csv, bootstrap_means/means.csv,
-    provenance.yaml, manifest.txt. A directory holding any other file is
-    refused before a file is written, so no stale file sits beside the bundle.
+    provenance.yaml, manifest.txt (`bundle_files`). A directory holding any
+    other file is refused before a file is written, so no stale file sits
+    beside the bundle; `analyze` makes the same check before any stage.
     """
     directory = Path(directory)
+    refuse_stale_files(directory, bundle_files([run_id for run_id, _ in report.curves],
+                                               bool(report.verdicts)))
     files = {}
 
     files["summary.csv"] = render_summary_table(report).to_csv()
@@ -158,12 +194,6 @@ def emit_bundle(report: AnalysisReport, directory) -> list:
 
     files["provenance.yaml"] = dump_canonical(report.provenance)
 
-    stale = sorted({p.relative_to(directory).as_posix() for p in directory.rglob("*")
-                    if p.is_file()} - {*files, MANIFEST_NAME})
-    if stale:
-        more = f" and {len(stale) - 3} more" if len(stale) > 3 else ""
-        raise ValidationError(f"{directory} holds files this bundle would not write: "
-                              f"{', '.join(stale[:3])}{more}; use a new or empty directory")
     manifest = []
     for rel in sorted(files):
         data = files[rel].encode("utf-8")

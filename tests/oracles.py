@@ -3,8 +3,8 @@
 Everything here is deliberately written against the mathematical
 definitions (mpmath arbitrary precision, exact rational arithmetic, or
 naive full rescans) and shares no code with the implementations it checks.
-The reference copies at the end keep an earlier form of the fit loop, which
-the current form must match to the bit.
+The reference copies at the end keep earlier forms of the fit loop and of
+Owen's T quadrature, which the current forms must match to the bit.
 """
 
 import math
@@ -278,3 +278,16 @@ def penalized_nll_ref(family, data, theta):
         lp = family.logpdf_z(z, shapes)
     lp = np.where(np.isfinite(lp), lp, -_POINT_PENALTY)
     return float(-(np.sum(lp) - z.size * math.log(scale)) + penalty)
+
+
+def owens_quad_matrix_ref(h, a):
+    """Owen's T quadrature in the matrix form the streamed one replaced: all
+    48 Gauss-Legendre terms of each point in one (n x 48) array, summed by
+    np.sum along the row."""
+    nodes, weights = np.polynomial.legendre.leggauss(48)
+    half = 0.5 * a
+    x = half[..., None] * (nodes + 1.0)
+    w = half[..., None] * weights
+    h2 = (h * h)[..., None]
+    vals = np.exp(-0.5 * h2 * (1.0 + x * x)) / (1.0 + x * x)
+    return np.sum(w * vals, axis=-1) / (2.0 * math.pi)

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import rleval
+from conftest import QUICKSTART_SPEC, WORKLOAD_CONFIG
+from rleval import pipeline
 from rleval._yamlio import dump_canonical, load_strict
 from rleval.cli import main
 from rleval.distributions import fit_from_record, fit_record
@@ -94,6 +96,32 @@ class TestCurves:
         header = (out / "synth-00.csv").read_text().splitlines()[0]
         assert header == "eval_step,value"
 
+    def test_reused_out_with_stale_files_exit_1(self, tmp_path, capsys):
+        """Three of the ten quick-start runs into the directory of all ten
+        would leave seven curves of runs not read: exit 1, no byte written.
+        The first call reruns into its own directory."""
+        (tmp_path / "spec.yaml").write_text(dump_canonical(QUICKSTART_SPEC))
+        assert main(["synth", str(tmp_path / "spec.yaml"), "--seed", "7",
+                     "--out", str(tmp_path / "runs")]) == 0
+        paths = sorted(str(p) for p in (tmp_path / "runs").glob("synth-*.csv"))
+        ten, three = tmp_path / "ten.yaml", tmp_path / "three.yaml"
+        ten.write_text(WORKLOAD_CONFIG.format(name="quickstart"))
+        three.write_text(ten.read_text().replace("run_count: 10", "run_count: 3"))
+        out = tmp_path / "curves"
+        first = ["curves", str(ten), *paths, "--out", str(out)]
+        assert main(first) == 0
+        before = {p: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(["curves", str(three), *paths[:3], "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: validation: {out} holds files this curves call would not write: "
+            "synth-03.csv, synth-04.csv, synth-05.csv and 4 more; "
+            "use a new or empty directory\n"
+        )
+        assert {p: p.read_bytes() for p in out.iterdir()} == before
+        assert main(first) == 0
+        assert {p: p.read_bytes() for p in out.iterdir()} == before
+
 
 class TestAnalyze:
     def test_full_pipeline_and_exclusion_note(self, workspace, capsys):
@@ -153,6 +181,23 @@ class TestAnalyze:
         assert {p: p.read_bytes() for p in bundle.rglob("*") if p.is_file()} == before
         assert main(first) == 0
         assert (bundle / "manifest.txt").read_bytes() == before[bundle / "manifest.txt"]
+
+    def test_stale_out_refused_before_any_stage(self, workspace, capsys, monkeypatch):
+        """Run 4 is excluded, so its curve is not the bundle's: refused
+        before run_analysis is called."""
+        calls = []
+        monkeypatch.setattr(pipeline, "run_analysis", lambda *a, **k: calls.append(a))
+        bundle = workspace / "bundle"
+        (bundle / "curves").mkdir(parents=True)
+        (bundle / "curves" / "synth-04.csv").write_text("eval_step,value\n")
+        code = main(["analyze", str(workspace / "config.yaml"), *_run_paths(workspace),
+                     "--seed", "7", "--resamples", "500", "--out", str(bundle)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: validation: {bundle} holds files this bundle would not write: "
+            "curves/synth-04.csv; use a new or empty directory\n"
+        )
+        assert calls == []
 
     def test_no_family_exit_1(self, workspace, capsys):
         bundle = workspace / "no_family"

@@ -2,6 +2,7 @@
 plus the structural invariants (monotonicity, symmetry, complementarity)."""
 
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -245,6 +246,60 @@ class TestOwensT:
         ref = scipy_special.owens_t(h, a)
         assert np.array_equal(mine[:5], ref[:5])
         assert abs(mine[5] - ref[5]) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 7, 48, 10000])
+    def test_streamed_quad_equals_matrix_form(self, n):
+        rng = np.random.default_rng(n)
+        h = rng.exponential(2.0, n)
+        a = rng.random(n)
+        assert np.array_equal(sp._owens_quad(h, a), oracles.owens_quad_matrix_ref(h, a))
+
+    @pytest.mark.parametrize("a", [0.6, 6.0])
+    def test_equals_matrix_form_at_quickstart_z(self, a, workload_fit, workload_means,
+                                                monkeypatch):
+        """Both branches of owens_t, at the z values where skewnorm's KS test
+        evaluates it on the quick-start means."""
+        fit = workload_fit("quickstart", "skewnorm")
+        z = (workload_means["quickstart"] - fit.loc) / fit.scale
+        streamed = sp.owens_t(z, a)
+        monkeypatch.setattr(sp, "_owens_quad", oracles.owens_quad_matrix_ref)
+        assert np.array_equal(streamed, sp.owens_t(z, a))
+
+
+# Working memory of the kernels that map n points to n values, on n = 10000:
+# the tracemalloc peak of one call must stay below one (n x 48) float64
+# matrix, the size of the node matrix Owen's T once built.
+_N = 10000
+_X = np.linspace(-8.0, 8.0, _N)
+_LOGGAMMA_C = 1.3e5  # near loggamma's shape on the quick-start means, 1.36e5
+
+
+@pytest.mark.parametrize("fn, args", [
+    pytest.param(sp.std_normal_cdf, (_X,), id="std_normal_cdf"),
+    pytest.param(sp.std_normal_sf, (_X,), id="std_normal_sf"),
+    pytest.param(sp.std_normal_logcdf, (_X,), id="std_normal_logcdf"),
+    pytest.param(sp.std_normal_quantile, ((np.arange(_N) + 0.5) / _N,),
+                 id="std_normal_quantile"),
+    pytest.param(sp.owens_t, (_X, 0.6), id="owens_t-a0.6"),
+    pytest.param(sp.owens_t, (_X, 6.0), id="owens_t-a6"),
+    pytest.param(sp.reg_inc_beta, (150.0, 228.0, np.linspace(0.2, 0.6, _N)),
+                 id="reg_inc_beta"),  # beta's quick-start shapes; both sides of the swap
+    pytest.param(sp.reg_inc_gamma_lower,
+                 (_LOGGAMMA_C, _LOGGAMMA_C + math.sqrt(_LOGGAMMA_C) * _X),
+                 id="reg_inc_gamma_lower"),
+    pytest.param(sp.reg_inc_gamma_upper,
+                 (_LOGGAMMA_C, _LOGGAMMA_C + math.sqrt(_LOGGAMMA_C) * _X),
+                 id="reg_inc_gamma_upper"),
+])
+def test_working_memory_below_one_node_matrix(fn, args):
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * _N * 8
 
 
 def _at_tail_switch(n):
