@@ -14,9 +14,17 @@ numpy-free modules: `config` with its YAML and number formatting,
 `errors`, and `metrics`. Each other command imports its library modules
 when it runs, so `validate`, `--help`, `--version` and usage errors never
 load numpy.
+
+`main` starts OpenBLAS on one thread, unless OPENBLAS_NUM_THREADS is set or
+numpy is already loaded. No command makes a BLAS call that a second thread
+would speed up, yet OpenBLAS starts its workers when numpy loads and they
+spin: on the quick-start `analyze` that cost about 0.12 s of CPU on a
+2-vCPU host. Only the variable, read when numpy loads, stops them; setting
+the thread count later does not.
 """
 
 import argparse
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -25,7 +33,7 @@ from . import __version__
 from ._fmt import fmt_shortest
 from ._yamlio import dump_canonical, load_strict
 from .config import config_hash, parse_config
-from .errors import ConfigWarning, NumericError, RlevalError
+from .errors import ConfigWarning, NumericError, RlevalError, ValidationError
 from .metrics import (
     DEFAULT_STRIDE,
     DEFAULT_WINDOW,
@@ -80,8 +88,11 @@ def cmd_curves(args) -> int:
     runs = [read_run_log_path(p) for p in args.runs]
     check_runs(runs, config)
     out = Path(args.out)
-    refuse_stale_files(out, curve_files([run.run_id for run in runs]),
-                       what="curves call")
+    names = curve_files([run.run_id for run in runs])
+    if len(set(names)) < len(names):
+        raise ValidationError("a run with id 'band' would have its curve overwritten by "
+                              "the band in band.csv; rename its log")
+    refuse_stale_files(out, names, what="curves call")
     out.mkdir(parents=True, exist_ok=True)
     curves = []
     for run in runs:
@@ -258,6 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -72,6 +72,11 @@ class Family:
     def logpdf_z(self, z, shapes):
         return self.logpdf_z_score(z, shapes)[0]
 
+    def logpdf_z_into(self, z, shapes, tmp):
+        """`logpdf_z` for the simplex's objective, which may write it over
+        the float64 vector z, with `tmp` a scratch vector of z's shape."""
+        return self.logpdf_z(z, shapes)
+
     def logpdf_z_score(self, z, shapes):
         """(log-density, its d/dz, and a tuple of its d/d shape, one per
         shape), each an array over z, from one pass that reuses the value's
@@ -370,15 +375,24 @@ class LogGamma(Family):
     def shapes_valid(self, shapes):
         return shapes[0] > 0
 
-    # The simplex evaluates the value alone, at every vertex.
-    def logpdf_z(self, z, shapes):
+    # The simplex evaluates the value alone, at every vertex, thousands of
+    # times per fit: written over z, with e^z left in exp_z, it allocates
+    # nothing. Each point is rounded as c * z - e^z - lgamma(c) reads.
+    def logpdf_z_into(self, z, shapes, exp_z):
         c = shapes[0]
-        return c * z - np.exp(z) - math.lgamma(c)
+        np.exp(z, out=exp_z)
+        np.multiply(z, c, out=z)
+        np.subtract(z, exp_z, out=z)
+        return np.subtract(z, math.lgamma(c), out=z)
+
+    def logpdf_z(self, z, shapes):
+        z = np.array(z, dtype=np.float64)
+        return self.logpdf_z_into(z, shapes, np.empty_like(z))
 
     def logpdf_z_score(self, z, shapes):
-        c = shapes[0]
-        exp_z = np.exp(z)
-        return c * z - exp_z - math.lgamma(c), c - exp_z, (z - special.digamma(c),)
+        exp_z = np.empty_like(z)
+        lp = self.logpdf_z_into(z.copy(), shapes, exp_z)
+        return lp, shapes[0] - exp_z, (z - special.digamma(shapes[0]),)
 
     # The simplex searches the raw parameters.
     def to_search(self, theta, m, s):
@@ -830,10 +844,14 @@ def _loglik_score(family, data, theta):
     ])
 
 
-def _penalized_nll(family, data, theta):
+def _penalized_nll(family, data, theta, scratch=None):
     """Negative log-likelihood of an unbounded family, with finite
     penalties for invalid parameters and non-finite log-densities, for the
-    simplex. Called inside the fit's np.errstate."""
+    simplex. `scratch` is a pair of float64 vectors of data's shape that z
+    and the log-density are written into; `fit_mle` allocates it once per
+    fit, and a call without it allocates its own. Called inside the fit's
+    np.errstate."""
+    theta = list(map(float, theta))
     if not all(map(math.isfinite, theta)):
         return _INVALID_PENALTY
     shapes, loc, scale = tuple(theta[:-2]), theta[-2], theta[-1]
@@ -842,12 +860,16 @@ def _penalized_nll(family, data, theta):
     if not family.shapes_valid(shapes):
         bad = sum(abs(min(s, 0.0)) for s in shapes)
         return _INVALID_PENALTY * (1.0 + bad)
-    z = (data - loc) / scale
-    lp = family.logpdf_z(z, shapes)
-    total = lp.sum()
+    if scratch is None:
+        scratch = (np.empty(np.shape(data)), np.empty(np.shape(data)))
+    z, tmp = scratch
+    np.subtract(data, loc, out=z)
+    np.divide(z, scale, out=z)
+    lp = family.logpdf_z_into(z, shapes, tmp)
+    total = float(lp.sum())
     if not math.isfinite(total):
-        total = np.sum(np.where(np.isfinite(lp), lp, -_POINT_PENALTY))
-    return float(-(total - z.size * math.log(scale)))
+        total = float(np.sum(np.where(np.isfinite(lp), lp, -_POINT_PENALTY)))
+    return -(total - z.size * math.log(scale))
 
 
 def _jitter_start(family, theta0, eta):
@@ -886,8 +908,10 @@ def fit_mle(family, data, fitting_seed=0):
 
     with np.errstate(all="ignore"):
         if family.simplex:
+            scratch = (np.empty_like(arr), np.empty_like(arr))
+
             def objective(t):
-                return _penalized_nll(family, arr, family.from_search(t, m, s))
+                return _penalized_nll(family, arr, family.from_search(t, m, s), scratch)
 
             rng = SeededRng(fitting_seed, domain=DOMAIN_FIT)
             starts = [theta0] + [

@@ -560,7 +560,9 @@ def _single_threaded_blas():
     n = 10000). There a second BLAS thread spins: on a 2-vCPU host the
     quick-start `analyze` without this guard wrote the same bytes in no
     less wall time, with 0.4-0.5 s more CPU (1.25 -> 1.75 s median over 6
-    alternating pairs). Not safe against BLAS calls from concurrent threads.
+    alternating pairs). The CLI's commands load OpenBLAS on one thread
+    (`cli.main`), so this matters only to library callers that loaded
+    numpy with more. Not safe against BLAS calls from concurrent threads.
     """
     controls = _blas_thread_controls()
     if controls is None:

@@ -3,8 +3,9 @@
 Everything here is deliberately written against the mathematical
 definitions (mpmath arbitrary precision, exact rational arithmetic, or
 naive full rescans) and shares no code with the implementations it checks.
-The reference copies at the end keep earlier forms of the fit loop and of
-Owen's T quadrature, which the current forms must match to the bit.
+The reference copies at the end keep earlier forms of the fit loop, of
+loggamma's simplex objective and of Owen's T quadrature, which the current
+forms must match to the bit.
 """
 
 import math
@@ -278,6 +279,25 @@ def penalized_nll_ref(family, data, theta):
         lp = family.logpdf_z(z, shapes)
     lp = np.where(np.isfinite(lp), lp, -_POINT_PENALTY)
     return float(-(np.sum(lp) - z.size * math.log(scale)) + penalty)
+
+
+def loggamma_nll_ref(data, theta):
+    """loggamma's simplex objective in the plain allocating form that the
+    scratch-vector one replaced: each temporary a new array, the
+    log-density c z - e^z - lgamma(c) in one expression."""
+    c, loc, scale = theta
+    if not all(map(math.isfinite, theta)):
+        return _INVALID_PENALTY
+    if scale <= 0.0:
+        return _INVALID_PENALTY * (1.0 + abs(scale))
+    if c <= 0.0:
+        return _INVALID_PENALTY * (1.0 + abs(c))
+    z = (data - loc) / scale
+    lp = c * z - np.exp(z) - math.lgamma(c)
+    total = lp.sum()
+    if not math.isfinite(total):
+        total = np.sum(np.where(np.isfinite(lp), lp, -_POINT_PENALTY))
+    return float(-(total - z.size * math.log(scale)))
 
 
 def owens_quad_matrix_ref(h, a):

@@ -12,7 +12,7 @@ import pytest
 
 import rleval
 from conftest import QUICKSTART_SPEC, WORKLOAD_CONFIG
-from rleval import pipeline
+from rleval import pipeline, special
 from rleval._yamlio import dump_canonical, load_strict
 from rleval.cli import main
 from rleval.distributions import fit_from_record, fit_record
@@ -121,6 +121,24 @@ class TestCurves:
         assert {p: p.read_bytes() for p in out.iterdir()} == before
         assert main(first) == 0
         assert {p: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_run_named_band_exit_1_before_writing(self, workspace, capsys):
+        """With two runs or more the band goes to band.csv, where a run
+        named `band` would have its curve written first: exit 1, nothing
+        written."""
+        logs = workspace / "logs"
+        logs.mkdir()
+        paths = _run_paths(workspace)
+        shutil.copy(paths[0], logs / "band.csv")
+        shutil.copy(paths[1], logs / "synth-01.csv")
+        out = workspace / "curves"
+        assert main(["curves", str(workspace / "config.yaml"), str(logs / "band.csv"),
+                     str(logs / "synth-01.csv"), "--out", str(out)]) == 1
+        assert "'band'" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["curves", str(workspace / "config.yaml"), str(logs / "band.csv"),
+                     "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["band.csv"]
 
 
 class TestAnalyze:
@@ -595,3 +613,54 @@ def test_start_up_without_numpy(argv, code, stdout, tmp_path):
     assert done.returncode == code, done.stderr
     assert stdout in done.stdout and (stdout or not done.stdout)
     assert done.stderr.splitlines()[-1] == "[]"
+
+
+# Run by a fresh interpreter: `rleval synth` through cli.main, then the BLAS
+# thread count and OPENBLAS_NUM_THREADS on the last line.
+_THREADS_SCRIPT = """\
+import os, sys
+from rleval.cli import main
+assert main(["synth", "spec.yaml", "--seed", "5", "--out", "runs"]) == 0
+from rleval.special import _blas_thread_controls
+print(_blas_thread_controls()[0](), os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+def _blas_threads_after_synth(tmp_path, preset):
+    (tmp_path / "spec.yaml").write_text(SPEC_TEXT)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(rleval.__file__).resolve().parents[1])
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    done = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+_NO_THREAD_CONTROLS = pytest.mark.skipif(
+    special._blas_thread_controls() is None, reason="needs numpy on OpenBLAS")
+
+
+@_NO_THREAD_CONTROLS
+def test_cli_loads_blas_on_one_thread(tmp_path):
+    """A command started by cli.main loads numpy with OPENBLAS_NUM_THREADS=1,
+    so no idle BLAS worker spins beside it."""
+    assert _blas_threads_after_synth(tmp_path, None) == "1 1"
+
+
+@_NO_THREAD_CONTROLS
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: [])(0)) < 2,
+                    reason="needs two CPUs this process may run on")
+def test_cli_keeps_a_preset_blas_thread_count(tmp_path):
+    assert _blas_threads_after_synth(tmp_path, "2") == "2 2"
+
+
+def test_cli_leaves_environment_alone_once_numpy_is_loaded(workspace, monkeypatch):
+    """Where numpy came first, as in a library caller or this test process,
+    the BLAS has started its threads and cli.main sets nothing."""
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    assert main(["synth", str(workspace / "spec.yaml"), "--seed", "5", "--out",
+                 str(workspace / "again")]) == 0
+    assert dict(os.environ) == before

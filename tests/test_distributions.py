@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import WORKLOAD_SEED
 from rleval import distributions as D
 from rleval import special
 from rleval.errors import NumericError, ValidationError
+from rleval.pipeline import fitting_seed_for
 from rleval.rng import SeededRng
 
 scipy_stats = pytest.importorskip("scipy.stats")
@@ -525,6 +527,55 @@ class TestObjective:
             expected = oracles.penalized_nll_ref(family, data, theta).hex()
             assert D._penalized_nll(family, data, theta).hex() == expected
             assert D._penalized_nll(family, data, list(theta)).hex() == expected
+
+    @staticmethod
+    def _assert_matches_plain_formula(data, theta):
+        """loggamma's objective at theta is the plain allocating formula's
+        float bit for bit: with a scratch pair of its own, and with a passed
+        one whatever the pair held before."""
+        family = D.get_family("loggamma")
+        expected = oracles.loggamma_nll_ref(data, theta).hex()
+        scratch = (np.full_like(data, np.nan), np.full_like(data, -np.inf))
+        for value in (D._penalized_nll(family, data, theta),
+                      D._penalized_nll(family, data, theta, scratch),
+                      D._penalized_nll(family, data, theta, scratch)):
+            assert type(value) is float
+            assert value.hex() == expected
+
+    @pytest.mark.parametrize("theta", [
+        [math.nan, 150.0, 10.0], [2.0, math.inf, 10.0],
+        [2.0, 150.0, 0.0], [2.0, 150.0, -3.0],
+        [0.0, 150.0, 10.0], [-1.5, 150.0, 10.0],
+    ], ids=["nan shape", "inf loc", "zero scale", "negative scale", "zero c", "negative c"])
+    def test_loggamma_penalties_match_plain_formula(self, theta):
+        self._assert_matches_plain_formula(np.linspace(120.0, 180.0, 41), theta)
+
+    def test_loggamma_overflowing_exp_matches_plain_formula(self):
+        """Past z = 710, e^z is inf and its points take -_POINT_PENALTY."""
+        data = np.array([0.0, 1.0, 720.0, 800.0])
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(float(np.sum(np.exp(data))))
+            self._assert_matches_plain_formula(data, [2.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("workload", ["quickstart", "skewed-runs"])
+    def test_loggamma_starts_match_plain_formula(self, workload, workload_means, monkeypatch):
+        """At the three starts of the simplex that `analyze` runs on each
+        benchmark input, the objective is the plain formula's float, through
+        the fit's own closure and scratch pair too."""
+        means = workload_means[workload]
+        starts = []
+
+        def first_vertex(fn, x0):
+            starts.append((np.array(x0), fn(x0)))
+            return D.SearchResult(np.array(x0), starts[-1][1], False, 0)
+
+        monkeypatch.setattr(D, "nelder_mead", first_vertex)
+        D.fit_mle("loggamma", means,
+                  fitting_seed=fitting_seed_for(WORKLOAD_SEED, D.FAMILY_NAMES.index("loggamma")))
+        assert len(starts) == 3
+        for theta, value in starts:
+            assert value.hex() == oracles.loggamma_nll_ref(means, theta).hex()
+            self._assert_matches_plain_formula(means, theta)
 
 
 class TestGof:
