@@ -848,9 +848,9 @@ def _penalized_nll(family, data, theta, scratch=None):
     """Negative log-likelihood of an unbounded family, with finite
     penalties for invalid parameters and non-finite log-densities, for the
     simplex. `scratch` is a pair of float64 vectors of data's shape that z
-    and the log-density are written into; `fit_mle` allocates it once per
-    fit, and a call without it allocates its own. Called inside the fit's
-    np.errstate."""
+    and the log-density are written into; `_simplex_searches` allocates it
+    once for its searches, and a call without it allocates its own. Called
+    inside the fit's np.errstate."""
     theta = list(map(float, theta))
     if not all(map(math.isfinite, theta)):
         return _INVALID_PENALTY
@@ -884,17 +884,8 @@ def _jitter_start(family, theta0, eta):
     return theta
 
 
-def fit_mle(family, data, fitting_seed=0):
-    """Maximum-likelihood fit of one family (the module docstring), with
-    the `iterations` of the search it came from, the score norm at its
-    result, and `converged` when that norm is at most _SCORE_TOL (false
-    where it is undefined). `fitting_seed` draws loggamma's two jittered
-    simplex starts; no other family reads it.
-
-    Non-convergence is reported through the `converged` flag, never raised.
-    Zero-variance data raises NumericError for every family.
-    """
-    family = get_family(family)
+def _fit_sample(family, data):
+    """`data` as the flat float64 array a fit of `family` accepts."""
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 20:
         raise ValidationError("fit_mle requires a flat sample of at least 20 values")
@@ -902,26 +893,71 @@ def fit_mle(family, data, fitting_seed=0):
         raise ValidationError("fit_mle requires finite data")
     if float(np.ptp(arr)) == 0.0:
         raise NumericError(f"zero-variance data cannot be fit by {family.name}")
+    return arr
+
+
+def _moment_start(family, arr):
     shapes0, loc0, scale0 = family.init_params(arr)
-    theta0 = np.array([*shapes0, loc0, scale0], dtype=np.float64)
+    return np.array([*shapes0, loc0, scale0], dtype=np.float64)
+
+
+def _jittered_starts(family, theta0, fitting_seed):
+    rng = SeededRng(fitting_seed, domain=DOMAIN_FIT)
+    return [
+        _jitter_start(family, theta0, rng.standard_normal(theta0.size))
+        for _ in range(_SIMPLEX_STARTS - 1)
+    ]
+
+
+def _simplex_searches(family, arr, starts):
+    """`nelder_mead` on the penalized negative log-likelihood from each
+    start in turn, with one scratch pair for all their objective calls.
+    Called inside the fit's np.errstate."""
+    m, s = float(np.mean(arr)), float(np.std(arr))
+    scratch = (np.empty_like(arr), np.empty_like(arr))
+
+    def objective(t):
+        return _penalized_nll(family, arr, family.from_search(t, m, s), scratch)
+
+    return [nelder_mead(objective, family.to_search(start, m, s)) for start in starts]
+
+
+def jittered_searches(family, data, fitting_seed):
+    """The simplex searches of a `fit_mle` of a simplex family from its two
+    jittered starts, drawn from `fitting_seed`, in order. `pipeline` runs
+    them in a child process while the parent fits other families and
+    searches from the moment start."""
+    family = get_family(family)
+    arr = _fit_sample(family, data)
+    theta0 = _moment_start(family, arr)
+    with np.errstate(all="ignore"):
+        return _simplex_searches(family, arr, _jittered_starts(family, theta0, fitting_seed))
+
+
+def fit_mle(family, data, fitting_seed=0, jittered=None):
+    """Maximum-likelihood fit of one family (the module docstring), with
+    the `iterations` of the search it came from, the score norm at its
+    result, and `converged` when that norm is at most _SCORE_TOL (false
+    where it is undefined). `fitting_seed` draws loggamma's two jittered
+    simplex starts; no other family reads it. `jittered`, when given, is a
+    callable that returns `jittered_searches(family, data, fitting_seed)`;
+    the fit calls it after its moment-start search. Without it the fit
+    runs them itself.
+
+    Non-convergence is reported through the `converged` flag, never raised.
+    Zero-variance data raises NumericError for every family.
+    """
+    family = get_family(family)
+    arr = _fit_sample(family, data)
+    theta0 = _moment_start(family, arr)
     m, s = float(np.mean(arr)), float(np.std(arr))
 
     with np.errstate(all="ignore"):
         if family.simplex:
-            scratch = (np.empty_like(arr), np.empty_like(arr))
-
-            def objective(t):
-                return _penalized_nll(family, arr, family.from_search(t, m, s), scratch)
-
-            rng = SeededRng(fitting_seed, domain=DOMAIN_FIT)
-            starts = [theta0] + [
-                _jitter_start(family, theta0, rng.standard_normal(theta0.size))
-                for _ in range(_SIMPLEX_STARTS - 1)
-            ]
-            best = min(
-                (nelder_mead(objective, family.to_search(start, m, s)) for start in starts),
-                key=lambda result: result.fval,
-            )
+            searches = _simplex_searches(family, arr, [theta0])
+            searches += jittered() if jittered else _simplex_searches(
+                family, arr, _jittered_starts(family, theta0, fitting_seed))
+            best = min(searches, key=lambda result: result.fval)
         else:
             def objective(t):
                 theta = family.from_search(t, m, s)

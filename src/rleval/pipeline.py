@@ -1,19 +1,29 @@
 """End-to-end analysis: exclusions, curves, averages, bootstrap, normality,
 fits, KS, verdicts, report.
 
-Every stage runs serially in one thread; family fits run in the order
-given. Every random draw derives from the one master seed: the bootstrap
-uses it directly, and each family's fitting seed mixes the family's index
-in FAMILY_NAMES into it. The fitting seed reaches only loggamma's two
-jittered simplex starts; the other six fits draw nothing. A family's fit
-does not depend on which other families are fitted or in which order
-(`fit_family`, which `rleval fit` calls too).
+The stages run in order and family fits run in the order given, with one
+exception: loggamma's two jittered simplex searches, about a third of
+`analyze`'s time, run in a forked child process (`_in_child`) from before
+the first fit, and the fit collects them after its moment-start search.
+The child sends back exactly what the parent would have computed, so no
+output depends on whether it ran. Every random draw derives from the one
+master seed: the bootstrap uses it directly, and each family's fitting
+seed mixes the family's index in FAMILY_NAMES into it. The fitting seed
+reaches only loggamma's two jittered simplex starts; the other six fits
+draw nothing. A family's fit does not depend on which other families are
+fitted or in which order (`fit_family`, which `rleval fit` calls too).
 """
 
 import math
+import os
+import pickle
+import signal
+import threading
+from contextlib import ExitStack, contextmanager
+from functools import partial
 
 from .config import config_hash
-from .distributions import FAMILY_NAMES, fit_mle, get_family, with_gof
+from .distributions import FAMILY_NAMES, fit_mle, get_family, jittered_searches, with_gof
 from .errors import ValidationError
 from .inference import DEFAULT_ALPHA, dagostino_pearson, verify_reproducibility
 from .ingest import apply_exclusions
@@ -34,12 +44,95 @@ def fitting_seed_for(master_seed: int, family_index: int) -> int:
     return splitmix64(master_seed ^ (0xF17 + family_index))
 
 
-def fit_family(name, means, seed: int):
+def _fork_pays():
+    """Whether a forked child can run beside this process: fork exists, two
+    CPUs are usable, and no other thread could hold a lock the child needs.
+    Usable CPUs are those of the process's affinity mask; a cgroup CPU
+    quota is not read."""
+    if not hasattr(os, "fork"):
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (cpus or 1) >= 2 and threading.active_count() == 1
+
+
+@contextmanager
+def _in_child(fn):
+    """Starts fn() in a forked child process and yields a function that
+    waits for its result and returns it, or raises the exception fn raised
+    there. The result comes back pickled through a pipe. The child ends with
+    os._exit, so it flushes none of the parent's buffers and runs no exit
+    handler. On leaving the block the child is reaped; if its result was
+    not collected (the parent raised first), it is killed."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                outcome = (True, fn())
+            except BaseException as exc:
+                outcome = (False, exc)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(outcome, pipe)
+        except BaseException:
+            os._exit(1)
+        os._exit(0)
+    os.close(write_fd)
+    reaped = False
+
+    def result():
+        nonlocal reaped
+        with open(read_fd, "rb", closefd=False) as pipe:
+            payload = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        reaped = True
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            how = f"by signal {-code}" if code < 0 else f"with exit status {code}"
+            raise ChildProcessError(f"the fitting process ended {how} before its result")
+        ok, value = pickle.loads(payload)
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield result
+    finally:
+        os.close(read_fd)
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _jittered_in_child(stack, name, means, seed):
+    """Starts family `name`'s jittered searches in a child process that
+    `stack` reaps, and returns the callable that collects them; returns
+    None where a child would not pay (`_fork_pays`), and `fit_mle` then
+    runs them itself."""
+    if not _fork_pays():
+        return None
+    fitting_seed = fitting_seed_for(seed, FAMILY_NAMES.index(name))
+    return stack.enter_context(_in_child(partial(jittered_searches, name, means, fitting_seed)))
+
+
+def fit_family(name, means, seed: int, jittered=None):
     """The fit of family `name` to `means` under master seed `seed`, with its
-    KS statistic and p-value."""
+    KS statistic and p-value. A simplex family's jittered searches come
+    from `jittered` (a callable, as `fit_mle` takes it) or, without one,
+    from a child process started here."""
     validate_seed(seed)
-    seed = fitting_seed_for(seed, FAMILY_NAMES.index(get_family(name).name))
-    return with_gof(fit_mle(name, means, fitting_seed=seed), means)
+    family = get_family(name)
+    with ExitStack() as stack:
+        if jittered is None and family.simplex:
+            jittered = _jittered_in_child(stack, family.name, means, seed)
+        fitting_seed = fitting_seed_for(seed, FAMILY_NAMES.index(family.name))
+        fit = fit_mle(family, means, fitting_seed=fitting_seed, jittered=jittered)
+    return with_gof(fit, means)
 
 
 def run_analysis(
@@ -81,7 +174,12 @@ def run_analysis(
     )
     normality = dagostino_pearson(boot.means, alpha=alpha)
 
-    fits = tuple(fit_family(name, boot.means, seed) for name in families)
+    with ExitStack() as stack:
+        jittered = {
+            name: _jittered_in_child(stack, name, boot.means, seed)
+            for name in families if get_family(name).simplex
+        }
+        fits = tuple(fit_family(name, boot.means, seed, jittered.get(name)) for name in families)
 
     verdicts = ()
     if reported is not None:

@@ -281,15 +281,21 @@ def digamma(x):
 
 
 def _igam_series(a, x):
-    """P(a, x) for x < a + 1 via the ascending series."""
+    """P(a, x) for x < a + 1 via the ascending series. Each step's term and
+    total are rounded nondecreasing functions of x >= 0, so the largest term
+    sits at the largest x and the smallest total at the smallest: the stop
+    test reads two elements, not two whole-array reductions. The term is
+    updated in place, rounded as term * x / denom reads."""
     total = np.full_like(x, 1.0 / a)
     term = total.copy()
     denom = a
+    hi, lo = int(np.argmax(x)), int(np.argmin(x))
     for _ in range(4000):
         denom += 1.0
-        term = term * x / denom
+        np.multiply(term, x, out=term)
+        np.divide(term, denom, out=term)
         total += term
-        if np.max(term) <= _EPS * np.min(total):
+        if term[hi] <= _EPS * total[lo]:
             break
     front = np.exp(a * np.log(np.maximum(x, _FPMIN)) - x - math.lgamma(a))
     return np.where(x > 0, front * total, 0.0)

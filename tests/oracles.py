@@ -4,8 +4,8 @@ Everything here is deliberately written against the mathematical
 definitions (mpmath arbitrary precision, exact rational arithmetic, or
 naive full rescans) and shares no code with the implementations it checks.
 The reference copies at the end keep earlier forms of the fit loop, of
-loggamma's simplex objective and of Owen's T quadrature, which the current
-forms must match to the bit.
+loggamma's simplex objective, of Owen's T quadrature and of the incomplete
+gamma series, which the current forms must match to the bit.
 """
 
 import math
@@ -311,3 +311,20 @@ def owens_quad_matrix_ref(h, a):
     h2 = (h * h)[..., None]
     vals = np.exp(-0.5 * h2 * (1.0 + x * x)) / (1.0 + x * x)
     return np.sum(w * vals, axis=-1) / (2.0 * math.pi)
+
+
+def igam_series_ref(a, x):
+    """The incomplete gamma series with the stop test that the two-element
+    one replaced: the largest term against the smallest total, each found
+    by a pass over the whole array."""
+    total = np.full_like(x, 1.0 / a)
+    term = total.copy()
+    denom = a
+    for _ in range(4000):
+        denom += 1.0
+        term = term * x / denom
+        total += term
+        if np.max(term) <= 1e-17 * np.min(total):
+            break
+    front = np.exp(a * np.log(np.maximum(x, 1e-300)) - x - math.lgamma(a))
+    return np.where(x > 0, front * total, 0.0)
