@@ -158,13 +158,13 @@ def cmd_analyze(args) -> int:
 
 def cmd_fit(args) -> int:
     from .distributions import fit_record, get_family
-    from .pipeline import fit_family
+    from .pipeline import fit_families
     from .resample import read_means_csv
 
     get_family(args.family)  # an unknown family fails before the means are read
     with open(args.means, "r", encoding="utf-8") as fh:
         means = read_means_csv(fh)
-    text = dump_canonical(fit_record(fit_family(args.family, means, args.seed)))
+    text = dump_canonical(fit_record(fit_families([args.family], means, args.seed)[0]))
     print(text, end="")
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -105,7 +105,7 @@ class Family:
         the fit's objective rejects."""
         return np.array([*t[:-2], m + s * t[-2], s * np.exp(t[-1])])
 
-    def search_score(self, t, theta, score, m, s):
+    def search_score(self, t, theta, score, s):
         """The score in search coordinates t, from the score in theta =
         from_search(t): the product of the Jacobian d theta / d t,
         transposed, with it."""
@@ -191,7 +191,7 @@ class Beta(Family):
         a, b, scale = np.exp([t[0], t[1], t[3]])
         return np.array([a, b, m + s * t[2], s * scale])
 
-    def search_score(self, t, theta, score, m, s):
+    def search_score(self, t, theta, score, s):
         a, b, _, scale = theta
         return np.array([a * score[0], b * score[1], s * score[2], scale * score[3]])
 
@@ -258,7 +258,7 @@ class JohnsonSB(Family):
         scale = s * np.exp(log_spread) / (w * q)  # w = 0 decodes to b = inf
         return np.array([v / w, 1.0 / w, m + s * mu - scale * z_m, scale])
 
-    def search_score(self, t, theta, score, m, s):
+    def search_score(self, t, theta, score, s):
         v, w = t[0], abs(t[1])
         g_a, g_b, g_loc, g_scale = score
         scale = theta[3]
@@ -344,7 +344,7 @@ class JohnsonSU(Family):
         scale = s * np.exp(log_sd) / np.sqrt(z_var)  # u = 0 decodes to b = inf
         return np.array([v / u, 1.0 / u, m + s * mu - scale * z_mean, scale])
 
-    def search_score(self, t, theta, score, m, s):
+    def search_score(self, t, theta, score, s):
         v, u = t[0], abs(t[1])
         g_a, g_b, g_loc, g_scale = score
         scale = theta[3]
@@ -401,7 +401,7 @@ class LogGamma(Family):
     def from_search(self, t, m, s):
         return t
 
-    def search_score(self, t, theta, score, m, s):
+    def search_score(self, t, theta, score, s):
         return np.asarray(score, dtype=np.float64)
 
     # Below this z, e^z < 1e-300 and P(c, e^z) = e^(c z) / Gamma(c + 1) to
@@ -926,7 +926,8 @@ def jittered_searches(family, data, fitting_seed):
     """The simplex searches of a `fit_mle` of a simplex family from its two
     jittered starts, drawn from `fitting_seed`, in order. `pipeline` runs
     them in a child process while the parent fits other families and
-    searches from the moment start."""
+    searches from the moment start; without a child `fit_mle` calls this
+    itself."""
     family = get_family(family)
     arr = _fit_sample(family, data)
     theta0 = _moment_start(family, arr)
@@ -942,7 +943,7 @@ def fit_mle(family, data, fitting_seed=0, jittered=None):
     simplex starts; no other family reads it. `jittered`, when given, is a
     callable that returns `jittered_searches(family, data, fitting_seed)`;
     the fit calls it after its moment-start search. Without it the fit
-    runs them itself.
+    calls `jittered_searches` itself.
 
     Non-convergence is reported through the `converged` flag, never raised.
     Zero-variance data raises NumericError for every family.
@@ -955,8 +956,7 @@ def fit_mle(family, data, fitting_seed=0, jittered=None):
     with np.errstate(all="ignore"):
         if family.simplex:
             searches = _simplex_searches(family, arr, [theta0])
-            searches += jittered() if jittered else _simplex_searches(
-                family, arr, _jittered_starts(family, theta0, fitting_seed))
+            searches += jittered() if jittered else jittered_searches(family, arr, fitting_seed)
             best = min(searches, key=lambda result: result.fval)
         else:
             def objective(t):
@@ -964,14 +964,14 @@ def fit_mle(family, data, fitting_seed=0, jittered=None):
                 ll, score = _loglik_score(family, arr, theta)
                 if score is None:
                     return math.inf, None
-                return -ll, -family.search_score(t, theta, score, m, s)
+                return -ll, -family.search_score(t, theta, score, s)
 
             best = bfgs(objective, family.to_search(theta0, m, s), _SCORE_TOL * arr.size, arr.size)
         theta = family.from_search(best.x, m, s)
         _, score = _loglik_score(family, arr, theta)
         # max |score| / n in search coordinates, nan where the score is undefined
         score_norm = math.nan if score is None else float(
-            np.max(np.abs(family.search_score(best.x, theta, score, m, s)))) / arr.size
+            np.max(np.abs(family.search_score(best.x, theta, score, s)))) / arr.size
     shapes, loc, scale = tuple(map(float, theta[:-2])), float(theta[-2]), float(theta[-1])
     if not np.all(np.isfinite(theta)) or scale <= 0.0 or not family.shapes_valid(shapes):
         raise NumericError(f"{family.name} fit ended outside the valid domain")

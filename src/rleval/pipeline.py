@@ -5,13 +5,14 @@ The stages run in order and family fits run in the order given, with one
 exception: loggamma's two jittered simplex searches, about a third of
 `analyze`'s time, run in a forked child process (`_in_child`) from before
 the first fit, and the fit collects them after its moment-start search.
-The child sends back exactly what the parent would have computed, so no
-output depends on whether it ran. Every random draw derives from the one
-master seed: the bootstrap uses it directly, and each family's fitting
-seed mixes the family's index in FAMILY_NAMES into it. The fitting seed
-reaches only loggamma's two jittered simplex starts; the other six fits
-draw nothing. A family's fit does not depend on which other families are
-fitted or in which order (`fit_family`, which `rleval fit` calls too).
+`fit_families` makes that choice and the fits, for `analyze` and for
+`rleval fit` alike. The child sends back exactly what the parent would
+have computed, so no output depends on whether it ran. Every random draw
+derives from the one master seed: the bootstrap uses it directly, and each
+family's fitting seed mixes the family's index in FAMILY_NAMES into it.
+The fitting seed reaches only loggamma's two jittered simplex starts; the
+other six fits draw nothing. A family's fit does not depend on which other
+families are fitted or in which order.
 """
 
 import math
@@ -109,30 +110,24 @@ def _in_child(fn):
             os.waitpid(pid, 0)
 
 
-def _jittered_in_child(stack, name, means, seed):
-    """Starts family `name`'s jittered searches in a child process that
-    `stack` reaps, and returns the callable that collects them; returns
-    None where a child would not pay (`_fork_pays`), and `fit_mle` then
-    runs them itself."""
-    if not _fork_pays():
-        return None
-    fitting_seed = fitting_seed_for(seed, FAMILY_NAMES.index(name))
-    return stack.enter_context(_in_child(partial(jittered_searches, name, means, fitting_seed)))
-
-
-def fit_family(name, means, seed: int, jittered=None):
-    """The fit of family `name` to `means` under master seed `seed`, with its
-    KS statistic and p-value. A simplex family's jittered searches come
-    from `jittered` (a callable, as `fit_mle` takes it) or, without one,
-    from a child process started here."""
+def fit_families(names, means, seed: int):
+    """The fits of the families `names` to `means` under master seed `seed`,
+    in order, each with its KS statistic and p-value. Where a child pays
+    (`_fork_pays`), each simplex family's jittered searches start in a
+    child process before the first fit; elsewhere `fit_mle` runs them."""
     validate_seed(seed)
-    family = get_family(name)
+    families = [get_family(name) for name in names]
+    seeds = [fitting_seed_for(seed, FAMILY_NAMES.index(family.name)) for family in families]
     with ExitStack() as stack:
-        if jittered is None and family.simplex:
-            jittered = _jittered_in_child(stack, family.name, means, seed)
-        fitting_seed = fitting_seed_for(seed, FAMILY_NAMES.index(family.name))
-        fit = fit_mle(family, means, fitting_seed=fitting_seed, jittered=jittered)
-    return with_gof(fit, means)
+        jittered = [
+            stack.enter_context(_in_child(partial(jittered_searches, family, means, fitting_seed)))
+            if family.simplex and _fork_pays() else None
+            for family, fitting_seed in zip(families, seeds)
+        ]
+        return [
+            with_gof(fit_mle(family, means, fitting_seed=fitting_seed, jittered=collect), means)
+            for family, fitting_seed, collect in zip(families, seeds, jittered)
+        ]
 
 
 def run_analysis(
@@ -174,12 +169,7 @@ def run_analysis(
     )
     normality = dagostino_pearson(boot.means, alpha=alpha)
 
-    with ExitStack() as stack:
-        jittered = {
-            name: _jittered_in_child(stack, name, boot.means, seed)
-            for name in families if get_family(name).simplex
-        }
-        fits = tuple(fit_family(name, boot.means, seed, jittered.get(name)) for name in families)
+    fits = tuple(fit_families(families, boot.means, seed))
 
     verdicts = ()
     if reported is not None:

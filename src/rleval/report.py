@@ -18,7 +18,7 @@ from ._fmt import fmt_fixed, fmt_shortest
 from ._yamlio import dump_canonical
 from .distributions import fit_record
 from .errors import ValidationError
-from .inference import Decision, significance_summary
+from .inference import significance_summary
 from .metrics import EMPTY_WINDOW_POLICY, write_band_csv, write_curve_csv
 from .resample import CI_METHOD, write_means_csv
 from .tabular import Table
@@ -157,7 +157,7 @@ def emit_bundle(report: AnalysisReport, directory) -> list:
                 fmt_shortest(verdict.p_v),
                 fmt_shortest(verdict.p_d),
                 fmt_shortest(verdict.combined),
-                "failed_to_reject" if verdict.decision is Decision.FAILED_TO_REJECT else "rejected",
+                verdict.decision.value,
             ])
         probs = Table(columns=["family", "p_v", "p_d", "combined", "decision"], rows=rows)
         files["probabilities.csv"] = probs.to_csv()

@@ -14,8 +14,10 @@ import rleval
 from conftest import QUICKSTART_SPEC, WORKLOAD_CONFIG
 from rleval import pipeline, special
 from rleval._yamlio import dump_canonical, load_strict
-from rleval.cli import main
+from rleval.cli import build_parser, main
 from rleval.distributions import fit_from_record, fit_record
+from rleval.inference import DEFAULT_ALPHA
+from rleval.resample import DEFAULT_RESAMPLES
 
 CONFIG_TEXT = """\
 schema_version: 1
@@ -613,6 +615,16 @@ def test_start_up_without_numpy(argv, code, stdout, tmp_path):
     assert done.returncode == code, done.stderr
     assert stdout in done.stdout and (stdout or not done.stdout)
     assert done.stderr.splitlines()[-1] == "[]"
+
+
+def test_cli_defaults_are_the_library_constants():
+    """`cli` spells the `--resamples` and `--alpha` defaults as literals, so
+    that parsing loads no numpy; they equal the library's constants."""
+    parser = build_parser()
+    analyze = parser.parse_args(["analyze", "c.yaml", "r.csv", "--seed", "1", "--out", "o"])
+    verify = parser.parse_args(["verify", "fit.yaml", "--reported", "1"])
+    assert analyze.resamples == DEFAULT_RESAMPLES
+    assert analyze.alpha == verify.alpha == DEFAULT_ALPHA
 
 
 # Run by a fresh interpreter: `rleval synth` through cli.main, then the BLAS

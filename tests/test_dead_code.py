@@ -1,6 +1,9 @@
 """No dead helpers: every top-level function, class and constant of
 `src/rleval` is read somewhere in the package outside its own definition,
-or is kept in the allowlist below for a stated reason."""
+and every positional parameter is read by the function that takes it, or
+by one of the methods of its name, or is kept in the allowlist below for a
+stated reason. A read is a load that resolves to the binding: a parameter
+or local of the same name reads that, not the module's."""
 
 import ast
 from pathlib import Path
@@ -9,47 +12,175 @@ import rleval
 
 PACKAGE = Path(rleval.__file__).parent
 
-# name -> why it stays although no module of the package reads it.
-KEPT = {}
+# name -> why it stays although no module of the package reads it. A
+# parameter is written module.function(parameter), or for a method
+# module.Class.method(parameter) after the first class that defines it.
+KEPT = {
+    "distributions.sample": "the fit-recovery tests and acceptance criterion 5 draw their "
+                            "data with it, and ROADMAP item 9 is its planned caller",
+    "inference.verify_reproducibility(boot)": "perfbench/tracing.py passes it; ROADMAP item 5 "
+                                              "removes it",
+}
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
-def _definitions(tree):
-    """(name, node) for each top-level def, class and assigned name."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                for name in ast.walk(target):
-                    if isinstance(name, ast.Name):
-                        yield name.id, node
+def _trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
 
 
-def _unread_names():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py"))}
+def _own_nodes(scope):
+    """The nodes of `scope` outside the scopes nested in it, with each
+    nested scope's own node."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (*_FUNCTIONS, ast.ClassDef, *_COMPREHENSIONS)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _bindings(scope):
+    """The names `scope` binds: its parameters, and the names it stores,
+    defines or catches, less those it declares global or nonlocal. A name
+    it imports is left out: a load of it reads the name it imports."""
+    names, declared = set(), set()
+    if isinstance(scope, _FUNCTIONS):
+        args = scope.args
+        names.update(a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                     args.vararg, args.kwarg] if a)
+    for node in _own_nodes(scope):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+    return names - declared
+
+
+def _loads(tree):
+    """(scope, name, line) of each Name that `tree` loads, where scope is
+    the function, lambda, comprehension or class whose binding the load
+    reads, or None for the module's. A class body's names are seen only in
+    that body, not in the functions and comprehensions it holds."""
+    loads = []
+
+    def visit(node, env):  # env: (scope, its bindings, is a class) of the enclosing scopes
+        if isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Load):
+                scope = next((s for s, names, _ in reversed(env) if node.id in names), None)
+                loads.append((scope, node.id, node.lineno))
+            return
+        if isinstance(node, (*_FUNCTIONS, ast.ClassDef, *_COMPREHENSIONS)):
+            visible = tuple(e for e in env if not e[2])
+            inner = visible + ((node, _bindings(node), isinstance(node, ast.ClassDef)),)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            outside, body = [*node.decorator_list, node.args, node.returns], node.body
+        elif isinstance(node, ast.Lambda):
+            outside, body = [node.args], [node.body]
+        elif isinstance(node, ast.ClassDef):
+            outside = [*node.decorator_list, *node.bases, *node.keywords]
+            body = node.body
+        elif isinstance(node, _COMPREHENSIONS):
+            first = node.generators[0]
+            outside = [first.iter]
+            body = [child for child in ast.iter_child_nodes(node) if child is not first]
+            body += [first.target, *first.ifs]
+        else:
+            outside, body, inner = list(ast.iter_child_nodes(node)), [], env
+        for child in outside:
+            if child is not None:
+                visit(child, env)
+        for child in body:
+            visit(child, inner)
+
+    visit(tree, ())
+    return loads
+
+
+def _unread_names(trees):
     reads = {}  # name -> [(module, line)]
     for module, tree in trees.items():
+        for scope, name, line in _loads(tree):
+            if scope is None:
+                reads.setdefault(name, []).append((module, line))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                reads.setdefault(node.id, []).append((module, node.lineno))
-            elif isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Attribute):
                 reads.setdefault(node.attr, []).append((module, node.lineno))
     unread = set()
     for module, tree in trees.items():
-        for name, node in _definitions(tree):
-            outside = [
-                (m, line) for m, line in reads.get(name, ())
-                if not (m == module and node.lineno <= line <= node.end_lineno)
-            ]
-            if not outside:
-                unread.add(f"{module[:-3]}.{name}")
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                outside = [
+                    (m, line) for m, line in reads.get(name, ())
+                    if not (m == module and node.lineno <= line <= node.end_lineno)
+                ]
+                if not outside:
+                    unread.add(f"{module[:-3]}.{name}")
     return unread
 
 
+def _positional(fn, method):
+    params = [a.arg for a in [*fn.args.posonlyargs, *fn.args.args]]
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+    return params[1:] if method and not static else params
+
+
+def _unread_parameters(trees):
+    """Positional parameters that no definition reads. A function's are
+    matched with its own body; a method's, by position, with every method
+    of its name in the package, since a caller may reach any of them."""
+    functions, methods = [], {}  # methods: name -> [(label, positional, reads)]
+    for module, tree in trees.items():
+        read = {}
+        for scope, name, _ in _loads(tree):
+            read.setdefault(scope, set()).add(name)
+        classes = {node: cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for node in cls.body}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                cls = classes.get(fn)
+                label = f"{module[:-3]}.{cls + '.' if cls else ''}{fn.name}"
+                entry = (label, _positional(fn, cls is not None), read.get(fn, set()))
+                if cls is None:
+                    functions.append(entry)
+                else:
+                    methods.setdefault(fn.name, []).append(entry)
+    unread = {f"{label}({p})" for label, params, reads in functions for p in params
+              if p not in reads}
+    for defs in methods.values():
+        read = {i for _, params, reads in defs for i, p in enumerate(params) if p in reads}
+        for i in range(max(len(params) for _, params, _ in defs)):
+            if i not in read:
+                label, params, _ = next(d for d in defs if i < len(d[1]))
+                unread.add(f"{label}({params[i]})")
+    return unread
+
+
+def _kept(parameters):
+    return {name for name in KEPT if ("(" in name) == parameters}
+
+
 def test_every_top_level_name_is_read():
-    unread = _unread_names()
-    assert sorted(unread - set(KEPT)) == []
+    unread = _unread_names(_trees())
+    assert sorted(unread - _kept(False)) == []
     # an allowlisted name that the package reads again leaves the list
-    assert sorted(set(KEPT) - unread) == []
+    assert sorted(_kept(False) - unread) == []
+
+
+def test_every_positional_parameter_is_read():
+    unread = _unread_parameters(_trees())
+    assert sorted(unread - _kept(True)) == []
+    assert sorted(_kept(True) - unread) == []

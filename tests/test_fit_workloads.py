@@ -28,7 +28,7 @@ from rleval._yamlio import dump_canonical
 from rleval.cli import main
 from rleval.inference import make_verdict
 from rleval.metrics import run_average_return
-from rleval.pipeline import fit_family, fitting_seed_for
+from rleval.pipeline import fit_families, fitting_seed_for
 from rleval.report import (
     MANIFEST_NAME,
     emit_bundle,
@@ -138,7 +138,7 @@ def test_converged_means_a_small_score(workload, workload_fit, workload_means):
             t = F.to_search(np.array(fit.params), m, s)
             theta = F.from_search(t, m, s)
             _, score = D._loglik_score(F, means, theta)
-        norm = float(np.max(np.abs(F.search_score(t, theta, score, m, s)))) / means.size
+        norm = float(np.max(np.abs(F.search_score(t, theta, score, s)))) / means.size
         assert fit.score_norm == pytest.approx(norm, rel=1e-3, abs=1e-12)
         assert fit.converged == (fit.score_norm <= D._SCORE_TOL)
 
@@ -543,7 +543,7 @@ def test_fit_follows_a_change_of_units(workload, family, workload_fit, workload_
     fit = D.with_gof(workload_fit(workload, family), means)
     verdict = make_verdict(fit, reported)
     for shift, scale in ((0.0, 1e3), (-m, 1.0)):
-        mapped = fit_family(family, (means + shift) * scale, WORKLOAD_SEED)
+        (mapped,) = fit_families([family], (means + shift) * scale, WORKLOAD_SEED)
         moved = make_verdict(mapped, (reported + shift) * scale)
         assert mapped.log_likelihood == pytest.approx(
             fit.log_likelihood - means.size * np.log(scale), rel=0, abs=1e-8)

@@ -116,7 +116,7 @@ def test_child_error_is_raised_in_the_parent(forks, monkeypatch):
 
     monkeypatch.setattr(pipeline, "jittered_searches", fail)
     with pytest.raises(NumericError) as raised:
-        pipeline.fit_family("loggamma", SMALL_MEANS, WORKLOAD_SEED)
+        pipeline.fit_families(["loggamma"], SMALL_MEANS, WORKLOAD_SEED)
     assert type(raised.value) is NumericError
     assert str(raised.value) == f"injected in process {forks[0]}"
 
@@ -147,7 +147,7 @@ def test_killed_child_raises(forks, monkeypatch):
     monkeypatch.setattr(pipeline, "jittered_searches",
                         lambda *args: os.kill(os.getpid(), signal.SIGKILL))
     with pytest.raises(ChildProcessError, match=f"by signal {int(signal.SIGKILL)} "):
-        pipeline.fit_family("loggamma", SMALL_MEANS, WORKLOAD_SEED)
+        pipeline.fit_families(["loggamma"], SMALL_MEANS, WORKLOAD_SEED)
     assert len(forks) == 1
 
 
@@ -156,8 +156,9 @@ def test_no_child_where_it_would_not_pay(monkeypatch):
     one made with them passed in."""
     _inline(monkeypatch)
     monkeypatch.setattr(pipeline.os, "fork", None)  # a fork here would fail the test
-    inline = pipeline.fit_family("loggamma", SMALL_MEANS, WORKLOAD_SEED)
+    (inline,) = pipeline.fit_families(["loggamma"], SMALL_MEANS, WORKLOAD_SEED)
     fitting_seed = pipeline.fitting_seed_for(WORKLOAD_SEED, pipeline.FAMILY_NAMES.index("loggamma"))
     searches = pipeline.jittered_searches("loggamma", SMALL_MEANS, fitting_seed)
-    passed = pipeline.fit_family("loggamma", SMALL_MEANS, WORKLOAD_SEED, lambda: searches)
-    assert repr(fit_record(inline)) == repr(fit_record(passed))
+    passed = pipeline.fit_mle("loggamma", SMALL_MEANS, fitting_seed=fitting_seed,
+                              jittered=lambda: searches)
+    assert repr(fit_record(inline)) == repr(fit_record(pipeline.with_gof(passed, SMALL_MEANS)))
