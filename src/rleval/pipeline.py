@@ -1,15 +1,17 @@
 """End-to-end analysis: exclusions, curves, averages, bootstrap, normality,
 fits, KS, verdicts, report.
 
-The stages run in order and family fits run in the order given, with one
-exception: loggamma's two jittered simplex searches, about a third of
-`analyze`'s time, run in a forked child process (`_in_child`) from before
-the first fit, and the fit collects them after its moment-start search.
-`fit_families` makes that choice and the fits, for `analyze` and for
-`rleval fit` alike. The child sends back exactly what the parent would
-have computed, so no output depends on whether it ran. Every random draw
-derives from the one master seed: the bootstrap uses it directly, and each
-family's fitting seed mixes the family's index in FAMILY_NAMES into it.
+The stages run in order. loggamma's two jittered simplex searches, about
+a third of `analyze`'s time, run in a forked child process (`_in_child`)
+from before the first fit. The parent fits the other families meanwhile,
+in the order given, and fits loggamma last: its fit collects the child's
+searches after its moment-start search. Where no child runs, the fits run
+in the order given. `fit_families` makes that choice and the fits, for
+`analyze` and for `rleval fit` alike, and returns the fits in the order
+given. The child sends back exactly what the parent would have computed,
+so no output depends on whether it ran. Every random draw derives from
+the one master seed: the bootstrap uses it directly, and each family's
+fitting seed mixes the family's index in FAMILY_NAMES into it.
 The fitting seed reaches only loggamma's two jittered simplex starts; the
 other six fits draw nothing. A family's fit does not depend on which other
 families are fitted or in which order.
@@ -114,7 +116,9 @@ def fit_families(names, means, seed: int):
     """The fits of the families `names` to `means` under master seed `seed`,
     in order, each with its KS statistic and p-value. Where a child pays
     (`_fork_pays`), each simplex family's jittered searches start in a
-    child process before the first fit; elsewhere `fit_mle` runs them."""
+    child process before the first fit, and the parent fits every other
+    family, in order, before the simplex families that wait on a child;
+    elsewhere `fit_mle` runs the searches and the fits run in order."""
     validate_seed(seed)
     families = [get_family(name) for name in names]
     seeds = [fitting_seed_for(seed, FAMILY_NAMES.index(family.name)) for family in families]
@@ -124,10 +128,11 @@ def fit_families(names, means, seed: int):
             if family.simplex and _fork_pays() else None
             for family, fitting_seed in zip(families, seeds)
         ]
-        return [
-            with_gof(fit_mle(family, means, fitting_seed=fitting_seed, jittered=collect), means)
-            for family, fitting_seed, collect in zip(families, seeds, jittered)
-        ]
+        fits = [None] * len(families)
+        for i in sorted(range(len(families)), key=lambda i: jittered[i] is not None):
+            fit = fit_mle(families[i], means, fitting_seed=seeds[i], jittered=jittered[i])
+            fits[i] = with_gof(fit, means)
+        return fits
 
 
 def run_analysis(

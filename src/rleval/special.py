@@ -302,22 +302,27 @@ def _igam_series(a, x):
 
 
 def _igam_cf(a, x):
-    """Q(a, x) for x >= a + 1 via the Lentz continued fraction."""
+    """Q(a, x) for x >= a + 1 via the Lentz continued fraction, each step
+    written in place and rounded as d = an * d + b, c = b + an / c reads."""
     b = x + 1.0 - a
     c = np.full_like(x, 1.0 / _FPMIN)
     d = 1.0 / b
     h = d.copy()
+    delta = np.empty_like(x)
     for i in range(1, 4000):
         an = -i * (i - a)
-        b = b + 2.0
-        d = an * d + b
-        np.maximum(np.abs(d), _FPMIN, out=d)
-        c = b + an / c
-        np.maximum(np.abs(c), _FPMIN, out=c)
-        d = 1.0 / d
-        delta = d * c
-        h = h * delta
-        if np.max(np.abs(delta - 1.0)) < _CF_EPS:
+        b += 2.0
+        np.multiply(d, an, out=d)
+        d += b
+        np.maximum(np.abs(d, out=d), _FPMIN, out=d)
+        np.divide(an, c, out=c)
+        c += b
+        np.maximum(np.abs(c, out=c), _FPMIN, out=c)
+        np.divide(1.0, d, out=d)
+        np.multiply(d, c, out=delta)
+        h *= delta
+        delta -= 1.0
+        if np.max(np.abs(delta, out=delta)) < _CF_EPS:
             break
     front = np.exp(a * np.log(np.maximum(x, _FPMIN)) - x - math.lgamma(a))
     return front * h

@@ -5,7 +5,8 @@ definitions (mpmath arbitrary precision, exact rational arithmetic, or
 naive full rescans) and shares no code with the implementations it checks.
 The reference copies at the end keep earlier forms of the fit loop, of
 loggamma's simplex objective, of Owen's T quadrature and of the incomplete
-gamma series, which the current forms must match to the bit.
+gamma series and continued fraction, which the current forms must match to
+the bit.
 """
 
 import math
@@ -328,3 +329,27 @@ def igam_series_ref(a, x):
             break
     front = np.exp(a * np.log(np.maximum(x, 1e-300)) - x - math.lgamma(a))
     return np.where(x > 0, front * total, 0.0)
+
+
+def igam_cf_ref(a, x):
+    """The incomplete gamma continued fraction in the allocating form that
+    the in-place one replaced: each Lentz step's d, c, delta and h a new
+    array."""
+    b = x + 1.0 - a
+    c = np.full_like(x, 1.0 / 1e-300)
+    d = 1.0 / b
+    h = d.copy()
+    for i in range(1, 4000):
+        an = -i * (i - a)
+        b = b + 2.0
+        d = an * d + b
+        np.maximum(np.abs(d), 1e-300, out=d)
+        c = b + an / c
+        np.maximum(np.abs(c), 1e-300, out=c)
+        d = 1.0 / d
+        delta = d * c
+        h = h * delta
+        if np.max(np.abs(delta - 1.0)) < 1e-15:
+            break
+    front = np.exp(a * np.log(np.maximum(x, 1e-300)) - x - math.lgamma(a))
+    return front * h

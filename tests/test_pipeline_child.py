@@ -1,8 +1,10 @@
 """loggamma's jittered simplex searches in a forked child process
-(`pipeline._in_child`): the bundle and `rleval fit`'s record are the same
-with the child and without it, an error raised in the child is raised in
-the parent, an error in the parent and a killed child each raise without
-hanging, and no child process is left after any of them."""
+(`pipeline._in_child`): the parent fits every other family before it waits
+on the child, the fits come back in the order asked for, the bundle and
+`rleval fit`'s record are the same with the child and without it, an
+error raised in the child is raised in the parent, an error in the parent
+and a killed child each raise without hanging, and no child process is
+left after any of them."""
 
 import os
 import signal
@@ -15,7 +17,7 @@ import pytest
 from conftest import WORKLOAD_RESAMPLES, WORKLOAD_SEED, _workload_runs, workload_analysis
 from rleval import pipeline
 from rleval.cli import main
-from rleval.distributions import fit_record
+from rleval.distributions import FAMILY_NAMES, fit_record
 from rleval.errors import NumericError
 from rleval.metrics import run_average_return
 from rleval.report import emit_bundle
@@ -54,6 +56,20 @@ def _inline(monkeypatch):
     monkeypatch.setattr(pipeline, "_fork_pays", lambda: False)
 
 
+def _record_fits(monkeypatch):
+    """The names of the families `pipeline` calls `fit_mle` on, in call
+    order."""
+    calls = []
+    fit_mle = pipeline.fit_mle
+
+    def recorded(family, *args, **kwargs):
+        calls.append(family.name)
+        return fit_mle(family, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "fit_mle", recorded)
+    return calls
+
+
 def _files(root):
     return {p.relative_to(root).as_posix(): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
@@ -76,6 +92,36 @@ def test_child_returns_its_result(forks):
         pid, value = result()
     assert forks == [pid] and pid != os.getpid()
     assert value == [0.1, 2.5]
+
+
+@needs_child
+def test_loggamma_fitted_after_every_other_family(forks, monkeypatch):
+    """The parent fits the families that wait on no child first, in the
+    order given, so it reaches loggamma's wait for the child last."""
+    calls = _record_fits(monkeypatch)
+    fits = pipeline.fit_families(FAMILY_NAMES, SMALL_MEANS, WORKLOAD_SEED)
+    assert len(forks) == 1
+    assert calls == [name for name in FAMILY_NAMES if name != "loggamma"] + ["loggamma"]
+    assert [fit.family.name for fit in fits] == list(FAMILY_NAMES)
+
+
+def test_fits_in_the_order_given_without_a_child(monkeypatch):
+    _inline(monkeypatch)
+    calls = _record_fits(monkeypatch)
+    pipeline.fit_families(FAMILY_NAMES, SMALL_MEANS, WORKLOAD_SEED)
+    assert calls == list(FAMILY_NAMES)
+
+
+def test_fits_returned_in_the_order_given():
+    """For a shuffled family list the fits come back in that list's order,
+    each the record the full analysis wrote for its family."""
+    analysis = workload_analysis("quickstart", _workload_runs("quickstart", WORKLOAD_SEED))
+    full = {fit.family.name: fit_record(fit) for fit in analysis.fits}
+    names = ["skewnorm", "loggamma", "normal", "johnsonsu", "powernorm", "beta", "johnsonsb"]
+    assert sorted(names) == sorted(FAMILY_NAMES) and names != list(FAMILY_NAMES)
+    fits = pipeline.fit_families(names, analysis.bootstrap.means, WORKLOAD_SEED)
+    assert [fit.family.name for fit in fits] == names
+    assert [fit_record(fit) for fit in fits] == [full[name] for name in names]
 
 
 @needs_child

@@ -196,6 +196,30 @@ class TestIncompleteGamma:
         monkeypatch.setattr(sp, "_igam_series", oracles.igam_series_ref)
         assert [v.hex() for v in fast] == [v.hex() for v in sp.reg_inc_gamma_lower(c, x)]
 
+    @pytest.mark.parametrize("a", [1.0, 10.0, 1e3, 1.36e5, 2.65e5])
+    def test_continued_fraction_matches_the_allocating_form(self, a):
+        """The in-place Lentz steps give the allocating form's bits, from
+        x = a + 1 out to where Q underflows, also on parts of that range,
+        where the whole-array stop test ends the fraction elsewhere."""
+        reach = 40.0 * math.sqrt(a) + 800.0
+        x = a + 1.0 + np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 200) * reach])
+        for part in (x, x[:1], x[::7], x[150:]):
+            assert ([v.hex() for v in sp._igam_cf(a, part)]
+                    == [v.hex() for v in oracles.igam_cf_ref(a, part)])
+
+    @pytest.mark.parametrize("workload", ["quickstart", "skewed-runs"])
+    def test_continued_fraction_unchanged_at_loggamma_ks_arguments(
+            self, workload, workload_fit, workload_means, monkeypatch):
+        """Q(c, e^z) at the points where loggamma's KS test evaluates it on
+        the benchmark inputs' means, bit for bit."""
+        fit = workload_fit(workload, "loggamma")
+        x = np.exp((workload_means[workload] - fit.loc) / fit.scale)
+        c = fit.shapes[0]
+        assert np.any(x >= c + 1.0)
+        fast = sp.reg_inc_gamma_lower(c, x)
+        monkeypatch.setattr(sp, "_igam_cf", oracles.igam_cf_ref)
+        assert [v.hex() for v in fast] == [v.hex() for v in sp.reg_inc_gamma_lower(c, x)]
+
     @pytest.mark.xfail(strict=True, reason=(
         "the series stops silently at 4000 terms, short of convergence where "
         "a is large and x near it: 6.4e-5 relative off here (ROADMAP item 4)"))
