@@ -62,6 +62,25 @@ def igam_lower_ref(a: float, x: float) -> float:
     return float(mp.gammainc(a, 0, x, regularized=True))
 
 
+def igam_tails_ref(a: float, x: float):
+    """(P(a, x), Q(a, x)) at any a > 0, x > 0, where mp.gammainc gives up
+    at large a: P = x^a e^-x / Gamma(a + 1) * 1F1(1; a + 1; x) (DLMF
+    8.5.1), a series of positive terms, and Q = 1 - P worked with as many
+    more digits as Q has leading zeros, so that both keep 40. Where Q lies
+    below ~1e-330 (its exponent's estimate a eta^2 / 2 from 760 up), the
+    result is (1.0, 0.0) without the series, whose terms would number
+    about x - a."""
+    with mp.workdps(40):
+        a, x = mp.mpf(a), mp.mpf(x)
+        zeros = (x - a - a * mp.log(x / a)) / mp.log(10) if x > a else 0
+    if zeros >= 330:
+        return 1.0, 0.0
+    with mp.workdps(50 + int(zeros)):
+        p = mp.exp(a * mp.log(x) - x - mp.loggamma(a + 1)) * mp.hyp1f1(1, a + 1, x, maxterms=10**8)
+        q = 1 - p
+    return float(p), float(q)
+
+
 def ibeta_ref(a: float, b: float, z: float) -> float:
     return float(mp.betainc(a, b, 0, z, regularized=True))
 

@@ -17,6 +17,7 @@ import pytest
 import yaml
 
 from conftest import REPORTED, WORKLOAD_RESAMPLES, WORKLOAD_SEED, _workload_runs, workload_analysis
+from rleval import distributions as D
 from rleval.distributions import FAMILY_NAMES
 from rleval.inference import DEFAULT_ALPHA
 from rleval.ingest import write_run_dir
@@ -25,10 +26,11 @@ from rleval.report import emit_bundle
 stats = pytest.importorskip("scipy.stats")
 
 # The largest gaps to scipy are loggamma's, near its normal limit (c ~ 1e5):
-# 4.7e-6 nats and 2.7e-10 in D on skewed-runs, 2.3e-6 and 7.6e-11 on
-# quickstart. The other families stay below 4e-8 nats and 1e-12. The
-# tolerances leave ten times the largest gap and still catch a wrong
-# parameter or formula.
+# 4.7e-6 nats on skewed-runs and 2.3e-6 on quickstart. Its D gaps were
+# 3.0e-10 and 1.3e-10 while the incomplete gamma summed a series cut at 4000
+# terms there; with Temme's expansion they are 1.1e-16 (pinned below). The
+# other families stay below 4e-8 nats and 1e-12. The tolerances leave ten
+# times the largest gap and still catch a wrong parameter or formula.
 LL_TOL = 5e-5
 KS_TOL = 3e-9
 
@@ -154,3 +156,15 @@ def test_bundle_agrees_with_its_rederivation(workload, tmp_path):
         reported=REPORTED,
     )
     assert problems == []
+
+
+@pytest.mark.parametrize("workload", ["quickstart", "skewed-runs"])
+def test_loggamma_ks_statistic_matches_scipy(workload, workload_fit, workload_means):
+    """loggamma's KS statistic, as `analyze` records it, is scipy's D at the
+    recorded parameters to 1e-14. Before Temme's expansion it was 1.3e-10
+    (quickstart) and 3.0e-10 (skewed-runs) off."""
+    means = workload_means[workload]
+    record = D.with_gof(workload_fit(workload, "loggamma"), means)
+    ordered = np.sort(means)
+    dist = stats.loggamma(*record.shapes, loc=record.loc, scale=record.scale)
+    assert abs(_ks_statistic(ordered, dist.cdf(ordered)) - record.ks_statistic) <= 1e-14

@@ -2,8 +2,10 @@
 plus the structural invariants (monotonicity, symmetry, complementarity)."""
 
 import math
+import runpy
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -185,16 +187,19 @@ class TestIncompleteGamma:
 
     @pytest.mark.parametrize("workload", ["quickstart", "skewed-runs"])
     def test_series_unchanged_at_loggamma_ks_arguments(self, workload, workload_fit,
-                                                       workload_means, monkeypatch):
-        """P(c, e^z) at the points where loggamma's KS test evaluates it on
-        the benchmark inputs' means, bit for bit."""
+                                                       workload_means):
+        """The series, called directly, on points x = e^z where loggamma's
+        KS test evaluates P(c, x) on the benchmark inputs' means, bit for
+        bit. `reg_inc_gamma_lower` hands those points to Temme's expansion;
+        these are the ones below c - sqrt(c), which the series sums within
+        its 4000 terms at both shapes (skewed-runs' nearer c need more)."""
         fit = workload_fit(workload, "loggamma")
         x = np.exp((workload_means[workload] - fit.loc) / fit.scale)
         c = fit.shapes[0]
-        assert np.any(x < c + 1.0)
-        fast = sp.reg_inc_gamma_lower(c, x)
-        monkeypatch.setattr(sp, "_igam_series", oracles.igam_series_ref)
-        assert [v.hex() for v in fast] == [v.hex() for v in sp.reg_inc_gamma_lower(c, x)]
+        part = x[x < c - math.sqrt(c)]
+        assert part.size > 1000
+        assert ([v.hex() for v in sp._igam_series(c, part)]
+                == [v.hex() for v in oracles.igam_series_ref(c, part)])
 
     @pytest.mark.parametrize("a", [1.0, 10.0, 1e3, 1.36e5, 2.65e5])
     def test_continued_fraction_matches_the_allocating_form(self, a):
@@ -209,24 +214,77 @@ class TestIncompleteGamma:
 
     @pytest.mark.parametrize("workload", ["quickstart", "skewed-runs"])
     def test_continued_fraction_unchanged_at_loggamma_ks_arguments(
-            self, workload, workload_fit, workload_means, monkeypatch):
-        """Q(c, e^z) at the points where loggamma's KS test evaluates it on
-        the benchmark inputs' means, bit for bit."""
+            self, workload, workload_fit, workload_means):
+        """The continued fraction, called directly, on the points x >= c + 1
+        where loggamma's KS test evaluates Q(c, x) on the benchmark inputs'
+        means, bit for bit. `reg_inc_gamma_upper` hands them to Temme's
+        expansion."""
         fit = workload_fit(workload, "loggamma")
         x = np.exp((workload_means[workload] - fit.loc) / fit.scale)
         c = fit.shapes[0]
-        assert np.any(x >= c + 1.0)
-        fast = sp.reg_inc_gamma_lower(c, x)
-        monkeypatch.setattr(sp, "_igam_cf", oracles.igam_cf_ref)
-        assert [v.hex() for v in fast] == [v.hex() for v in sp.reg_inc_gamma_lower(c, x)]
+        part = x[x >= c + 1.0]
+        assert part.size > 1000
+        assert ([v.hex() for v in sp._igam_cf(c, part)]
+                == [v.hex() for v in oracles.igam_cf_ref(c, part)])
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the series stops silently at 4000 terms, short of convergence where "
-        "a is large and x near it: 6.4e-5 relative off here (ROADMAP item 4)"))
     def test_series_converges_at_large_shape(self):
         a = 1e6
         assert sp.reg_inc_gamma_lower(a, a + 0.5) == pytest.approx(
             oracles.igam_lower_ref(a, a + 0.5), rel=1e-9, abs=0.0)
+
+    def test_series_raises_when_its_terms_run_out(self):
+        """Here the series would need ~9000 terms; its sum cut at 4000 was
+        6.4e-5 relative off. It raises rather than return it."""
+        with pytest.raises(NumericError, match="short of convergence"):
+            sp._igam_series(1e6, np.array([1e6 + 0.5]))
+
+    def test_temme_table_is_the_exact_derivation(self):
+        """Each of `_TEMME_C`'s constants is the double nearest the exact
+        rational that data/make_temme_coefficients.py derives, and c_0's
+        leading terms are Temme's."""
+        script = Path(__file__).parent / "data" / "make_temme_coefficients.py"
+        exact = runpy.run_path(str(script))["temme_coefficients"]()
+        assert sp._TEMME_C == tuple(tuple(float(v) for v in row) for row in exact)
+        assert exact[0][:6] == [Fraction(-1, 3), Fraction(1, 12), Fraction(-2, 135),
+                                Fraction(1, 864), Fraction(1, 2835), Fraction(-139, 777600)]
+        assert [row[0] for row in exact[:4]] == [Fraction(-1, 3), Fraction(-1, 540),
+                                                  Fraction(25, 6048), Fraction(101, 155520)]
+
+    def test_temme_branch_vs_oracle(self):
+        """P and Q on data/igam_oracle.txt (mpmath's 1F1 series; see
+        data/make_igam_oracle.py), a from 20 to 1e9: within 3e-13 relative
+        of the reference wherever it exceeds 1e-300 inside Temme's domain,
+        and within the other kernels' 1e-10 at the edges' outer points."""
+        fixture = np.loadtxt(Path(__file__).parent / "data" / "igam_oracle.txt")
+        deepest = {"P": 1.0, "Q": 1.0}
+        for a in np.unique(fixture[:, 0]):
+            a, xs, ref_p, ref_q = float(a), *fixture[fixture[:, 0] == a, 1:].T
+            near = np.abs(xs - a) < sp._TEMME_WIDTH * a
+            assert a >= sp._TEMME_MIN_A and near.any() and not near.all()
+            for fn, ref, name in ((sp.reg_inc_gamma_lower, ref_p, "P"),
+                                  (sp.reg_inc_gamma_upper, ref_q, "Q")):
+                got = fn(a, xs)
+                rel = near & (ref > 1e-300)
+                assert np.all(np.abs(got[rel] - ref[rel]) <= 3e-13 * ref[rel]), (a, name)
+                assert np.all(np.abs(got[~near] - ref[~near]) <= 1e-10), (a, name)
+                deepest[name] = min(deepest[name], float(np.min(ref[rel])))
+        assert max(fixture[:, 0]) >= 1e8
+        assert deepest["P"] < 1e-295 and deepest["Q"] < 1e-295
+
+    def test_temme_branch_leaves_outside_calls_alone(self):
+        """A call whose points all lie outside Temme's domain returns the
+        bits of the series and the continued fraction alone."""
+        for a in (0.5, 19.9, 20.0, 877.15, 1.36e5):
+            x = np.linspace(0.0, 3.0 * a + 12.0, 200)
+            if a >= sp._TEMME_MIN_A:
+                x = x[np.abs(x - a) >= sp._TEMME_WIDTH * a]
+            lower = x < a + 1.0
+            ps = oracles.igam_series_ref(a, x[lower])
+            qc = oracles.igam_cf_ref(a, x[~lower])
+            want_p = np.clip(np.concatenate([ps, 1.0 - qc]), 0.0, 1.0)
+            want_q = np.clip(np.concatenate([1.0 - ps, qc]), 0.0, 1.0)
+            assert sp.reg_inc_gamma_lower(a, x).tobytes() == want_p.tobytes()
+            assert sp.reg_inc_gamma_upper(a, x).tobytes() == want_q.tobytes()
 
 
 class TestIncompleteBeta:
