@@ -11,6 +11,7 @@ that silent sorting would hide.
 """
 
 import hashlib
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,26 +28,59 @@ RUN_LOG_HEADER = "step,return"
 META_SUFFIX = ".meta.yaml"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunLog:
+    """One run's episodes as two read-only columns, int64 end `steps` and
+    float64 `returns`, copied from the arrays or sequences given. The steps
+    must be integers, non-negative and strictly increasing; the first fault
+    in episode order is reported."""
+
     run_id: str
-    episodes: tuple  # ((end_step, episode_return), ...)
+    steps: np.ndarray
+    returns: np.ndarray
     seed: int = None
     config_hash: str = None
     metadata: dict = field(default_factory=dict)
     sha256: str = None  # hex digest of the file's bytes, when read from one
 
     def __post_init__(self):
-        last = -1
-        for step, _ in self.episodes:
-            if step < 0:
-                raise DataError(f"{self.run_id}: negative end step {step}")
-            if step <= last:
-                raise DataError(
-                    f"{self.run_id}: end steps must be strictly increasing "
-                    f"({last} then {step})"
-                )
-            last = step
+        steps = _column(self.steps, np.int64)
+        returns = _column(self.returns, np.float64)
+        if steps.ndim != 1 or steps.shape != returns.shape:
+            raise DataError(
+                f"{self.run_id}: steps and returns must be 1-d and of one length, "
+                f"got shapes {steps.shape} and {returns.shape}"
+            )
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "returns", returns)
+        # The first negative step and the first step not above its
+        # predecessor; a negative step at the same place is named first.
+        negative = np.flatnonzero(steps < 0)[:1]
+        repeated = np.flatnonzero(steps[1:] <= steps[:-1])[:1] + 1
+        if negative.size and (not repeated.size or negative[0] <= repeated[0]):
+            raise DataError(f"{self.run_id}: negative end step {steps[negative[0]]}")
+        if repeated.size:
+            i = repeated[0]
+            raise DataError(
+                f"{self.run_id}: end steps must be strictly increasing "
+                f"({steps[i - 1]} then {steps[i]})"
+            )
+
+    @property
+    def episodes(self):
+        """The (step, return) records, copied into one array on each access.
+        `len(run.episodes)` is the episode count, as the benchmark's traced
+        run reads it."""
+        return np.rec.fromarrays((self.steps, self.returns), names="step,return")
+
+
+def _column(values, dtype):
+    """A read-only copy of `values` as a 1-d array of `dtype`, cast safely
+    (an empty sequence takes the dtype as it is)."""
+    arr = np.asarray(values)
+    arr = arr.astype(dtype, casting="safe" if arr.size else "unsafe")
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -64,9 +98,54 @@ class TrialSet:
             )
 
 
+MAX_STEP = 2**63 - 1  # the largest end step an int64 column holds
+
+# ASCII whitespace to numpy's text reader that is something else to the
+# line-by-line parse: line breaks to str.splitlines, and "\x1f", which
+# int() and float() do not strip. A text holding one is parsed line by line.
+_NOT_NUMPY_SPACE = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f")
+_ROW_DTYPE = np.dtype([("step", np.int64), ("return", np.float64)])
+
+
 def read_run_log(text: str, run_id: str, **fields) -> RunLog:
     """Parse one run log's text; malformed rows are reported by line number.
-    `fields` are the RunLog's other fields (seed, config_hash, ...)."""
+    `fields` are the RunLog's other fields (seed, config_hash, ...).
+
+    numpy's text reader parses the text in one call where it can; any text
+    it does not accept as it stands is parsed line by line, which is the
+    rule for what a run log may hold and names the line at fault."""
+    columns = _parse_columns(text)
+    if columns is None:
+        columns = _parse_rows(text, run_id)
+    return RunLog(run_id, *columns, **fields)
+
+
+def _parse_columns(text: str):
+    """(steps, returns) arrays, or None where `_parse_rows` must decide.
+
+    Accepted here: an ASCII text whose first line is the header and whose
+    rows numpy reads as an int64 and a finite float64 field. In ASCII text
+    without the characters in _NOT_NUMPY_SPACE, numpy and int()/float()
+    read such a field alike: both strip the same whitespace and parse
+    floats with PyOS_string_to_double. numpy refuses what it does not read
+    alike, such as `1_000` or a float in the step column."""
+    if not text.isascii() or any(char in text for char in _NOT_NUMPY_SPACE):
+        return None
+    header, _, body = text.partition("\n")
+    if header.strip() != RUN_LOG_HEADER or not body.strip():
+        return None
+    try:
+        rows = np.loadtxt(io.StringIO(body), dtype=_ROW_DTYPE, delimiter=",",
+                          comments=None, ndmin=1)
+    except ValueError:
+        return None
+    if not np.isfinite(rows["return"]).all():
+        return None
+    return rows["step"], rows["return"]
+
+
+def _parse_rows(text: str, run_id: str):
+    """(steps, returns) lists, read one line at a time."""
     lines = text.splitlines()
     if not lines:
         raise DataError(f"{run_id}: empty run log")
@@ -74,7 +153,7 @@ def read_run_log(text: str, run_id: str, **fields) -> RunLog:
         raise DataError(
             f"{run_id}: line 1: header must be '{RUN_LOG_HEADER}', got {lines[0]!r}"
         )
-    episodes = []
+    steps, returns = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         stripped = line.strip()
         if not stripped:
@@ -86,16 +165,22 @@ def read_run_log(text: str, run_id: str, **fields) -> RunLog:
             step = int(parts[0])
         except ValueError:
             raise DataError(f"{run_id}: line {lineno}: bad step {parts[0]!r}") from None
+        if not -MAX_STEP - 1 <= step <= MAX_STEP:
+            raise DataError(
+                f"{run_id}: line {lineno}: step {step} does not fit in int64 "
+                f"(end steps run from 0 to 2^63 - 1)"
+            )
         try:
             ret = float(parts[1])
         except ValueError:
             raise DataError(f"{run_id}: line {lineno}: bad return {parts[1]!r}") from None
         if not math.isfinite(ret):
             raise DataError(f"{run_id}: line {lineno}: non-finite return")
-        episodes.append((step, ret))
-    if not episodes:
+        steps.append(step)
+        returns.append(ret)
+    if not steps:
         raise DataError(f"{run_id}: run log has a header but no episodes")
-    return RunLog(run_id=run_id, episodes=tuple(episodes), **fields)
+    return steps, returns
 
 
 def read_run_log_path(path) -> RunLog:
@@ -120,8 +205,8 @@ def read_run_log_path(path) -> RunLog:
 def write_run_log(run: RunLog, stream) -> None:
     """Emit the CSV form; numbers round-trip exactly."""
     stream.write(RUN_LOG_HEADER + "\n")
-    for step, ret in run.episodes:
-        stream.write(f"{step},{fmt_shortest(float(ret))}\n")
+    for step, ret in zip(run.steps.tolist(), run.returns.tolist()):
+        stream.write(f"{step},{fmt_shortest(ret)}\n")
 
 
 def check_runs(runs, config) -> None:
@@ -242,11 +327,12 @@ def synthesize_runs(spec: SynthSpec, seed: int):
     """Deterministic synthetic run logs; run i draws from Philox stream i."""
     spec.validate()
     rng = SeededRng(seed, DOMAIN_SYNTH)
-    ends = list(spec.episode_end_steps())
+    ends = spec.episode_end_steps()
     if not ends:
         raise ValidationError("total_steps shorter than one episode")
     runs = []
     n = len(ends)
+    steps = np.arange(ends.start, ends.stop, ends.step, dtype=np.int64)
     levels = np.array([spec.expected_level(step) for step in ends])
     for i in range(spec.run_count):
         run_id = f"synth-{i:02d}"
@@ -262,14 +348,13 @@ def synthesize_runs(spec: SynthSpec, seed: int):
             raise ValidationError(
                 f"{run_id}: the spec's levels and noise_scale give non-finite returns"
             )
-        episodes = tuple(zip(ends, returns.tolist()))
         meta = {
             "generator": "linear-ramp",
             "stream": i,
             "episode_steps": spec.episode_steps,
         }
         runs.append(
-            RunLog(run_id=run_id, episodes=episodes, seed=seed, metadata=meta)
+            RunLog(run_id=run_id, steps=steps, returns=returns, seed=seed, metadata=meta)
         )
     return runs
 

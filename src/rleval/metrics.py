@@ -54,32 +54,38 @@ class CurveBand:
 
 
 def learning_curve(run, window: int = DEFAULT_WINDOW, stride: int = DEFAULT_STRIDE) -> LearningCurve:
-    """Windowed mean returns on the stride grid (two-pointer evaluation)."""
+    """Windowed mean returns on the stride grid.
+
+    Each window's bounds come from a binary search of the steps. The sums
+    run over all windows at once, one episode position at a time, so each
+    window still adds its returns to 0.0 left to right, as a scalar loop
+    would; a pairwise sum or a difference of prefix sums would round
+    differently."""
+    import numpy as np  # here, so that `rleval validate` starts without numpy
+
     if window <= 0 or stride <= 0:
         raise ValidationError("window and stride must be positive")
-    episodes = run.episodes
-    if not episodes:
+    steps, returns = run.steps, run.returns
+    if not steps.size:
         raise ValidationError(f"{run.run_id}: cannot compute a curve for an empty run")
-    last_step = episodes[-1][0]
+    last_step = int(steps[-1])
     grid_end = ((last_step + stride - 1) // stride) * stride
-    points = []
-    lo = 0  # first episode with end_step > t - window
-    hi = 0  # first episode with end_step > t
-    previous = None
-    for t in range(stride, grid_end + 1, stride):
-        while hi < len(episodes) and episodes[hi][0] <= t:
-            hi += 1
-        while lo < len(episodes) and episodes[lo][0] <= t - window:
-            lo += 1
-        if hi > lo:
-            total = 0.0
-            for i in range(lo, hi):
-                total += episodes[i][1]
-            previous = total / (hi - lo)
-        elif previous is None:
-            continue  # before the first defined window
-        points.append((t, previous))
-    return LearningCurve(points=tuple(points), window=window, stride=stride)
+    grid = np.arange(stride, grid_end + 1, stride, dtype=np.int64)
+    hi = np.searchsorted(steps, grid, side="right")  # first episode past t
+    lo = np.searchsorted(steps, grid - window, side="right")  # first inside the window
+    counts = hi - lo
+    totals = np.zeros(grid.size)
+    for k in range(int(counts.max())):
+        live = np.flatnonzero(counts > k)
+        totals[live] += returns[lo[live] + k]
+    # An empty window carries the last defined value forward; grid points
+    # before the first defined window are omitted.
+    defined = counts > 0
+    means = totals[defined] / counts[defined]
+    latest = np.maximum.accumulate(np.where(defined, np.cumsum(defined) - 1, -1))
+    kept = latest >= 0
+    points = tuple(zip(grid[kept].tolist(), means[latest[kept]].tolist()))
+    return LearningCurve(points=points, window=window, stride=stride)
 
 
 def run_average_return(run, mode: str = "episodes", window: int = DEFAULT_WINDOW,
@@ -92,12 +98,12 @@ def run_average_return(run, mode: str = "episodes", window: int = DEFAULT_WINDOW
     """
     if mode not in AVERAGE_RETURN_MODES:
         raise ValidationError(f"unknown average-return mode {mode!r}")
-    if not run.episodes:
+    if not run.returns.size:
         raise ValidationError(f"{run.run_id}: empty run")
     if mode == "episodes":
-        values = [r for _, r in run.episodes]
+        values = memoryview(run.returns)  # iterates as Python floats, with no list
     else:
-        values = list(learning_curve(run, window, stride).values)
+        values = learning_curve(run, window, stride).values
     return math.fsum(values) / len(values)
 
 

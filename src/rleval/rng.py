@@ -47,8 +47,9 @@ _W1 = np.uint64(0xBB67AE85)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
-# Bound on the uint64 scratch held by one vectorised philox call.
-_MAX_BLOCKS_PER_CALL = 1 << 20
+# Bound on the blocks that one vectorised Philox step works on: its uint64
+# scratch and the bootstrap's draws are O(_MAX_BLOCKS_PER_CALL).
+_MAX_BLOCKS_PER_CALL = 1 << 12
 
 
 def splitmix64(value: int) -> int:
@@ -121,23 +122,32 @@ def bootstrap_means(sample, n_resamples, key0, key1, domain):
     Resample i draws len(sample) indices from its own stream (stream id = i,
     block j supplies draws 4j..4j+3). Index draw: (u32 * n) >> 32. The mean
     accumulates in draw order.
+
+    Resamples go in chunks of up to _MAX_BLOCKS_PER_CALL, and each chunk's
+    blocks in groups that keep one Philox call within that many blocks, so
+    the scratch is O(_MAX_BLOCKS_PER_CALL) whatever n and n_resamples are,
+    and each draw's gather-and-add runs over a whole chunk of resamples.
     """
     src = np.ascontiguousarray(sample, dtype=np.float64)
     n = src.shape[0]
     blocks_per = (n + 3) // 4
     means = np.empty(n_resamples, dtype=np.float64)
-    # Chunk over resamples to bound scratch memory.
-    chunk = max(1, _MAX_BLOCKS_PER_CALL // max(1, blocks_per))
+    chunk = max(1, min(n_resamples, _MAX_BLOCKS_PER_CALL))
+    group = max(1, _MAX_BLOCKS_PER_CALL // chunk)
     n_u64 = np.uint64(n)
     for start in range(0, n_resamples, chunk):
         stop = min(start + chunk, n_resamples)
         streams = np.arange(start, stop, dtype=np.uint64)
-        blocks = philox_u32_blocks(key0, key1, domain, streams, 0, blocks_per)
-        draws = blocks.reshape(stop - start, blocks_per * 4)[:, :n].astype(np.uint64)
-        idx = ((draws * n_u64) >> _SHIFT32).astype(np.intp)
         acc = np.zeros(stop - start, dtype=np.float64)
-        for j in range(n):
-            acc += src[idx[:, j]]
+        for first in range(0, blocks_per, group):
+            nblocks = min(group, blocks_per - first)
+            blocks = philox_u32_blocks(key0, key1, domain, streams, first, nblocks)
+            idx = blocks.reshape(stop - start, nblocks * 4).astype(np.uint64)
+            idx *= n_u64
+            idx >>= _SHIFT32
+            idx = idx.view(np.int64)  # every index is below n
+            for j in range(min(nblocks * 4, n - 4 * first)):
+                acc += src[idx[:, j]]
         means[start:stop] = acc / n
     return means
 

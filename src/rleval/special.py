@@ -316,8 +316,10 @@ def _igam_series(a, x):
 
 
 def _igam_cf(a, x):
-    """Q(a, x) for x >= a + 1 via the Lentz continued fraction, each step
-    written in place and rounded as d = an * d + b, c = b + an / c reads."""
+    """Q(a, x) for finite x >= a + 1 via the Lentz continued fraction, each
+    step written in place and rounded as d = an * d + b, c = b + an / c
+    reads. It raises NumericError rather than return a fraction cut at 4000
+    steps."""
     b = x + 1.0 - a
     c = np.full_like(x, 1.0 / _FPMIN)
     d = 1.0 / b
@@ -338,6 +340,10 @@ def _igam_cf(a, x):
         delta -= 1.0
         if np.max(np.abs(delta, out=delta)) < _CF_EPS:
             break
+    else:
+        raise NumericError(
+            f"incomplete gamma continued fraction short of convergence at a = {a}"
+        )
     front = np.exp(a * np.log(np.maximum(x, _FPMIN)) - x - math.lgamma(a))
     return front * h
 
@@ -455,13 +461,16 @@ def _igam_temme(a, x):
 
 
 def _igam_both(a, x):
-    if a <= 0.0:
-        raise NumericError("incomplete gamma requires a > 0")
+    """(P, Q) at every x; x = +inf gives exactly (1, 0)."""
+    if not 0.0 < a < math.inf:
+        raise NumericError(f"incomplete gamma requires a finite a > 0, got {a}")
     flat = np.atleast_1d(x).ravel().astype(np.float64)
+    if np.isnan(flat).any():
+        raise NumericError("incomplete gamma requires x that is not NaN")
     if np.any(flat < 0.0):
         raise NumericError("incomplete gamma requires x >= 0")
-    p = np.empty_like(flat)
-    q = np.empty_like(flat)
+    p = np.ones_like(flat)
+    q = np.zeros_like(flat)
     near = (a >= _TEMME_MIN_A) & (np.abs(flat - a) < _TEMME_WIDTH * a)
     if np.any(near):
         p[near], q[near] = _igam_temme(a, flat[near])
@@ -470,7 +479,7 @@ def _igam_both(a, x):
         ps = _igam_series(a, flat[lower])
         p[lower] = ps
         q[lower] = 1.0 - ps
-    upper = ~(lower | near)
+    upper = ~(lower | near) & (flat < math.inf)
     if np.any(upper):
         qc = _igam_cf(a, flat[upper])
         q[upper] = qc

@@ -4,9 +4,9 @@ Everything here is deliberately written against the mathematical
 definitions (mpmath arbitrary precision, exact rational arithmetic, or
 naive full rescans) and shares no code with the implementations it checks.
 The reference copies at the end keep earlier forms of the fit loop, of
-loggamma's simplex objective, of Owen's T quadrature and of the incomplete
-gamma series and continued fraction, which the current forms must match to
-the bit.
+loggamma's simplex objective, of Owen's T quadrature, of the incomplete
+gamma series and continued fraction and of the bootstrap kernel, which the
+current forms must match to the bit.
 """
 
 import math
@@ -141,7 +141,7 @@ def bootstrap_means_ref(sample, n_resamples, key, domain):
 
 def curve_oracle(run, window, stride):
     """Brute-force learning curve: rescan every episode at every eval step."""
-    episodes = run.episodes
+    episodes = list(zip(run.steps.tolist(), run.returns.tolist()))
     last = episodes[-1][0]
     grid_end = ((last + stride - 1) // stride) * stride
     points = []
@@ -372,3 +372,40 @@ def igam_cf_ref(a, x):
             break
     front = np.exp(a * np.log(np.maximum(x, 1e-300)) - x - math.lgamma(a))
     return front * h
+
+
+def bootstrap_means_chunked_ref(sample, n_resamples, key0, key1, domain):
+    """The bootstrap kernel in the form its bounded-scratch one replaced:
+    resamples in chunks of up to 2^20 Philox blocks, each chunk's blocks
+    from one vectorised call, its draws and indices whole (chunk x n)
+    arrays, the mean accumulated in draw order."""
+    m0, m1 = np.uint64(0xD2511F53), np.uint64(0xCD9E8D57)
+    w0, w1 = np.uint64(0x9E3779B9), np.uint64(0xBB67AE85)
+    mask, shift = np.uint64(_MASK32), np.uint64(32)
+    src = np.ascontiguousarray(sample, dtype=np.float64)
+    n = src.shape[0]
+    blocks_per = (n + 3) // 4
+    means = np.empty(n_resamples, dtype=np.float64)
+    chunk = max(1, (1 << 20) // blocks_per)
+    for start in range(0, n_resamples, chunk):
+        stop = min(start + chunk, n_resamples)
+        block = np.arange(blocks_per, dtype=np.uint64)
+        c0, c1 = block & mask, block >> shift
+        c2, c3 = np.arange(start, stop, dtype=np.uint64).reshape(-1, 1), np.uint64(domain)
+        k0, k1 = np.uint64(key0), np.uint64(key1)
+        for _ in range(10):
+            p0 = m0 * c0
+            p1 = m1 * c2
+            c0, c1, c2, c3 = (p1 >> shift) ^ c1 ^ k0, p1 & mask, (p0 >> shift) ^ c3 ^ k1, p0 & mask
+            k0 = (k0 + w0) & mask
+            k1 = (k1 + w1) & mask
+        blocks = np.empty((stop - start, blocks_per, 4), dtype=np.uint32)
+        for lane, word in enumerate((c0, c1, c2, c3)):
+            blocks[:, :, lane] = word
+        draws = blocks.reshape(stop - start, blocks_per * 4)[:, :n].astype(np.uint64)
+        idx = ((draws * np.uint64(n)) >> shift).astype(np.intp)
+        acc = np.zeros(stop - start, dtype=np.float64)
+        for j in range(n):
+            acc += src[idx[:, j]]
+        means[start:stop] = acc / n
+    return means

@@ -248,7 +248,7 @@ def test_criterion_7_metric_oracle_equivalence():
             n = int(layout_rng.integers(1, 200))
             steps = np.cumsum(layout_rng.integers(1, 1200, size=n))
             returns = layout_rng.normal(80.0, 30.0, size=n)
-            run = RunLog("r", tuple((int(s), float(r)) for s, r in zip(steps, returns)))
+            run = RunLog("r", steps, returns)
             window = int(layout_rng.integers(1, 8)) * 500
             stride = int(layout_rng.integers(1, 5)) * 250
             mine = learning_curve(run, window, stride).points

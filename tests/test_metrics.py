@@ -26,17 +26,17 @@ def _random_run(rng, run_id="r"):
     n = int(rng.integers(1, 120))
     steps = np.cumsum(rng.integers(1, 900, size=n))
     returns = rng.normal(50.0, 20.0, size=n)
-    return RunLog(run_id, tuple((int(s), float(r)) for s, r in zip(steps, returns)))
+    return RunLog(run_id, steps, returns)
 
 
 class TestLearningCurve:
     def test_hand_example(self):
-        run = RunLog("t", ((500, 10.0), (1500, 20.0)))
+        run = RunLog("t", (500, 1500), (10.0, 20.0))
         curve = learning_curve(run, 5000, 1000)
         assert curve.points == ((1000, 10.0), (2000, 15.0))
 
     def test_constant_returns(self):
-        run = RunLog("t", tuple((200 * i, 7.5) for i in range(1, 40)))
+        run = RunLog("t", [200 * i for i in range(1, 40)], [7.5] * 39)
         curve = learning_curve(run)
         assert all(v == 7.5 for v in curve.values)
 
@@ -49,14 +49,20 @@ class TestLearningCurve:
             mine = learning_curve(run, window, stride)
             assert mine.points == oracles.curve_oracle(run, window, stride)
 
+    def test_dense_windows_match_bruteforce_oracle_bitwise(self):
+        # one episode per step: each window adds up to 5000 returns in order
+        rng = np.random.default_rng(5)
+        run = RunLog("t", np.arange(1, 6001), rng.normal(50.0, 20.0, size=6000))
+        assert learning_curve(run, 5000, 1000).points == oracles.curve_oracle(run, 5000, 1000)
+
     def test_leading_empty_windows_omitted(self):
-        run = RunLog("t", ((7000, 3.0),))
+        run = RunLog("t", (7000,), (3.0,))
         curve = learning_curve(run, 5000, 1000)
         assert curve.points[0][0] == 7000
         assert len(curve.points) == 1
 
     def test_carry_forward_fills_gaps(self):
-        run = RunLog("t", ((500, 4.0), (9500, 8.0)))
+        run = RunLog("t", (500, 9500), (4.0, 8.0))
         curve = learning_curve(run, 2000, 1000)
         values = dict(curve.points)
         assert values[1000] == 4.0
@@ -64,33 +70,33 @@ class TestLearningCurve:
         assert values[10000] == 8.0
 
     def test_grid_extends_to_cover_last_episode(self):
-        run = RunLog("t", ((1500, 2.0),))
+        run = RunLog("t", (1500,), (2.0,))
         curve = learning_curve(run, 5000, 1000)
         assert curve.points[-1][0] == 2000
 
     def test_empty_run_rejected(self):
         with pytest.raises(ValidationError):
-            learning_curve(RunLog("t", ()))
+            learning_curve(RunLog("t", (), ()))
 
 
 class TestAverageReturn:
     def test_simple_mean(self):
-        run = RunLog("t", ((1, 1.0), (2, 2.0), (3, 3.0)))
+        run = RunLog("t", (1, 2, 3), (1.0, 2.0, 3.0))
         assert run_average_return(run) == 2.0
 
     def test_single_episode(self):
-        assert run_average_return(RunLog("t", ((5, 9.25),))) == 9.25
+        assert run_average_return(RunLog("t", (5,), (9.25,))) == 9.25
 
     def test_matches_exact_rational_oracle(self):
         rng = np.random.default_rng(3)
         run = _random_run(rng)
-        values = [r for _, r in run.episodes]
+        values = run.returns.tolist()
         assert run_average_return(run) == pytest.approx(
             oracles.mean_fraction_ref(values), abs=5e-16 * max(1.0, abs(values[0]))
         )
 
     def test_curve_points_mode_differs_and_is_named(self):
-        run = RunLog("t", ((500, 0.0), (1500, 30.0)))
+        run = RunLog("t", (500, 1500), (0.0, 30.0))
         episodes_mode = run_average_return(run, mode="episodes")
         curve_mode = run_average_return(run, mode="curve_points", window=5000, stride=1000)
         assert episodes_mode == 15.0
@@ -167,7 +173,7 @@ class TestCsv:
 def test_shift_invariance(shift, seed):
     rng = np.random.default_rng(seed)
     run = _random_run(rng)
-    shifted = RunLog("s", tuple((s, r + shift) for s, r in run.episodes))
+    shifted = RunLog("s", run.steps, [r + shift for r in run.returns.tolist()])
     base = learning_curve(run, 2000, 500)
     moved = learning_curve(shifted, 2000, 500)
     assert base.eval_steps == moved.eval_steps
@@ -186,6 +192,6 @@ def test_window_containment(seed):
     window, stride = 2000, 500
     curve = learning_curve(run, window, stride)
     for t, value in curve.points:
-        inside = [r for s, r in run.episodes if t - window < s <= t]
+        inside = run.returns[(t - window < run.steps) & (run.steps <= t)].tolist()
         if inside:
             assert min(inside) - 1e-12 <= value <= max(inside) + 1e-12

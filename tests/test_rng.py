@@ -5,6 +5,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,50 @@ def test_bootstrap_matches_scalar_oracle():
     mine = bootstrap_means(np.array(sample), 64, key[0], key[1], DOMAIN_BOOTSTRAP)
     ref = oracles.bootstrap_means_ref(sample, 64, key, DOMAIN_BOOTSTRAP)
     assert list(mine) == ref
+
+
+_CAP = rng_module._MAX_BLOCKS_PER_CALL
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 37])
+@pytest.mark.parametrize("resamples", [1, 20, 1000, 10000, 2 * _CAP + 1])
+def test_bootstrap_matches_the_one_call_form(n, resamples):
+    """The bounded-scratch kernel gives the bits of the form that drew each
+    chunk's blocks in one call, at B below, at and past a chunk, at
+    B = 1000, where one Philox call covers only part of a resample's
+    blocks, and at a B that is no multiple of the chunk."""
+    key = derive_key(1000 * n + resamples)
+    sample = np.random.default_rng(n).normal(100.0, 15.0, n)
+    mine = bootstrap_means(sample, resamples, key[0], key[1], DOMAIN_BOOTSTRAP)
+    ref = oracles.bootstrap_means_chunked_ref(sample, resamples, key[0], key[1],
+                                              DOMAIN_BOOTSTRAP)
+    assert mine.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("cap", [1, 3, 7, 64])
+def test_bootstrap_bits_do_not_depend_on_the_chunk(monkeypatch, cap):
+    key = derive_key(9)
+    sample = np.random.default_rng(4).normal(size=37)
+    ref = oracles.bootstrap_means_chunked_ref(sample, 150, key[0], key[1], DOMAIN_BOOTSTRAP)
+    monkeypatch.setattr(rng_module, "_MAX_BLOCKS_PER_CALL", cap)
+    mine = bootstrap_means(sample, 150, key[0], key[1], DOMAIN_BOOTSTRAP)
+    assert mine.tobytes() == ref.tobytes()
+
+
+def test_bootstrap_scratch_is_bounded():
+    """At the quick-start's n = 10 and B = 10000 one call peaks at 0.84 MB
+    of traced memory, the 80 kB means included; drawing each chunk's
+    blocks in one call peaked at 3.76 MB."""
+    key = derive_key(7)
+    sample = np.random.default_rng(10).normal(size=10)
+    bootstrap_means(sample, 10000, key[0], key[1], DOMAIN_BOOTSTRAP)
+    tracemalloc.start()
+    try:
+        bootstrap_means(sample, 10000, key[0], key[1], DOMAIN_BOOTSTRAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0e6
 
 
 def test_streams_are_disjoint():

@@ -238,6 +238,32 @@ class TestIncompleteGamma:
         with pytest.raises(NumericError, match="short of convergence"):
             sp._igam_series(1e6, np.array([1e6 + 0.5]))
 
+    def test_continued_fraction_raises_when_its_steps_run_out(self):
+        """At a = 1e8 and x = a + 1 the fraction needs more than its 4000
+        steps. It raises rather than return the fraction cut there;
+        `_igam_both` hands it no such point, Temme's expansion takes them."""
+        with pytest.raises(NumericError, match="short of convergence"):
+            sp._igam_cf(1e8, np.array([1e8 + 1.0]))
+
+    @pytest.mark.parametrize("fn", [sp.reg_inc_gamma_lower, sp.reg_inc_gamma_upper])
+    def test_nan_arguments_raise(self, fn):
+        with pytest.raises(NumericError, match="not NaN"):
+            fn(5.0, [math.nan, 7.0])
+        for a in (math.nan, math.inf, -math.inf):
+            with pytest.raises(NumericError, match="finite a > 0"):
+                fn(a, [1.0, 7.0])
+
+    @pytest.mark.parametrize("a", [0.5, 5.0, 19.9, 1.36e5])
+    def test_infinite_x_is_exactly_one(self, a):
+        """P(a, inf) = 1 and Q(a, inf) = 0, with no warning (an error under
+        the suite's filter); the finite points keep their bits."""
+        x = np.array([math.inf, a + 3.0, 0.5 * a, math.inf])
+        p, q = sp.reg_inc_gamma_lower(a, x), sp.reg_inc_gamma_upper(a, x)
+        assert p[0] == p[3] == 1.0 and q[0] == q[3] == 0.0
+        assert p[1:3].tobytes() == sp.reg_inc_gamma_lower(a, x[1:3]).tobytes()
+        assert q[1:3].tobytes() == sp.reg_inc_gamma_upper(a, x[1:3]).tobytes()
+        assert sp.reg_inc_gamma_lower(a, math.inf) == 1.0
+
     def test_temme_table_is_the_exact_derivation(self):
         """Each of `_TEMME_C`'s constants is the double nearest the exact
         rational that data/make_temme_coefficients.py derives, and c_0's
