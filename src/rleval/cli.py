@@ -13,7 +13,12 @@ PyYAML. So the module level imports only the standard library and the
 numpy-free modules: `config` with its YAML and number formatting,
 `errors`, and `metrics`. Each other command imports its library modules
 when it runs, so `validate`, `--help`, `--version` and usage errors never
-load numpy.
+load numpy. `synth` loads numpy with `ingest` and `rng`, which holds the
+normal quantile, and `curves` with `ingest`, `metrics` and `report`;
+neither loads `special`. `analyze` and `fit` load `special`,
+`distributions` and `pipeline`, but neither numpy.ma nor numpy.polynomial:
+the fits take medians by sorting, and Owen's T reads its Gauss-Legendre
+nodes from a table.
 
 `main` starts OpenBLAS on one thread, unless OPENBLAS_NUM_THREADS is set or
 numpy is already loaded. No command makes a BLAS call that a second thread

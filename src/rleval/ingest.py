@@ -13,6 +13,7 @@ that silent sorting would hide.
 import hashlib
 import io
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -105,6 +106,7 @@ MAX_STEP = 2**63 - 1  # the largest end step an int64 column holds
 # int() and float() do not strip. A text holding one is parsed line by line.
 _NOT_NUMPY_SPACE = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f")
 _ROW_DTYPE = np.dtype([("step", np.int64), ("return", np.float64)])
+_NON_SPACE = re.compile(r"\S")
 
 
 def read_run_log(text: str, run_id: str, **fields) -> RunLog:
@@ -131,12 +133,16 @@ def _parse_columns(text: str):
     alike, such as `1_000` or a float in the step column."""
     if not text.isascii() or any(char in text for char in _NOT_NUMPY_SPACE):
         return None
-    header, _, body = text.partition("\n")
-    if header.strip() != RUN_LOG_HEADER or not body.strip():
+    newline = text.find("\n")
+    if (newline < 0 or text[:newline].strip() != RUN_LOG_HEADER
+            or not _NON_SPACE.search(text, newline + 1)):
         return None
+    # loadtxt reads a stream line by line. A BytesIO shares the bytes it is
+    # given, where a StringIO of the body would hold four bytes a character.
+    body = io.BytesIO(text.encode("ascii"))
+    body.seek(newline + 1)
     try:
-        rows = np.loadtxt(io.StringIO(body), dtype=_ROW_DTYPE, delimiter=",",
-                          comments=None, ndmin=1)
+        rows = np.loadtxt(body, dtype=_ROW_DTYPE, delimiter=",", comments=None, ndmin=1)
     except ValueError:
         return None
     if not np.isfinite(rows["return"]).all():

@@ -6,6 +6,10 @@ the normality result, the fitted families with their KS scores, the
 reproducibility verdicts, and a provenance block naming every setting that
 influenced a number. Emitting the same report twice yields byte-identical
 files; the manifest lists each file with its SHA-256 digest.
+
+`curves` imports this module for its file names and stale-file check, so
+`distributions` and `inference`, which load `special`, are imported only
+by the functions that write fits and verdicts.
 """
 
 import hashlib
@@ -16,9 +20,7 @@ from pathlib import Path
 from . import __version__
 from ._fmt import fmt_fixed, fmt_shortest
 from ._yamlio import dump_canonical
-from .distributions import fit_record
 from .errors import ValidationError
-from .inference import significance_summary
 from .metrics import EMPTY_WINDOW_POLICY, write_band_csv, write_curve_csv
 from .resample import CI_METHOD, write_means_csv
 from .tabular import Table
@@ -91,6 +93,8 @@ def render_summary_table(report) -> Table:
 def render_probability_table(report) -> Table:
     """The paper's probability table for one configuration: the combined
     probability per family, starred where not rejected."""
+    from .inference import significance_summary
+
     return significance_summary(
         [[v] for v in report.verdicts], config_names=[report.config.name]
     )
@@ -142,6 +146,8 @@ def emit_bundle(report: AnalysisReport, directory) -> list:
     other file is refused before a file is written, so no stale file sits
     beside the bundle; `analyze` makes the same check before any stage.
     """
+    from .distributions import fit_record
+
     directory = Path(directory)
     refuse_stale_files(directory, bundle_files([run_id for run_id, _ in report.curves],
                                                bool(report.verdicts)))

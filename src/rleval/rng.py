@@ -23,12 +23,15 @@ double operations in a defined order, so they are bit-identical across
 platforms. `standard_normal` is so only for the 85% of draws whose
 uniform lies within 0.425 of 1/2: the quantile's tails call np.log, whose
 loop numpy picks per SIMD class.
+
+That quantile, Wichura's AS 241, lives here beside `standard_normal`, its
+one caller in the package, so that `synth` loads no `special`; `special`
+imports it under the same name.
 """
 
 import numpy as np
 
-from .errors import ValidationError
-from .special import std_normal_quantile
+from .errors import NumericError, ValidationError
 
 MAX_SEED = 2**64 - 1
 
@@ -150,6 +153,66 @@ def bootstrap_means(sample, n_resamples, key0, key1, domain):
                 acc += src[idx[:, j]]
         means[start:stop] = acc / n
     return means
+
+
+# Wichura (1988), "Algorithm AS 241: the percentage points of the normal
+# distribution", Appl. Statist. 37, PPND16: numerator and denominator of
+# each rational, constant term first, as the doubles nearest his digits.
+_AS241_CENTRAL = (
+    (3.3871328727963665, 133.14166789178438, 1971.5909503065513, 13731.69376550946,
+     45921.95393154987, 67265.7709270087, 33430.57558358813, 2509.0809287301227),
+    (1.0, 42.31333070160091, 687.1870074920579, 5394.196021424751,
+     21213.794301586597, 39307.89580009271, 28729.085735721943, 5226.495278852854))
+_AS241_NEAR = (
+    (1.4234371107496835, 4.630337846156546, 5.769497221460691, 3.6478483247632045,
+     1.2704582524523684, 0.2417807251774506, 0.022723844989269184, 7.745450142783414e-4),
+    (1.0, 2.053191626637759, 1.6763848301838038, 0.6897673349851,
+     0.14810397642748008, 0.015198666563616457, 5.475938084995345e-4, 1.0507500716444169e-9))
+_AS241_FAR = (
+    (6.657904643501103, 5.463784911164114, 1.7848265399172913, 0.29656057182850487,
+     0.026532189526576124, 1.2426609473880784e-3, 2.7115555687434876e-5, 2.0103343992922881e-7),
+    (1.0, 0.599832206555888, 0.1369298809227358, 0.014875361290850615,
+     7.868691311456133e-4, 1.8463183175100548e-5, 1.421511758316446e-7, 2.0442631033899397e-15))
+
+
+def _as241_ratio(t, coeffs):
+    """One AS 241 rational at t: numerator over denominator, each by Horner."""
+    num_c, den_c = coeffs
+    num = num_c[-1] * t
+    den = den_c[-1] * t
+    for a, b in zip(num_c[-2:0:-1], den_c[-2:0:-1]):
+        num += a
+        num *= t
+        den += b
+        den *= t
+    return (num + num_c[0]) / (den + den_c[0])
+
+
+def std_normal_quantile(p):
+    """Phi^-1 by Wichura's AS 241 (PPND16): no iteration, within 8 ulps.
+
+    For |q| = |p - 1/2| <= 0.425 it is q times a rational in
+    0.180625 - q^2, which uses only + - * / and so has the same bits under
+    every numpy SIMD class. Beyond, it is a rational in r - 1.6 (r <= 5) or
+    r - 5, r = sqrt(-log min(p, 1 - p)); 1 - p is exact for p >= 1/2, and
+    the last bit of np.log depends on the SIMD class."""
+    arr = np.asarray(p, dtype=np.float64)
+    flat = np.atleast_1d(arr).ravel()
+    if np.any(~((flat > 0.0) & (flat < 1.0))):
+        raise NumericError("std_normal_quantile requires 0 < p < 1")
+    q = flat - 0.5
+    out = np.empty_like(flat)
+    central = np.abs(q) <= 0.425
+    mid_idx = np.flatnonzero(central)
+    qm = q[mid_idx]
+    out[mid_idx] = qm * _as241_ratio(0.180625 - qm * qm, _AS241_CENTRAL)
+    tail_idx = np.flatnonzero(~central)
+    pt = flat[tail_idx]
+    r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+    x = np.where(r <= 5.0, _as241_ratio(r - 1.6, _AS241_NEAR), _as241_ratio(r - 5.0, _AS241_FAR))
+    out[tail_idx] = np.where(pt < 0.5, -x, x)
+    out = out.reshape(arr.shape)
+    return float(out) if arr.ndim == 0 else out
 
 
 class SeededRng:

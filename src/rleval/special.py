@@ -1,10 +1,11 @@
 """Numerically robust special functions.
 
-Self-contained kernels for the normal CDF and quantile, digamma,
-regularized incomplete gamma and beta, Owen's T, and the Kolmogorov-Smirnov
-one-sample distribution in both exact finite-n and asymptotic form. Every
-function but digamma (scalar only) accepts a scalar or an ndarray; scalar
-input returns a Python float.
+Self-contained kernels for the normal CDF, digamma, regularized incomplete
+gamma and beta, Owen's T, and the Kolmogorov-Smirnov one-sample
+distribution in both exact finite-n and asymptotic form. Every function but
+digamma (scalar only) accepts a scalar or an ndarray; scalar input returns
+a Python float. The normal quantile is `rng.std_normal_quantile`, imported
+here under its name.
 
 Accuracy targets (enforced by the oracle test suite): erfc 1e-14 relative
 on [0, 26.5]; normal CDF 1e-12 absolute; log Phi 1e-13 relative (absolute
@@ -36,6 +37,7 @@ import math
 import numpy as np
 
 from .errors import NumericError
+from .rng import std_normal_quantile  # the quantile keeps its name here
 
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -168,65 +170,6 @@ def std_normal_logcdf(x):
         out[neg_idx] = np.log(0.5 * _calerf(xn * -_SQRT1_2, scaled=True)) - 0.5 * xn * xn
     pos_idx = np.flatnonzero(~neg)  # includes NaN
     out[pos_idx] = np.log1p(-0.5 * _calerf(flat[pos_idx] * _SQRT1_2, scaled=False))
-    return _unwrap(out.reshape(arr.shape), scalar)
-
-
-# Wichura (1988), "Algorithm AS 241: the percentage points of the normal
-# distribution", Appl. Statist. 37, PPND16: numerator and denominator of
-# each rational, constant term first, as the doubles nearest his digits.
-_AS241_CENTRAL = (
-    (3.3871328727963665, 133.14166789178438, 1971.5909503065513, 13731.69376550946,
-     45921.95393154987, 67265.7709270087, 33430.57558358813, 2509.0809287301227),
-    (1.0, 42.31333070160091, 687.1870074920579, 5394.196021424751,
-     21213.794301586597, 39307.89580009271, 28729.085735721943, 5226.495278852854))
-_AS241_NEAR = (
-    (1.4234371107496835, 4.630337846156546, 5.769497221460691, 3.6478483247632045,
-     1.2704582524523684, 0.2417807251774506, 0.022723844989269184, 7.745450142783414e-4),
-    (1.0, 2.053191626637759, 1.6763848301838038, 0.6897673349851,
-     0.14810397642748008, 0.015198666563616457, 5.475938084995345e-4, 1.0507500716444169e-9))
-_AS241_FAR = (
-    (6.657904643501103, 5.463784911164114, 1.7848265399172913, 0.29656057182850487,
-     0.026532189526576124, 1.2426609473880784e-3, 2.7115555687434876e-5, 2.0103343992922881e-7),
-    (1.0, 0.599832206555888, 0.1369298809227358, 0.014875361290850615,
-     7.868691311456133e-4, 1.8463183175100548e-5, 1.421511758316446e-7, 2.0442631033899397e-15))
-
-
-def _as241_ratio(t, coeffs):
-    """One AS 241 rational at t: numerator over denominator, each by Horner."""
-    num_c, den_c = coeffs
-    num = num_c[-1] * t
-    den = den_c[-1] * t
-    for a, b in zip(num_c[-2:0:-1], den_c[-2:0:-1]):
-        num += a
-        num *= t
-        den += b
-        den *= t
-    return (num + num_c[0]) / (den + den_c[0])
-
-
-def std_normal_quantile(p):
-    """Phi^-1 by Wichura's AS 241 (PPND16): no iteration, within 8 ulps.
-
-    For |q| = |p - 1/2| <= 0.425 it is q times a rational in
-    0.180625 - q^2, which uses only + - * / and so has the same bits under
-    every numpy SIMD class. Beyond, it is a rational in r - 1.6 (r <= 5) or
-    r - 5, r = sqrt(-log min(p, 1 - p)); 1 - p is exact for p >= 1/2, and
-    the last bit of np.log depends on the SIMD class."""
-    arr, scalar = _wrap(p)
-    flat = np.atleast_1d(arr).ravel()
-    if np.any(~((flat > 0.0) & (flat < 1.0))):
-        raise NumericError("std_normal_quantile requires 0 < p < 1")
-    q = flat - 0.5
-    out = np.empty_like(flat)
-    central = np.abs(q) <= 0.425
-    mid_idx = np.flatnonzero(central)
-    qm = q[mid_idx]
-    out[mid_idx] = qm * _as241_ratio(0.180625 - qm * qm, _AS241_CENTRAL)
-    tail_idx = np.flatnonzero(~central)
-    pt = flat[tail_idx]
-    r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
-    x = np.where(r <= 5.0, _as241_ratio(r - 1.6, _AS241_NEAR), _as241_ratio(r - 5.0, _AS241_FAR))
-    out[tail_idx] = np.where(pt < 0.5, -x, x)
     return _unwrap(out.reshape(arr.shape), scalar)
 
 
@@ -578,7 +521,39 @@ def reg_inc_beta(a, b, z):
 # Owen's T
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
+# The 48-point Gauss-Legendre rule on [-1, 1] as the doubles numpy's
+# leggauss(48) gives, on which every pinned output was computed: the 24 nodes
+# above zero with their weights (tests/data/make_gauss_legendre.py prints
+# them and checks them against mpmath), then their mirror images.
+_GL_HALF = (  # (node, weight), ascending
+    ('0x1.094223ea6196ep-5', '0x1.092a652a0fba4p-4'),
+    ('0x1.8d54ccaa9b7b4p-4', '0x1.080dac3f3724cp-4'),
+    ('0x1.4a2ef25599831p-3', '0x1.05d56c2248c2dp-4'),
+    ('0x1.cc50f5488fbefp-3', '0x1.028406fc86d22p-4'),
+    ('0x1.26425a1527d42p-2', '0x1.fc3a19b11a281p-5'),
+    ('0x1.65204357a6388p-2', '0x1.f14a6f9e10aacp-5'),
+    ('0x1.a27eb589dea3bp-2', '0x1.e444cde6cfffcp-5'),
+    ('0x1.de1bcb894046ap-2', '0x1.d537300bfd4b4p-5'),
+    ('0x1.0bdbc159f3714p-1', '0x1.c431bfe4b318dp-5'),
+    ('0x1.2789ffd1f24a0p-1', '0x1.b146c443c7e03p-5'),
+    ('0x1.41fae84d5a001p-1', '0x1.9c8a8d586186bp-5'),
+    ('0x1.5b1216aac49a1p-1', '0x1.86135edf0a9e7p-5'),
+    ('0x1.72b49a0302d99p-1', '0x1.6df9583af7196p-5'),
+    ('0x1.88c91196f8e2dp-1', '0x1.54565a91a83e9p-5'),
+    ('0x1.9d37c81006d1dp-1', '0x1.3945ed05d7d52p-5'),
+    ('0x1.afeaccf5eeb9ep-1', '0x1.1ce51f31f7018p-5'),
+    ('0x1.c0ce0c3f55453p-1', '0x1.fea4d40fed237p-6'),
+    ('0x1.cfcf63e4a4e84p-1', '0x1.c15b1e8f69982p-6'),
+    ('0x1.dcdeb7610754bp-1', '0x1.822eefbc974b7p-6'),
+    ('0x1.e7ee011520dfap-1', '0x1.416423e8cbb26p-6'),
+    ('0x1.f0f161978472fp-1', '0x1.fe80c5c315b36p-7'),
+    ('0x1.f7df2d6c8eed7p-1', '0x1.781605954a664p-7'),
+    ('0x1.fcaffc9af24a4p-1', '0x1.e037f45d9bc6dp-8'),
+    ('0x1.ff5ee9d8af2e2p-1', '0x1.9d50bc55d51a7p-9'),
+)
+_GL_NODES = (tuple(-float.fromhex(x) for x, _ in reversed(_GL_HALF))
+             + tuple(float.fromhex(x) for x, _ in _GL_HALF))
+_GL_WEIGHTS = tuple(float.fromhex(w) for _, w in (*reversed(_GL_HALF), *_GL_HALF))
 # T(h, a) is exactly 0.0 in doubles beyond h = 38.6: exp(-h^2 / 2) and
 # 1 - Phi(h) underflow. Clamping h there keeps h^2 and (a h)^2 finite.
 _OWENS_H_MAX = 40.0
@@ -669,6 +644,7 @@ def kolmogorov_sf(x):
 
 
 _RESCALE = 1e140
+_FACTOR_RUN = 512  # factors per np.multiply.accumulate call
 
 # OpenBLAS thread-count entry points under the names the numpy wheels and
 # system builds export them.
@@ -735,6 +711,34 @@ def _rescale(mat, exp10):
     return mat, exp10
 
 
+def _times_factorial_ratio(s, exp10, n):
+    """s n! / n^n as (s', exp10'), the product being s' 10^exp10'.
+
+    The factors j / n multiply into s for j = 1, ..., n in order, and each
+    time s falls below 1e-140 it is scaled up by 1e140 and exp10 lowered by
+    140. np.multiply.accumulate takes the running product up to
+    _FACTOR_RUN factors at a time and restarts after each rescale, so s
+    gets the bits of the scalar loop. Once s is 0 or below, every factor
+    rescales it, and the factors and the scalings alternate in one run."""
+    factors = np.arange(1.0, n + 1.0) / n
+    done = 0
+    while done < n:
+        if s <= 0.0:
+            steps = np.full(2 * (n - done) + 1, _RESCALE)
+            steps[0] = s
+            steps[1::2] = factors[done:]
+            return np.multiply.accumulate(steps)[-1], exp10 - 140 * (n - done)
+        run = np.multiply.accumulate(np.concatenate(([s], factors[done:done + _FACTOR_RUN])))
+        low = np.flatnonzero(run[1:] < 1e-140)
+        taken = int(low[0]) + 1 if low.size else run.size - 1
+        s = run[taken]
+        if low.size:
+            s *= _RESCALE
+            exp10 -= 140
+        done += taken
+    return s, exp10
+
+
 def _ks_exact_cdf(n, d):
     """P(D_n < d) by the scaled matrix-power evaluation of the exact
     two-sided finite-n distribution, for 0 < d < 1."""
@@ -770,12 +774,7 @@ def _ks_exact_cdf(n, d):
                 base = base @ base
                 exp_b *= 2
                 base, exp_b = _rescale(base, exp_b)
-    s = result[k - 1, k - 1]
-    for j in range(1, n + 1):
-        s *= j / n
-        if s < 1e-140:
-            s *= _RESCALE
-            exp_r -= 140
+    s, exp_r = _times_factorial_ratio(result[k - 1, k - 1], exp_r, n)
     if exp_r < -280:
         return 0.0
     return min(max(float(s) * 10.0 ** min(exp_r, 280), 0.0), 1.0)

@@ -5,8 +5,8 @@ definitions (mpmath arbitrary precision, exact rational arithmetic, or
 naive full rescans) and shares no code with the implementations it checks.
 The reference copies at the end keep earlier forms of the fit loop, of
 loggamma's simplex objective, of Owen's T quadrature, of the incomplete
-gamma series and continued fraction and of the bootstrap kernel, which the
-current forms must match to the bit.
+gamma series and continued fraction, of the bootstrap kernel and of the
+exact KS product loop, which the current forms must match to the bit.
 """
 
 import math
@@ -409,3 +409,15 @@ def bootstrap_means_chunked_ref(sample, n_resamples, key0, key1, domain):
             acc += src[idx[:, j]]
         means[start:stop] = acc / n
     return means
+
+
+def times_factorial_ratio_ref(s, exp10, n):
+    """s n! / n^n as (s', exp10') by the scalar loop the accumulate runs
+    replaced: one factor j / n at a time, scaling s up by 1e140 whenever it
+    falls below 1e-140."""
+    for j in range(1, n + 1):
+        s *= j / n
+        if s < 1e-140:
+            s *= 1e140
+            exp10 -= 140
+    return s, exp10

@@ -593,7 +593,8 @@ sys.argv = ["rleval", *sys.argv[1:]]
 try:
     runpy.run_module("rleval.cli", run_name="__main__")
 finally:
-    numeric = {"numpy", "rleval.special", "rleval.distributions", "rleval.pipeline"}
+    numeric = {"numpy", "numpy.ma", "numpy.polynomial", "rleval.special",
+               "rleval.distributions", "rleval.pipeline"}
     print(sorted(numeric & set(sys.modules)), file=sys.stderr)
 """
 
@@ -615,6 +616,32 @@ def test_start_up_without_numpy(argv, code, stdout, tmp_path):
     assert done.returncode == code, done.stderr
     assert stdout in done.stdout and (stdout or not done.stdout)
     assert done.stderr.splitlines()[-1] == "[]"
+
+
+_QUICKSTART_RUNS = [f"runs/synth-{i:02d}.csv" for i in range(10)]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["synth", "spec.yaml", "--seed", "7", "--out", "again"], ["numpy"]),
+    (["curves", "experiment.yaml", *_QUICKSTART_RUNS, "--out", "curves"], ["numpy"]),
+    (["analyze", "experiment.yaml", *_QUICKSTART_RUNS, "--seed", "7", "--resamples", "10000",
+      "--alpha", "0.05", "--reported", "158.56", "--out", "bundle"],
+     ["numpy", "rleval.distributions", "rleval.pipeline", "rleval.special"]),
+], ids=["synth", "curves", "analyze"])
+def test_commands_load_only_what_they_run(argv, loaded, tmp_path):
+    """On the quick-start inputs, `synth` and `curves` load no `special`,
+    and `analyze` loads neither numpy.ma (np.median's NaN check) nor
+    numpy.polynomial (leggauss): no result needs them, and they cost
+    start-up and memory."""
+    (tmp_path / "spec.yaml").write_text(dump_canonical(QUICKSTART_SPEC))
+    (tmp_path / "experiment.yaml").write_text(WORKLOAD_CONFIG.format(name="quickstart"))
+    assert main(["synth", str(tmp_path / "spec.yaml"), "--seed", "7",
+                 "--out", str(tmp_path / "runs")]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(rleval.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", _RUN_CLI, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines()[-1] == repr(loaded)
 
 
 def test_cli_defaults_are_the_library_constants():

@@ -645,3 +645,17 @@ class TestRecords:
     def test_malformed(self):
         with pytest.raises(ValidationError):
             D.fit_from_record({"family": "beta"})
+
+
+@pytest.mark.parametrize("odd", [0, 1], ids=["even", "odd"])
+@settings(max_examples=150, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2,
+                       max_size=40))
+def test_median_is_numpys(odd, values):
+    """`_median` has np.median's bits on odd and even sizes. Signed zeros
+    are equal keys, and which of them a sort or a partition puts in the
+    middle is left open by both, so x + 0.0 maps -0.0 to 0.0."""
+    data = np.array(values[:len(values) - (len(values) + odd) % 2]) + 0.0
+    assert data.size % 2 == odd
+    with np.errstate(over="ignore"):
+        assert D._median(data).hex() == float(np.median(data)).hex()

@@ -387,6 +387,22 @@ class TestOwensT:
         assert np.array_equal(mine[:5], ref[:5])
         assert abs(mine[5] - ref[5]) <= 1e-12
 
+    def test_gauss_legendre_table(self):
+        """`_GL_NODES` and `_GL_WEIGHTS` are numpy's leggauss(48) within
+        2 ulp, exactly symmetric, and near mpmath's rule at 50 digits: the
+        nodes within 1e-15, the weights within 5e-15, since leggauss's own
+        weights are up to 4.0e-15 off at the outermost node. The negative
+        half mirrors the 24 pairs that data/make_gauss_legendre.py derives."""
+        nodes, weights = np.array(sp._GL_NODES), np.array(sp._GL_WEIGHTS)
+        assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(48)
+        assert np.all(np.abs(nodes - ref_nodes) <= 2 * np.spacing(np.abs(ref_nodes)))
+        assert np.all(np.abs(weights - ref_weights) <= 2 * np.spacing(ref_weights))
+        script = Path(__file__).parent / "data" / "make_gauss_legendre.py"
+        exact_nodes, exact_weights = runpy.run_path(str(script))["exact_half"]()
+        assert max(abs(float(e - x)) for e, x in zip(exact_nodes, nodes[24:])) <= 1e-15
+        assert max(abs(float(e - w)) for e, w in zip(exact_weights, weights[24:])) <= 5e-15
+
     @pytest.mark.parametrize("n", [1, 7, 48, 10000])
     def test_streamed_quad_equals_matrix_form(self, n):
         rng = np.random.default_rng(n)
@@ -503,6 +519,27 @@ class TestKolmogorov:
         assert sp.ks_one_sample_pvalue(below, n) == pytest.approx(
             sp.ks_one_sample_pvalue(at, n), rel=1e-9, abs=0.0
         )
+
+    def test_factorial_ratio_equals_scalar_loop(self):
+        """The accumulate runs give the scalar loop's bits and exponent, for
+        n across the run length and on starts of every size and sign."""
+        rng = np.random.default_rng(11)
+        ns = [*range(1, 70), 511, 512, 513, 1025, 4999, 10000, 50000]
+        starts = [0.0, -0.0, -1e-300, 1e-320, 5e-324, math.nan, math.inf]
+        cases = [(n, rng.uniform(1e-3, 1e3) * 10.0 ** int(rng.integers(-139, 139))) for n in ns]
+        cases += [(n, s) for n in (1, 2, 70, 10000) for s in starts]
+        with np.errstate(over="ignore"):
+            for n, start in cases:
+                s, exp10 = sp._times_factorial_ratio(np.float64(start), 7, n)
+                ref, ref_exp10 = oracles.times_factorial_ratio_ref(np.float64(start), 7, n)
+                assert (float(s).hex(), exp10) == (float(ref).hex(), ref_exp10), (n, start)
+
+    @pytest.mark.parametrize("n, d", [(10000, 0.0082), (10000, 0.0134), (10000, 5e-5),
+                                      (2500, 0.013), (100, 0.05), (25, 0.2), (10, 0.4)])
+    def test_exact_cdf_equals_scalar_loop(self, n, d, monkeypatch):
+        mine = sp._ks_exact_cdf(n, d)
+        monkeypatch.setattr(sp, "_times_factorial_ratio", oracles.times_factorial_ratio_ref)
+        assert mine.hex() == sp._ks_exact_cdf(n, d).hex()
 
     def test_extremes(self):
         assert sp.ks_one_sample_pvalue(0.0, 10) == 1.0
