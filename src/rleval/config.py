@@ -7,10 +7,10 @@ with a mandatory reason). The canonical serialization is deterministic, so
 its SHA-256 digest identifies the experiment.
 """
 
-import hashlib
 import warnings
 from dataclasses import dataclass, field
 
+from ._digest import sha256_hex
 from ._yamlio import dump_canonical, load_strict
 from .errors import ConfigWarning, SchemaError
 
@@ -250,5 +250,5 @@ def canonicalize(config: ExperimentConfig) -> str:
 
 def config_hash(config: ExperimentConfig) -> str:
     """SHA-256 of the canonical serialization, lowercase hex."""
-    return hashlib.sha256(canonicalize(config).encode("utf-8")).hexdigest()
+    return sha256_hex(canonicalize(config).encode("utf-8"))
 

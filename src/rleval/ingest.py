@@ -10,7 +10,6 @@ Non-monotone logs are rejected outright; they indicate upstream corruption
 that silent sorting would hide.
 """
 
-import hashlib
 import io
 import math
 import re
@@ -19,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._digest import sha256_hex
 from ._fmt import fmt_shortest
 from ._yamlio import dump_canonical, load_strict
 from .config import config_hash as config_digest
@@ -194,7 +194,7 @@ def read_run_log_path(path) -> RunLog:
     read once: the bytes that are parsed are the bytes hashed."""
     path = Path(path)
     data = path.read_bytes()
-    fields = {"sha256": hashlib.sha256(data).hexdigest()}
+    fields = {"sha256": sha256_hex(data)}
     meta_path = path.with_name(path.stem + META_SUFFIX)
     if meta_path.exists():
         meta = load_strict(meta_path.read_text(encoding="utf-8"))
@@ -209,10 +209,10 @@ def read_run_log_path(path) -> RunLog:
 
 
 def write_run_log(run: RunLog, stream) -> None:
-    """Emit the CSV form; numbers round-trip exactly."""
-    stream.write(RUN_LOG_HEADER + "\n")
-    for step, ret in zip(run.steps.tolist(), run.returns.tolist()):
-        stream.write(f"{step},{fmt_shortest(ret)}\n")
+    """Emit the CSV form in one write; numbers round-trip exactly."""
+    rows = zip(run.steps.tolist(), run.returns.tolist())
+    body = "".join([f"{step},{fmt_shortest(ret)}\n" for step, ret in rows])
+    stream.write(f"{RUN_LOG_HEADER}\n{body}")
 
 
 def check_runs(runs, config) -> None:

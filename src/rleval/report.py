@@ -12,12 +12,12 @@ files; the manifest lists each file with its SHA-256 digest.
 by the functions that write fits and verdicts.
 """
 
-import hashlib
 import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
+from ._digest import sha256_hex
 from ._fmt import fmt_fixed, fmt_shortest
 from ._yamlio import dump_canonical
 from .errors import ValidationError
@@ -133,10 +133,6 @@ def refuse_stale_files(directory, names, what="bundle") -> None:
                               f"{', '.join(stale[:3])}{more}; use a new or empty directory")
 
 
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def emit_bundle(report: AnalysisReport, directory) -> list:
     """Write the full artifact bundle; returns (digest, relative path) pairs.
 
@@ -210,7 +206,7 @@ def emit_bundle(report: AnalysisReport, directory) -> list:
                 fh.write(files[rel])
         except OSError as exc:
             raise OSError(f"{target}: {exc}") from exc
-        manifest.append((_digest(data), rel))
+        manifest.append((sha256_hex(data), rel))
     manifest_text = "".join(f"{digest}  {rel}\n" for digest, rel in manifest)
     with open(directory / MANIFEST_NAME, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(manifest_text)

@@ -5,10 +5,12 @@ definitions (mpmath arbitrary precision, exact rational arithmetic, or
 naive full rescans) and shares no code with the implementations it checks.
 The reference copies at the end keep earlier forms of the fit loop, of
 loggamma's simplex objective, of Owen's T quadrature, of the incomplete
-gamma series and continued fraction, of the bootstrap kernel and of the
-exact KS product loop, which the current forms must match to the bit.
+gamma series and continued fraction, of the bootstrap kernel, of the
+exact KS product loop and of the run-log writer, which the current forms
+must match to the bit.
 """
 
+import io
 import math
 from fractions import Fraction
 
@@ -421,3 +423,19 @@ def times_factorial_ratio_ref(s, exp10, n):
             s *= 1e140
             exp10 -= 140
     return s, exp10
+
+
+def run_log_text_ref(steps, returns):
+    """A run log's CSV text written one row at a time, as the writer did
+    before it joined the rows: the header, then `step,return` with each
+    return's repr, given a `.0` before a bare exponent so that a YAML 1.1
+    parser reads it as a float."""
+    out = io.StringIO()
+    out.write("step,return\n")
+    for step, ret in zip(steps, returns):
+        text = repr(float(ret))
+        mantissa, exp, exponent = text.partition("e")
+        if exp and "." not in mantissa:
+            text = f"{mantissa}.0e{exponent}"
+        out.write(f"{int(step)},{text}\n")
+    return out.getvalue()

@@ -593,9 +593,9 @@ sys.argv = ["rleval", *sys.argv[1:]]
 try:
     runpy.run_module("rleval.cli", run_name="__main__")
 finally:
-    numeric = {"numpy", "numpy.ma", "numpy.polynomial", "rleval.special",
-               "rleval.distributions", "rleval.pipeline"}
-    print(sorted(numeric & set(sys.modules)), file=sys.stderr)
+    watched = {"numpy", "numpy.ma", "numpy.polynomial", "rleval.special",
+               "rleval.distributions", "rleval.pipeline", "_hashlib", "_ssl"}
+    print(sorted(watched & set(sys.modules)), file=sys.stderr)
 """
 
 
@@ -607,8 +607,8 @@ finally:
 ], ids=["validate", "version", "help", "usage-error"])
 def test_start_up_without_numpy(argv, code, stdout, tmp_path):
     """`validate`, `--version`, `--help` and usage errors load no numeric
-    module: every command pays the CLI's start-up, and these need only
-    PyYAML."""
+    module and no OpenSSL: every command pays the CLI's start-up, and these
+    need only PyYAML and CPython's own SHA-256."""
     (tmp_path / "config.yaml").write_text(CONFIG_TEXT)
     env = {**os.environ, "PYTHONPATH": str(Path(rleval.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, "-c", _RUN_CLI, *argv], cwd=tmp_path, env=env,
@@ -630,8 +630,9 @@ _QUICKSTART_RUNS = [f"runs/synth-{i:02d}.csv" for i in range(10)]
 ], ids=["synth", "curves", "analyze"])
 def test_commands_load_only_what_they_run(argv, loaded, tmp_path):
     """On the quick-start inputs, `synth` and `curves` load no `special`,
-    and `analyze` loads neither numpy.ma (np.median's NaN check) nor
-    numpy.polynomial (leggauss): no result needs them, and they cost
+    `analyze` loads neither numpy.ma (np.median's NaN check) nor
+    numpy.polynomial (leggauss), and no command loads OpenSSL, since every
+    file hashed is under 1 MiB: no result needs them, and they cost
     start-up and memory."""
     (tmp_path / "spec.yaml").write_text(dump_canonical(QUICKSTART_SPEC))
     (tmp_path / "experiment.yaml").write_text(WORKLOAD_CONFIG.format(name="quickstart"))

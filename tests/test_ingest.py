@@ -5,12 +5,14 @@ import io
 import itertools
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from rleval import ingest
 from rleval.config import ExperimentConfig, Exclusion, config_hash
 from rleval.errors import DataError, ValidationError
@@ -65,6 +67,15 @@ class TestReadWrite:
         again = read_run_log(buf.getvalue(), "r")
         assert np.array_equal(again.steps, run.steps)
         assert np.array_equal(again.returns, run.returns)
+
+    def test_one_write_equals_the_row_at_a_time_text(self):
+        # Each of the first five takes fmt_shortest's exponent branch.
+        returns = (1e-05, 1e+16, -0.0, 5e-324, 1.7976931348623157e+308, 0.1, -7.25e-12, 3.0)
+        run = RunLog("r", tuple(range(10, 10 * len(returns) + 1, 10)), returns)
+        writes = []
+        write_run_log(run, SimpleNamespace(write=writes.append))
+        assert writes == [oracles.run_log_text_ref(run.steps.tolist(), run.returns.tolist())]
+        assert "10,1.0e-05\n20,1.0e+16\n30,-0.0\n40,5.0e-324\n" in writes[0]
 
     def test_sidecar_metadata(self, tmp_path):
         run = RunLog("run_00", (100,), (1.0,), seed=7, config_hash="ab" * 32,
