@@ -88,8 +88,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    from .ingest import check_runs, read_run_log_path
-    from .report import curve_files, refuse_stale_files
+    from .ingest import check_runs, read_run_log_path, refuse_stale_files
+    from .report import curve_files
 
     config = _read_config(args.config)
     runs = [read_run_log_path(p) for p in args.runs]
@@ -124,15 +124,9 @@ def _warn_if_unconverged(fit):
 
 def cmd_analyze(args) -> int:
     from .distributions import FAMILY_NAMES
-    from .ingest import apply_exclusions, read_run_log_path
+    from .ingest import apply_exclusions, read_run_log_path, refuse_stale_files
     from .pipeline import run_analysis
-    from .report import (
-        bundle_files,
-        emit_bundle,
-        refuse_stale_files,
-        render_probability_table,
-        render_summary_table,
-    )
+    from .report import bundle_files, emit_bundle, render_probability_table, render_summary_table
 
     config = _read_config(args.config)
     runs = [read_run_log_path(p) for p in args.runs]

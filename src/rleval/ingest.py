@@ -7,7 +7,9 @@ Before any analysis, `check_runs` rejects run logs that would count one
 run twice or that name another config; `apply_exclusions` also requires a
 sidecar seed to match the config's seed for the run's position.
 Non-monotone logs are rejected outright; they indicate upstream corruption
-that silent sorting would hide.
+that silent sorting would hide. `refuse_stale_files` holds the rule that
+every writing command keeps: an output directory that holds a file the
+command would not write is refused; `write_run_dir` keeps it for `synth`.
 """
 
 import io
@@ -365,23 +367,40 @@ def synthesize_runs(spec: SynthSpec, seed: int):
     return runs
 
 
-def write_run_dir(runs, directory) -> list:
-    """Write run CSVs plus sidecars; returns the relative file names."""
+def refuse_stale_files(directory, names, what="bundle") -> None:
+    """Raise ValidationError if `directory` holds a file whose relative path
+    is not in `names`, naming up to three of them; a missing directory
+    passes. Nothing is deleted."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
+    stale = sorted({p.relative_to(directory).as_posix() for p in directory.rglob("*")
+                    if p.is_file()} - set(names))
+    if stale:
+        more = f" and {len(stale) - 3} more" if len(stale) > 3 else ""
+        raise ValidationError(f"{directory} holds files this {what} would not write: "
+                              f"{', '.join(stale[:3])}{more}; use a new or empty directory")
+
+
+def write_run_dir(runs, directory) -> list:
+    """Write run CSVs plus sidecars; returns the relative file names. A
+    directory that holds any other file is refused before a file is
+    written, so no run of an earlier call sits beside these."""
+    directory = Path(directory)
+    files = {}  # name -> the run of a log, or a sidecar's text
     for run in runs:
-        csv_path = directory / f"{run.run_id}.csv"
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            write_run_log(run, fh)
-        written.append(csv_path.name)
+        files[f"{run.run_id}.csv"] = run
         meta = dict(run.metadata)
         if run.seed is not None:
             meta = {"seed": run.seed, **meta}
         if run.config_hash is not None:
             meta["config_hash"] = run.config_hash
         if meta:
-            meta_path = directory / f"{run.run_id}{META_SUFFIX}"
-            meta_path.write_text(dump_canonical(meta), encoding="utf-8")
-            written.append(meta_path.name)
-    return written
+            files[f"{run.run_id}{META_SUFFIX}"] = dump_canonical(meta)
+    refuse_stale_files(directory, files, what="synth call")
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        with open(directory / name, "w", encoding="utf-8", newline="\n") as fh:
+            if isinstance(content, RunLog):
+                write_run_log(content, fh)
+            else:
+                fh.write(content)
+    return list(files)

@@ -75,7 +75,7 @@ def learning_curve(run, window: int = DEFAULT_WINDOW, stride: int = DEFAULT_STRI
     lo = np.searchsorted(steps, grid - window, side="right")  # first inside the window
     counts = hi - lo
     totals = np.zeros(grid.size)
-    for k in range(int(counts.max())):
+    for k in range(int(counts.max(initial=0))):  # a run ending at step 0 has no grid
         live = np.flatnonzero(counts > k)
         totals[live] += returns[lo[live] + k]
     # An empty window carries the last defined value forward; grid points

@@ -7,9 +7,9 @@ reproducibility verdicts, and a provenance block naming every setting that
 influenced a number. Emitting the same report twice yields byte-identical
 files; the manifest lists each file with its SHA-256 digest.
 
-`curves` imports this module for its file names and stale-file check, so
-`distributions` and `inference`, which load `special`, are imported only
-by the functions that write fits and verdicts.
+`curves` imports this module for its file names, so `distributions` and
+`inference`, which load `special`, are imported only by the functions that
+write fits and verdicts.
 """
 
 import io
@@ -20,7 +20,7 @@ from . import __version__
 from ._digest import sha256_hex
 from ._fmt import fmt_fixed, fmt_shortest
 from ._yamlio import dump_canonical
-from .errors import ValidationError
+from .ingest import refuse_stale_files
 from .metrics import EMPTY_WINDOW_POLICY, write_band_csv, write_curve_csv
 from .resample import CI_METHOD, write_means_csv
 from .tabular import Table
@@ -118,19 +118,6 @@ def bundle_files(run_ids, with_probabilities: bool) -> list:
     if with_probabilities:
         names.append("probabilities.csv")
     return names + curve_files(run_ids, "curves/", "bands/")
-
-
-def refuse_stale_files(directory, names, what="bundle") -> None:
-    """Raise ValidationError if `directory` holds a file whose relative path
-    is not in `names`, naming up to three of them; a missing directory
-    passes. Nothing is deleted."""
-    directory = Path(directory)
-    stale = sorted({p.relative_to(directory).as_posix() for p in directory.rglob("*")
-                    if p.is_file()} - set(names))
-    if stale:
-        more = f" and {len(stale) - 3} more" if len(stale) > 3 else ""
-        raise ValidationError(f"{directory} holds files this {what} would not write: "
-                              f"{', '.join(stale[:3])}{more}; use a new or empty directory")
 
 
 def emit_bundle(report: AnalysisReport, directory) -> list:

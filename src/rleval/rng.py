@@ -26,7 +26,9 @@ loop numpy picks per SIMD class.
 
 That quantile, Wichura's AS 241, lives here beside `standard_normal`, its
 one caller in the package, so that `synth` loads no `special`; `special`
-imports it under the same name.
+imports it under the same name. So does `horner`, the one polynomial
+evaluator of the package: every coefficient table, AS 241's here and
+Cody's, digamma's and Temme's in `special`, holds its constant term first.
 """
 
 import numpy as np
@@ -175,17 +177,23 @@ _AS241_FAR = (
      7.868691311456133e-4, 1.8463183175100548e-5, 1.421511758316446e-7, 2.0442631033899397e-15))
 
 
+def horner(t, coeffs):
+    """sum_k coeffs[k] t^k, the constant term first, by Horner's rule: the
+    last coefficient times t, plus the next, times t, and so on down to
+    the constant. t may be a float or an array; on an array the sum is
+    built in place, on a float by rebinding. Every coefficient table of
+    the package, here and in `special`, is summed by this one loop."""
+    total = coeffs[-1]
+    for coef in coeffs[-2::-1]:
+        total *= t
+        total += coef
+    return total
+
+
 def _as241_ratio(t, coeffs):
-    """One AS 241 rational at t: numerator over denominator, each by Horner."""
+    """One AS 241 rational at t: numerator over denominator."""
     num_c, den_c = coeffs
-    num = num_c[-1] * t
-    den = den_c[-1] * t
-    for a, b in zip(num_c[-2:0:-1], den_c[-2:0:-1]):
-        num += a
-        num *= t
-        den += b
-        den *= t
-    return (num + num_c[0]) / (den + den_c[0])
+    return horner(t, num_c) / horner(t, den_c)
 
 
 def std_normal_quantile(p):

@@ -7,6 +7,10 @@ digamma (scalar only) accepts a scalar or an ndarray; scalar input returns
 a Python float. The normal quantile is `rng.std_normal_quantile`, imported
 here under its name.
 
+Cody's rationals, digamma's two series and Temme's expansion sum their
+coefficient tables with `rng.horner`, the package's one Horner loop, so
+every table here holds its constant term first.
+
 Accuracy targets (enforced by the oracle test suite): erfc 1e-14 relative
 on [0, 26.5]; normal CDF 1e-12 absolute; log Phi 1e-13 relative (absolute
 below |log Phi| = 1) at every point of [-38, 8]; quantile 8 ulps; digamma
@@ -37,7 +41,7 @@ import math
 import numpy as np
 
 from .errors import NumericError
-from .rng import std_normal_quantile  # the quantile keeps its name here
+from .rng import horner, std_normal_quantile  # the quantile keeps its name here
 
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -63,38 +67,23 @@ def _unwrap(arr, scalar):
 
 # Cody (1969), "Rational Chebyshev approximations for the error function",
 # Math. Comp. 23, as in his CALERF routine: erf on |x| <= 0.46875, erfcx on
-# (0.46875, 4] and erfcx(x) as a rational in 1/x^2 above 4.
-_CODY_A = (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
-           3.20937758913846947e03, 1.85777706184603153e-1)
-_CODY_B = (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
-           2.84423683343917062e03)
-_CODY_C = (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
-           2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03,
-           2.05107837782607147e03, 1.23033935479799725e03, 2.15311535474403846e-8)
-_CODY_D = (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
-           1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
-           3.43936767414372164e03, 1.23033935480374942e03)
-_CODY_P = (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
-           1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2)
-_CODY_Q = (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
-           6.05183413124413191e-2, 2.33520497626869185e-3)
+# (0.46875, 4] and erfcx(x) as a rational in 1/x^2 above 4. Numerator and
+# denominator of each, constant term first; the denominators are monic.
+_CODY_A = (3.20937758913846947e03, 3.77485237685302021e02, 1.13864154151050156e02,
+           3.16112374387056560e00, 1.85777706184603153e-1)
+_CODY_B = (2.84423683343917062e03, 1.28261652607737228e03, 2.44024637934444173e02,
+           2.36012909523441209e01, 1.0)
+_CODY_C = (1.23033935479799725e03, 2.05107837782607147e03, 1.71204761263407058e03,
+           8.81952221241769090e02, 2.98635138197400131e02, 6.61191906371416295e01,
+           8.88314979438837594e00, 5.64188496988670089e-1, 2.15311535474403846e-8)
+_CODY_D = (1.23033935480374942e03, 3.43936767414372164e03, 4.36261909014324716e03,
+           3.29079923573345963e03, 1.62138957456669019e03, 5.37181101862009858e02,
+           1.17693950891312499e02, 1.57449261107098347e01, 1.0)
+_CODY_P = (6.58749161529837803e-4, 1.60837851487422766e-2, 1.25781726111229246e-1,
+           3.60344899949804439e-1, 3.05326634961232344e-1, 1.63153871373020978e-2)
+_CODY_Q = (2.33520497626869185e-3, 6.05183413124413191e-2, 5.27905102951428412e-1,
+           1.87295284992346725e00, 2.56852019228982242e00, 1.0)
 _ERFC_UNDERFLOW = 26.543  # erfc(x) < 2.2e-308 beyond this
-
-
-def _cody_ratio(t, num_c, den_c):
-    """Cody's rational form: the last num_c coefficient leads, the one
-    before it is the constant term, and den_c is monic."""
-    num = num_c[-1] * t
-    den = t.copy()
-    for a, b in zip(num_c[:-2], den_c[:-1]):
-        num += a
-        num *= t
-        den += b
-        den *= t
-    num += num_c[-2]
-    den += den_c[-1]
-    num /= den
-    return num
 
 
 def _exp_neg_square(y):
@@ -118,12 +107,12 @@ def _calerf(y, scaled):
     if small_idx.size:
         ys = flat[small_idx]
         z = ys * ys
-        r = 1.0 - ys * _cody_ratio(z, _CODY_A, _CODY_B)
+        r = 1.0 - ys * (horner(z, _CODY_A) / horner(z, _CODY_B))
         out[small_idx] = np.exp(z) * r if scaled else r
     mid_idx = np.flatnonzero(upto4 & ~small)
     if mid_idx.size:
         ym = flat[mid_idx]
-        r = _cody_ratio(ym, _CODY_C, _CODY_D)
+        r = horner(ym, _CODY_C) / horner(ym, _CODY_D)
         out[mid_idx] = r if scaled else _exp_neg_square(ym) * r
     big_idx = np.flatnonzero(~upto4)  # includes inf and NaN
     if big_idx.size:
@@ -132,7 +121,7 @@ def _calerf(y, scaled):
             yb = np.minimum(yb, _ERFC_UNDERFLOW)
         with np.errstate(over="ignore"):
             z = 1.0 / (yb * yb)
-        r = (_INV_SQRT_PI - z * _cody_ratio(z, _CODY_P, _CODY_Q)) / yb
+        r = (_INV_SQRT_PI - z * (horner(z, _CODY_P) / horner(z, _CODY_Q))) / yb
         if scaled:
             out[big_idx] = r
         else:
@@ -211,19 +200,13 @@ def digamma(x):
     d = x - _PSI_ROOT_HI
     if abs(d) < 0.25:
         d -= _PSI_ROOT_LO
-        total = 0.0
-        for coef in reversed(_PSI_ROOT_TAYLOR):
-            total = total * d + coef
-        return total * d
+        return horner(d, _PSI_ROOT_TAYLOR) * d
     shift = 0.0
     while x < 10.0:
         shift += 1.0 / x
         x += 1.0
     inv2 = 1.0 / (x * x)
-    series = 0.0
-    for coef in reversed(_PSI_ASYMPTOTIC):
-        series = series * inv2 + coef
-    return math.log(x) - 0.5 / x - series * inv2 - shift
+    return math.log(x) - 0.5 / x - horner(inv2, _PSI_ASYMPTOTIC) * inv2 - shift
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +343,6 @@ _TEMME_C = (
 _ATANH_ODD = tuple(1.0 / j for j in range(3, 25, 2))
 
 
-def _horner(t, coeffs):
-    """sum_n coeffs[n] t^n, the constant term first."""
-    total = np.full_like(t, coeffs[-1])
-    for coef in coeffs[-2::-1]:
-        total *= t
-        total += coef
-    return total
-
-
 def _igam_temme(a, x):
     """(P, Q) at a >= 20 and |x - a| < 0.3 a by Temme's expansion: with
     mu = x/a - 1 and eta^2 / 2 = mu - log(1 + mu), eta of the sign of mu,
@@ -384,17 +358,11 @@ def _igam_temme(a, x):
     d = x - a
     s = d / (x + a)
     s2 = s * s
-    a_half_eta2 = d * s - (2.0 * a) * s * s2 * _horner(s2, _ATANH_ODD)
+    a_half_eta2 = d * s - (2.0 * a) * s * s2 * horner(s2, _ATANH_ODD)
     below = d < 0.0
     eta = np.copysign(np.sqrt(a_half_eta2 * (2.0 / a)), d)
     inv_a = 1.0 / a
-    coeffs = []
-    for column in zip(*_TEMME_C):
-        c = 0.0
-        for coef in reversed(column):
-            c = c * inv_a + coef
-        coeffs.append(c)
-    small = _horner(eta, coeffs)
+    small = horner(eta, [horner(inv_a, column) for column in zip(*_TEMME_C)])
     small *= 1.0 / math.sqrt(2.0 * math.pi * a)
     small[below] *= -1.0
     small += 0.5 * _calerf(np.sqrt(a_half_eta2), scaled=True)
@@ -644,7 +612,6 @@ def kolmogorov_sf(x):
 
 
 _RESCALE = 1e140
-_FACTOR_RUN = 512  # factors per np.multiply.accumulate call
 
 # OpenBLAS thread-count entry points under the names the numpy wheels and
 # system builds export them.
@@ -716,26 +683,14 @@ def _times_factorial_ratio(s, exp10, n):
 
     The factors j / n multiply into s for j = 1, ..., n in order, and each
     time s falls below 1e-140 it is scaled up by 1e140 and exp10 lowered by
-    140. np.multiply.accumulate takes the running product up to
-    _FACTOR_RUN factors at a time and restarts after each rescale, so s
-    gets the bits of the scalar loop. Once s is 0 or below, every factor
-    rescales it, and the factors and the scalings alternate in one run."""
-    factors = np.arange(1.0, n + 1.0) / n
-    done = 0
-    while done < n:
-        if s <= 0.0:
-            steps = np.full(2 * (n - done) + 1, _RESCALE)
-            steps[0] = s
-            steps[1::2] = factors[done:]
-            return np.multiply.accumulate(steps)[-1], exp10 - 140 * (n - done)
-        run = np.multiply.accumulate(np.concatenate(([s], factors[done:done + _FACTOR_RUN])))
-        low = np.flatnonzero(run[1:] < 1e-140)
-        taken = int(low[0]) + 1 if low.size else run.size - 1
-        s = run[taken]
-        if low.size:
+    140. At n = 10^4 the loop takes ~0.4 ms on Python floats, a tenth of
+    the exact p-value's time (2-vCPU Xeon)."""
+    s = float(s)
+    for j in range(1, n + 1):
+        s *= j / n
+        if s < 1e-140:
             s *= _RESCALE
             exp10 -= 140
-        done += taken
     return s, exp10
 
 

@@ -6,8 +6,9 @@ naive full rescans) and shares no code with the implementations it checks.
 The reference copies at the end keep earlier forms of the fit loop, of
 loggamma's simplex objective, of Owen's T quadrature, of the incomplete
 gamma series and continued fraction, of the bootstrap kernel, of the
-exact KS product loop and of the run-log writer, which the current forms
-must match to the bit.
+exact KS product loop, of the run-log writer and of the polynomial loops
+of erfc, the normal quantile, digamma and Temme's expansion, which the
+current forms must match to the bit.
 """
 
 import io
@@ -439,3 +440,150 @@ def run_log_text_ref(steps, returns):
             text = f"{mantissa}.0e{exponent}"
         out.write(f"{int(step)},{text}\n")
     return out.getvalue()
+
+
+# Cody's CALERF tables in his order: a numerator's last coefficient leads
+# and the one before it is the constant term; a denominator is monic and
+# its last coefficient is the constant term.
+CODY_REF = {
+    "A": (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
+          3.20937758913846947e03, 1.85777706184603153e-1),
+    "B": (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+          2.84423683343917062e03),
+    "C": (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
+          2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03,
+          2.05107837782607147e03, 1.23033935479799725e03, 2.15311535474403846e-8),
+    "D": (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+          1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+          3.43936767414372164e03, 1.23033935480374942e03),
+    "P": (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
+          1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2),
+    "Q": (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
+          6.05183413124413191e-2, 2.33520497626869185e-3),
+}
+
+
+def cody_ratio_ref(t, num_c, den_c):
+    """Cody's rational in his table order, by the loop that read it."""
+    num = num_c[-1] * t
+    den = t.copy()
+    for a, b in zip(num_c[:-2], den_c[:-1]):
+        num += a
+        num *= t
+        den += b
+        den *= t
+    num += num_c[-2]
+    den += den_c[-1]
+    num /= den
+    return num
+
+
+def calerf_ref(y, scaled):
+    """erfc(y), or erfcx(y) when `scaled`, for y >= 0 or NaN: the kernel as
+    it read Cody's tables in his order through `cody_ratio_ref`."""
+    def exp_neg_square(v):
+        s = np.trunc(v * 16.0) / 16.0
+        return np.exp(-s * s) * np.exp(-(v - s) * (v + s))
+
+    flat = y.ravel()
+    out = np.empty_like(flat)
+    small = flat <= 0.46875
+    ys = flat[small]
+    z = ys * ys
+    r = 1.0 - ys * cody_ratio_ref(z, CODY_REF["A"], CODY_REF["B"])
+    out[small] = np.exp(z) * r if scaled else r
+    mid = (flat <= 4.0) & ~small
+    ym = flat[mid]
+    r = cody_ratio_ref(ym, CODY_REF["C"], CODY_REF["D"])
+    out[mid] = r if scaled else exp_neg_square(ym) * r
+    big = ~(flat <= 4.0)
+    yb = flat[big] if scaled else np.minimum(flat[big], 26.543)
+    with np.errstate(over="ignore"):
+        z = 1.0 / (yb * yb)
+    r = (1.0 / math.sqrt(math.pi) - z * cody_ratio_ref(z, CODY_REF["P"], CODY_REF["Q"])) / yb
+    out[big] = r if scaled else np.where(yb >= 26.543, 0.0, exp_neg_square(yb) * r)
+    return out.reshape(y.shape)
+
+
+def as241_ratio_ref(t, coeffs):
+    """One AS 241 rational, numerator and denominator in one loop."""
+    num_c, den_c = coeffs
+    num = num_c[-1] * t
+    den = den_c[-1] * t
+    for a, b in zip(num_c[-2:0:-1], den_c[-2:0:-1]):
+        num += a
+        num *= t
+        den += b
+        den *= t
+    return (num + num_c[0]) / (den + den_c[0])
+
+
+def as241_quantile_ref(p, central, near, far):
+    """Phi^-1 on a 1-d array of p in (0, 1) by `as241_ratio_ref` on the
+    three rationals given, constant term first."""
+    q = p - 0.5
+    out = np.empty_like(p)
+    mid = np.abs(q) <= 0.425
+    qm = q[mid]
+    out[mid] = qm * as241_ratio_ref(0.180625 - qm * qm, central)
+    pt = p[~mid]
+    r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+    x = np.where(r <= 5.0, as241_ratio_ref(r - 1.6, near), as241_ratio_ref(r - 5.0, far))
+    out[~mid] = np.where(pt < 0.5, -x, x)
+    return out
+
+
+def horner_loop_ref(t, coeffs):
+    """sum_k coeffs[k] t^k, constant first, by the float loop of digamma
+    and of Temme's coefficient sums: total * t + coef over the reversed
+    table, from 0."""
+    total = 0.0
+    for coef in reversed(coeffs):
+        total = total * t + coef
+    return total
+
+
+def horner_full_like_ref(t, coeffs):
+    """sum_k coeffs[k] t^k, constant first, on an array t, by the loop of
+    Temme's series in eta and in s^2: an array of the leading coefficient,
+    then times t, plus the next, in place."""
+    total = np.full_like(t, coeffs[-1])
+    for coef in coeffs[-2::-1]:
+        total *= t
+        total += coef
+    return total
+
+
+def igam_temme_ref(a, x, table, atanh_odd):
+    """(P, Q) by Temme's expansion as it summed its coefficients in 1/a
+    with `horner_loop_ref` and its series in eta and s^2 with
+    `horner_full_like_ref`, on the tables given, with `calerf_ref`."""
+    d = x - a
+    s = d / (x + a)
+    s2 = s * s
+    a_half_eta2 = d * s - (2.0 * a) * s * s2 * horner_full_like_ref(s2, atanh_odd)
+    below = d < 0.0
+    eta = np.copysign(np.sqrt(a_half_eta2 * (2.0 / a)), d)
+    sums = [horner_loop_ref(1.0 / a, column) for column in zip(*table)]
+    small = horner_full_like_ref(eta, sums)
+    small *= 1.0 / math.sqrt(2.0 * math.pi * a)
+    small[below] *= -1.0
+    small += 0.5 * calerf_ref(np.sqrt(a_half_eta2), scaled=True)
+    small *= np.exp(-a_half_eta2)
+    large = 1.0 - small
+    return np.where(below, small, large), np.where(below, large, small)
+
+
+def digamma_loop_ref(x, root_hi, root_lo, taylor, asymptotic):
+    """psi(x) for a float x > 0 as digamma summed its two series with
+    `horner_loop_ref`, on the root and tables given."""
+    d = x - root_hi
+    if abs(d) < 0.25:
+        d -= root_lo
+        return horner_loop_ref(d, taylor) * d
+    shift = 0.0
+    while x < 10.0:
+        shift += 1.0 / x
+        x += 1.0
+    inv2 = 1.0 / (x * x)
+    return math.log(x) - 0.5 / x - horner_loop_ref(inv2, asymptotic) * inv2 - shift

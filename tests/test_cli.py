@@ -143,6 +143,27 @@ class TestCurves:
         assert sorted(p.name for p in out.iterdir()) == ["band.csv"]
 
 
+    def test_runs_ending_at_step_zero_give_header_only_files(self, tmp_path, capsys):
+        """Two logs whose last episode ends at step 0, the first valid end
+        step: `curves` and `analyze` exit 0 and write each curve and the
+        band as a header with no point."""
+        config = tmp_path / "config.yaml"
+        config.write_text(CONFIG_TEXT.replace("run_count: 5", "run_count: 2")
+                          .split("excluded_runs:")[0])
+        logs = []
+        for name, value in (("a", "1.5"), ("b", "2.5")):
+            logs.append(str(tmp_path / f"{name}.csv"))
+            Path(logs[-1]).write_text(f"step,return\n0,{value}\n")
+        assert main(["curves", str(config), *logs, "--out", str(tmp_path / "curves")]) == 0
+        assert main(["analyze", str(config), *logs, "--seed", "7", "--resamples", "200",
+                     "--families", "normal", "--out", str(tmp_path / "bundle")]) == 0
+        for written in ("curves/a.csv", "curves/b.csv", "bundle/curves/a.csv",
+                        "bundle/curves/b.csv"):
+            assert (tmp_path / written).read_text() == "eval_step,value\n"
+        for written in ("curves/band.csv", "bundle/bands/band.csv"):
+            assert (tmp_path / written).read_text() == "eval_step,mean,se,n\n"
+
+
 class TestAnalyze:
     def test_full_pipeline_and_exclusion_note(self, workspace, capsys):
         code = main([
@@ -516,6 +537,28 @@ class TestSynth:
                          "--out", str(out)]) == 0
         for path in sorted(out_a.glob("*")):
             assert path.read_bytes() == (out_b / path.name).read_bytes()
+
+    def test_reused_out_with_stale_runs_exit_1(self, tmp_path, capsys):
+        """A 2-run spec (seed 2) into the directory of a 3-run one (seed 1)
+        would leave the seed-1 third run and its sidecar beside the seed-2
+        runs: exit 1 after synthesis, no byte written. The first call
+        reruns into its own directory."""
+        three, two = tmp_path / "three.yaml", tmp_path / "two.yaml"
+        three.write_text(SPEC_TEXT.replace("run_count: 5", "run_count: 3"))
+        two.write_text(SPEC_TEXT.replace("run_count: 5", "run_count: 2"))
+        out = tmp_path / "runs"
+        first = ["synth", str(three), "--seed", "1", "--out", str(out)]
+        assert main(first) == 0
+        before = {p: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(["synth", str(two), "--seed", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: validation: {out} holds files this synth call would not write: "
+            "synth-02.csv, synth-02.meta.yaml; use a new or empty directory\n"
+        )
+        assert {p: p.read_bytes() for p in out.iterdir()} == before
+        assert main(first) == 0
+        assert {p: p.read_bytes() for p in out.iterdir()} == before
 
     def test_seed_required(self, workspace):
         with pytest.raises(SystemExit) as exit_info:

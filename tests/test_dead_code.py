@@ -1,9 +1,10 @@
 """No dead helpers: every top-level function, class and constant of
 `src/rleval` is read somewhere in the package outside its own definition,
-and every positional parameter is read by the function that takes it, or
-by one of the methods of its name, or is kept in the allowlist below for a
-stated reason. A read is a load that resolves to the binding: a parameter
-or local of the same name reads that, not the module's."""
+every positional parameter is read by the function that takes it, or by
+one of the methods of its name, and every dataclass field is loaded as an
+attribute somewhere in the package, or each is kept in the allowlist below
+for a stated reason. A read is a load that resolves to the binding: a
+parameter or local of the same name reads that, not the module's."""
 
 import ast
 from pathlib import Path
@@ -14,12 +15,15 @@ PACKAGE = Path(rleval.__file__).parent
 
 # name -> why it stays although no module of the package reads it. A
 # parameter is written module.function(parameter), or for a method
-# module.Class.method(parameter) after the first class that defines it.
+# module.Class.method(parameter) after the first class that defines it; a
+# dataclass field is written module.Class.field.
 KEPT = {
     "distributions.sample": "the fit-recovery tests and acceptance criterion 5 draw their "
                             "data with it, and ROADMAP item 9 is its planned caller",
     "inference.verify_reproducibility(boot)": "perfbench/tracing.py passes it; ROADMAP item 5 "
                                               "removes it",
+    "report.AnalysisReport.config_digest": "perfbench/tracing.py constructs the report with "
+                                           "it; ROADMAP item 5 removes it",
 }
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -169,18 +173,45 @@ def _unread_parameters(trees):
     return unread
 
 
-def _kept(parameters):
-    return {name for name in KEPT if ("(" in name) == parameters}
+def _is_dataclass(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def _unread_fields(trees):
+    """Fields of the package's dataclasses that no module loads as an
+    attribute of any object: a field is matched by its name alone."""
+    loaded = {node.attr for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return {f"{module[:-3]}.{cls.name}.{node.target.id}"
+            for module, tree in trees.items() for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and any(map(_is_dataclass, cls.decorator_list))
+            for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+            and node.target.id not in loaded}
+
+
+def _kept(kind):
+    """The allowlisted entries of one kind: "parameter", "field" or "name"."""
+    def kind_of(entry):
+        return "parameter" if "(" in entry else "field" if entry.count(".") == 2 else "name"
+    return {entry for entry in KEPT if kind_of(entry) == kind}
 
 
 def test_every_top_level_name_is_read():
     unread = _unread_names(_trees())
-    assert sorted(unread - _kept(False)) == []
+    assert sorted(unread - _kept("name")) == []
     # an allowlisted name that the package reads again leaves the list
-    assert sorted(_kept(False) - unread) == []
+    assert sorted(_kept("name") - unread) == []
 
 
 def test_every_positional_parameter_is_read():
     unread = _unread_parameters(_trees())
-    assert sorted(unread - _kept(True)) == []
-    assert sorted(_kept(True) - unread) == []
+    assert sorted(unread - _kept("parameter")) == []
+    assert sorted(_kept("parameter") - unread) == []
+
+
+def test_every_dataclass_field_is_read():
+    unread = _unread_fields(_trees())
+    assert sorted(unread - _kept("field")) == []
+    assert sorted(_kept("field") - unread) == []

@@ -48,6 +48,9 @@ class TestLearningCurve:
             stride = int(rng.integers(1, 5)) * 250
             mine = learning_curve(run, window, stride)
             assert mine.points == oracles.curve_oracle(run, window, stride)
+        # a run whose last episode ends at step 0 has no grid point
+        run = RunLog("t", (0,), (3.0,))
+        assert learning_curve(run, 5000, 1000).points == oracles.curve_oracle(run, 5000, 1000) == ()
 
     def test_dense_windows_match_bruteforce_oracle_bitwise(self):
         # one episode per step: each window adds up to 5000 returns in order

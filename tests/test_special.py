@@ -313,6 +313,60 @@ class TestIncompleteGamma:
             assert sp.reg_inc_gamma_upper(a, x).tobytes() == want_q.tobytes()
 
 
+def _hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestOneHornerLoop:
+    """`rng.horner`, the one polynomial loop, gives each kernel the bits of
+    the loop it had before: Cody's ratio on his table order, AS 241's
+    paired loop, and the two reversed loops of digamma and Temme."""
+
+    def test_calerf_on_its_three_pieces_and_special_values(self):
+        inner = np.nextafter(0.46875, 1.0)
+        y = np.concatenate([
+            np.linspace(0.0, 0.46875, 2001), np.linspace(inner, 4.0, 4001),
+            np.linspace(np.nextafter(4.0, 5.0), 30.0, 4001), np.geomspace(1e-300, 1e300, 601),
+            [0.0, -0.0, 4.0, sp._ERFC_UNDERFLOW, math.inf, math.nan],
+        ])
+        for scaled in (False, True):
+            assert (_hexes(sp._calerf(y, scaled=scaled))
+                    == _hexes(oracles.calerf_ref(y, scaled=scaled))), scaled
+
+    def test_quantile_central_near_and_far(self):
+        from rleval import rng  # here: other tests name their generators rng
+
+        p = np.concatenate([
+            np.linspace(0.075, 0.925, 4001),  # central, |p - 1/2| <= 0.425
+            np.geomspace(1.4e-11, 0.075, 2001),  # near, r <= 5
+            np.geomspace(1e-300, 1.4e-11, 2001),  # far
+            1.0 - np.geomspace(2.0**-53, 0.075, 2001),
+        ])
+        want = oracles.as241_quantile_ref(p, rng._AS241_CENTRAL, rng._AS241_NEAR,
+                                          rng._AS241_FAR)
+        assert _hexes(sp.std_normal_quantile(p)) == _hexes(want)
+
+    def test_digamma_near_its_root_and_across_its_range(self):
+        xs = np.concatenate([
+            sp._PSI_ROOT_HI + np.linspace(-0.2499, 0.2499, 2001), [sp._PSI_ROOT_HI],
+            np.geomspace(1e-3, 1e6, 3001),
+        ])
+        tables = (sp._PSI_ROOT_HI, sp._PSI_ROOT_LO, sp._PSI_ROOT_TAYLOR, sp._PSI_ASYMPTOTIC)
+        for x in xs.tolist():
+            assert sp.digamma(x).hex() == oracles.digamma_loop_ref(x, *tables).hex(), x
+
+    @pytest.mark.parametrize("a", [20.0, 1e3, 1.36e5, 1e9])
+    def test_temme_coefficient_sums_and_expansion(self, a):
+        """The sums in 1/a of each eta power, and `_igam_temme` across its
+        band, which sums its series in eta and in s^2 with them."""
+        columns = list(zip(*sp._TEMME_C))
+        assert (_hexes([sp.horner(1.0 / a, column) for column in columns])
+                == _hexes([oracles.horner_loop_ref(1.0 / a, column) for column in columns]))
+        x = a + np.linspace(-0.2999, 0.2999, 2001) * a
+        want = oracles.igam_temme_ref(a, x, sp._TEMME_C, sp._ATANH_ODD)
+        assert _hexes(sp._igam_temme(a, x)) == _hexes(want)
+
+
 class TestIncompleteBeta:
     @pytest.mark.parametrize(
         "a,b",
