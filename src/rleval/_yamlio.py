@@ -1,18 +1,33 @@
-"""Strict YAML reading and canonical YAML writing.
+"""Strict text and YAML reading, and canonical YAML writing.
 
-Reading rejects duplicate keys (PyYAML silently keeps the last one) and
-surfaces position-annotated syntax errors. Writing produces a deterministic
-two-space-indented document: mappings keep the caller's key order, numbers
-render in shortest round-trip form, and strings are double-quoted whenever
-a plain rendering would not read back as the same string.
+Every input file is decoded by `read_text`, which names the file and the
+offset of the first byte that is not UTF-8. Reading YAML rejects duplicate
+keys (PyYAML silently keeps the last one) and surfaces position-annotated
+syntax errors. Writing produces a deterministic two-space-indented
+document: mappings keep the caller's key order, numbers render in shortest
+round-trip form, and strings are double-quoted whenever a plain rendering
+would not read back as the same string.
 """
 
 import json
+from pathlib import Path
 
 import yaml
 
 from ._fmt import fmt_shortest
-from .errors import ConfigSyntaxError, DuplicateKeyError
+from .errors import ConfigSyntaxError, DuplicateKeyError, ValidationError
+
+
+def read_text(path, data=None) -> str:
+    """The UTF-8 text of the file at `path`, or of `data`, its bytes, when
+    the caller has read them already."""
+    if data is None:
+        data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8: byte 0x{data[exc.start]:02x} "
+                              f"at offset {exc.start}") from None
 
 
 class _StrictLoader(yaml.SafeLoader):

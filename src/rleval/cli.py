@@ -17,8 +17,10 @@ load numpy. `synth` loads numpy with `ingest` and `rng`, which holds the
 normal quantile, and `curves` with `ingest`, `metrics` and `report`;
 neither loads `special`. `analyze` and `fit` load `special`,
 `distributions` and `pipeline`, but neither numpy.ma nor numpy.polynomial:
-the fits take medians by sorting, and Owen's T reads its Gauss-Legendre
-nodes from a table. No command loads OpenSSL for inputs under 1 MiB:
+the fits take medians as the type-7 quantile, by sorting, and Owen's T
+reads its Gauss-Legendre nodes from a table. Every input file is decoded
+by `_yamlio.read_text`, so a file that is not UTF-8 is a validation error.
+No command loads OpenSSL for inputs under 1 MiB:
 `_digest` hashes them with CPython's own SHA-256, since loading libcrypto
 costs ~3 ms and 3.4 MB resident, more than its speed saves on so few bytes.
 
@@ -31,6 +33,7 @@ the thread count later does not.
 """
 
 import argparse
+import io
 import os
 import sys
 import warnings
@@ -38,7 +41,7 @@ from pathlib import Path
 
 from . import __version__
 from ._fmt import fmt_shortest
-from ._yamlio import dump_canonical, load_strict
+from ._yamlio import dump_canonical, load_strict, read_text
 from .config import config_hash, parse_config
 from .errors import ConfigWarning, NumericError, RlevalError, ValidationError
 from .metrics import (
@@ -64,7 +67,7 @@ def _fail(category: str, message: str, code: int) -> int:
 def _read_config(path):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ConfigWarning)
-        config = parse_config(Path(path).read_text(encoding="utf-8"))
+        config = parse_config(read_text(path))
     for item in caught:
         print(f"warning: {path}: {item.message}", file=sys.stderr)
     return config
@@ -80,7 +83,9 @@ def cmd_validate(args) -> int:
             status = EXIT_IO if status == EXIT_OK else status
             continue
         except RlevalError as exc:
-            print(f"error: validation: {path}: {exc}", file=sys.stderr)
+            message = str(exc)  # a file that is not UTF-8 is named in the message already
+            where = "" if message.startswith(f"{path}: ") else f"{path}: "
+            print(f"error: validation: {where}{message}", file=sys.stderr)
             status = EXIT_VALIDATION
             continue
         print(f"{config_hash(config)}  {path}")
@@ -163,8 +168,7 @@ def cmd_fit(args) -> int:
     from .resample import read_means_csv
 
     get_family(args.family)  # an unknown family fails before the means are read
-    with open(args.means, "r", encoding="utf-8") as fh:
-        means = read_means_csv(fh)
+    means = read_means_csv(io.StringIO(read_text(args.means), newline=None))
     text = dump_canonical(fit_record(fit_families([args.family], means, args.seed)[0]))
     print(text, end="")
     if args.out:
@@ -177,7 +181,7 @@ def cmd_verify(args) -> int:
     from .distributions import fit_from_record
     from .inference import make_verdict
 
-    doc = load_strict(Path(args.fit).read_text(encoding="utf-8"))
+    doc = load_strict(read_text(args.fit))
     fit = fit_from_record(doc)
     verdict = make_verdict(fit, args.reported, alpha=args.alpha)
     _warn_if_unconverged(fit)
@@ -194,7 +198,7 @@ def cmd_verify(args) -> int:
 def cmd_synth(args) -> int:
     from .ingest import SynthSpec, synthesize_runs, write_run_dir
 
-    doc = load_strict(Path(args.spec).read_text(encoding="utf-8"))
+    doc = load_strict(read_text(args.spec))
     spec = SynthSpec.from_mapping(doc)
     runs = synthesize_runs(spec, seed=args.seed)
     written = write_run_dir(runs, args.out)

@@ -118,16 +118,6 @@ class Family:
         return f"Family({self.name})"
 
 
-def _median(data):
-    """np.median's bits from a full sort: the middle value, or (lo + hi) / 2
-    of the two middle values. np.median's NaN check imports numpy.ma."""
-    ordered = np.sort(data, axis=None)
-    mid = ordered.size // 2
-    if ordered.size % 2:
-        return float(ordered[mid])
-    return float((ordered[mid - 1] + ordered[mid]) / 2.0)
-
-
 def _iqr_scale(data):
     iqr = empirical_quantile(data, 0.75) - empirical_quantile(data, 0.25)
     if iqr > 0:
@@ -328,7 +318,7 @@ class JohnsonSU(Family):
         return self.cdf_z(z, (-shapes[0], -shapes[1]))
 
     def init_params(self, data):
-        loc = _median(data)
+        loc = empirical_quantile(data, 0.5)
         scale = _iqr_scale(data)
         u = np.arcsinh((data - loc) / scale)
         spread = float(np.std(u)) or 1.0
@@ -476,7 +466,7 @@ class PowerNormal(Family):
         return np.exp(shapes[0] * special.std_normal_logcdf(-z))
 
     def init_params(self, data):
-        return (1.0,), _median(data), _iqr_scale(data)
+        return (1.0,), empirical_quantile(data, 0.5), _iqr_scale(data)
 
 
 class SkewNormal(Family):

@@ -117,6 +117,8 @@ def make_verdict(fit, reported, alpha: float = DEFAULT_ALPHA) -> Reproducibility
         raise ValidationError("verdict requires a fit with a KS p-value attached")
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+    if not math.isfinite(reported):
+        raise ValidationError(f"reported value must be finite, got {reported}")
     p_v = float(survival(fit, reported))
     p_d = float(fit.ks_pvalue)
     combined = p_d * p_v

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._digest import sha256_hex
 from ._fmt import fmt_shortest
-from ._yamlio import dump_canonical, load_strict
+from ._yamlio import dump_canonical, load_strict, read_text
 from .config import config_hash as config_digest
 from .errors import DataError, ValidationError
 from .rng import DOMAIN_SYNTH, SeededRng
@@ -199,7 +199,7 @@ def read_run_log_path(path) -> RunLog:
     fields = {"sha256": sha256_hex(data)}
     meta_path = path.with_name(path.stem + META_SUFFIX)
     if meta_path.exists():
-        meta = load_strict(meta_path.read_text(encoding="utf-8"))
+        meta = load_strict(read_text(meta_path))
         if not isinstance(meta, dict):
             raise DataError(f"{meta_path}: sidecar must be a mapping")
         fields.update(
@@ -207,7 +207,7 @@ def read_run_log_path(path) -> RunLog:
             config_hash=meta.get("config_hash"),
             metadata={k: v for k, v in meta.items() if k not in ("seed", "config_hash")},
         )
-    return read_run_log(data.decode("utf-8"), path.stem, **fields)
+    return read_run_log(read_text(path, data), path.stem, **fields)
 
 
 def write_run_log(run: RunLog, stream) -> None:

@@ -1,4 +1,5 @@
-"""Learning-curve metrics over per-episode run logs.
+"""Learning-curve metrics over per-episode run logs, and the one run metric:
+`run_average_return`, the mean of all of a run's episode returns.
 
 The curve value at evaluation step t is the mean episode return over the
 half-open trailing window (t - window, t]. Evaluation steps sit on the
@@ -21,7 +22,6 @@ DEFAULT_WINDOW = 5000
 DEFAULT_STRIDE = 1000
 
 EMPTY_WINDOW_POLICY = "carry_forward"
-AVERAGE_RETURN_MODES = ("episodes", "curve_points")
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,6 @@ class LearningCurve:
     @property
     def eval_steps(self):
         return tuple(s for s, _ in self.points)
-
-    @property
-    def values(self):
-        return tuple(v for _, v in self.points)
 
 
 @dataclass(frozen=True)
@@ -90,20 +86,14 @@ def learning_curve(run, window: int = DEFAULT_WINDOW, stride: int = DEFAULT_STRI
 
 def run_average_return(run, mode: str = "episodes", window: int = DEFAULT_WINDOW,
                        stride: int = DEFAULT_STRIDE) -> float:
-    """Scalar summary of one run.
-
-    `episodes` (default): mean over every episode return in the run.
-    `curve_points`: mean over the smoothed curve values instead; reports
-    record which mode produced the number.
-    """
-    if mode not in AVERAGE_RETURN_MODES:
+    """The mean of every episode return in the run, its one scalar summary.
+    `mode` accepts only "episodes"; `window` and `stride` are accepted and
+    unused, for the callers that still pass them."""
+    if mode != "episodes":
         raise ValidationError(f"unknown average-return mode {mode!r}")
     if not run.returns.size:
         raise ValidationError(f"{run.run_id}: empty run")
-    if mode == "episodes":
-        values = memoryview(run.returns)  # iterates as Python floats, with no list
-    else:
-        values = learning_curve(run, window, stride).values
+    values = memoryview(run.returns)  # iterates as Python floats, with no list
     return math.fsum(values) / len(values)
 
 

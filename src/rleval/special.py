@@ -3,9 +3,9 @@
 Self-contained kernels for the normal CDF, digamma, regularized incomplete
 gamma and beta, Owen's T, and the Kolmogorov-Smirnov one-sample
 distribution in both exact finite-n and asymptotic form. Every function but
-digamma (scalar only) accepts a scalar or an ndarray; scalar input returns
-a Python float. The normal quantile is `rng.std_normal_quantile`, imported
-here under its name.
+digamma (scalar only) takes its points as a scalar or an ndarray, and its
+shapes, like Owen's T's slope, as numbers; scalar input returns a Python
+float. The normal quantile, `rng.std_normal_quantile`, is imported here too.
 
 Cody's rationals, digamma's two series and Temme's expansion sum their
 coefficient tables with `rng.horner`, the package's one Horner loop, so
@@ -550,31 +550,21 @@ def _owens_quad(h, a):
 
 
 def owens_t(h, a):
-    """Owen's T(h, a), extended to all real h and a by its symmetries:
-    T is even in h and odd in a; for |a| > 1 the complement identity
+    """Owen's T(h, a) at points h for one slope a, extended to all real h
+    and a by its symmetries: T is even in h and odd in a; for |a| > 1 the
+    complement identity
     T(h, a) = Phi(h)/2 + Phi(ah)/2 - Phi(h) Phi(ah) - T(ah, 1/a) applies."""
-    h_arr, h_scalar = _wrap(h)
-    a_arr, a_scalar = _wrap(a)
-    scalar = h_scalar and a_scalar
-    hh, aa = np.broadcast_arrays(np.atleast_1d(h_arr), np.atleast_1d(a_arr))
-    hh = np.minimum(np.abs(hh.astype(np.float64)), _OWENS_H_MAX)
-    sign = np.sign(aa)
-    av = np.abs(aa.astype(np.float64))
-    out = np.empty_like(hh)
-    small = av <= 1.0
-    if np.any(small):
-        out[small] = _owens_quad(hh[small], av[small])
-    big = ~small
-    if np.any(big):
-        hb = hh[big]
-        ab = av[big]
-        ah = ab * hb
-        phi_h = 0.5 * (2.0 - _calerf(hb * _SQRT1_2, scaled=False))  # Phi(h), h >= 0
-        phi_ah = 0.5 * (2.0 - _calerf(ah * _SQRT1_2, scaled=False))
-        inner = _owens_quad(ah, 1.0 / ab)
-        out[big] = 0.5 * (phi_h + phi_ah) - phi_h * phi_ah - inner
-    res = (sign * out).reshape(np.broadcast_shapes(h_arr.shape, a_arr.shape))
-    return _unwrap(res, scalar)
+    arr, scalar = _wrap(h)
+    hh = np.minimum(np.abs(np.atleast_1d(arr)), _OWENS_H_MAX)
+    av = abs(float(a))
+    if av <= 1.0:
+        out = _owens_quad(hh, av)
+    else:
+        ah = av * hh
+        phi_h = std_normal_cdf(hh)
+        phi_ah = std_normal_cdf(ah)
+        out = 0.5 * (phi_h + phi_ah) - phi_h * phi_ah - _owens_quad(ah, 1.0 / av)
+    return _unwrap((np.sign(a) * out).reshape(arr.shape), scalar)
 
 
 # ---------------------------------------------------------------------------

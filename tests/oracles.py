@@ -28,10 +28,6 @@ def phi_ref(x: float) -> float:
     return float(mp.ncdf(x))
 
 
-def phi_sf_ref(x: float) -> float:
-    return float(mp.ncdf(-mp.mpf(x)))
-
-
 def log_phi_ref(x: float) -> float:
     return float(mp.log(mp.ncdf(x)))
 
@@ -55,10 +51,6 @@ def quantile_grid():
 def quantile_ref(p: float) -> float:
     with mp.workdps(400):
         return float(mp.sqrt(2) * mp.erfinv(2 * mp.mpf(float(p)) - 1))
-
-
-def lgamma_ref(x: float) -> float:
-    return float(mp.loggamma(x))
 
 
 def igam_lower_ref(a: float, x: float) -> float:
@@ -198,13 +190,6 @@ def quantile_rule_ref(values, p):
     return ordered[lo] * (1 - frac) + ordered[hi] * frac
 
 
-def normal_logpdf_ref(x, mu, sigma):
-    return float(
-        -mp.log(sigma) - mp.mpf(0.5) * mp.log(2 * mp.pi)
-        - (mp.mpf(x) - mu) ** 2 / (2 * mp.mpf(sigma) ** 2)
-    )
-
-
 # Reference copies of the fit loop before it skipped the passes that cannot
 # change a value: the simplex on float64 arrays and the objective that masks
 # and clips every point. The fast forms must agree with them to the bit.
@@ -326,9 +311,9 @@ def loggamma_nll_ref(data, theta):
 def owens_quad_matrix_ref(h, a):
     """Owen's T quadrature in the matrix form the streamed one replaced: all
     48 Gauss-Legendre terms of each point in one (n x 48) array, summed by
-    np.sum along the row."""
+    np.sum along the row. The slope is one per point or one for all."""
     nodes, weights = np.polynomial.legendre.leggauss(48)
-    half = 0.5 * a
+    half = 0.5 * np.asarray(a, dtype=np.float64)
     x = half[..., None] * (nodes + 1.0)
     w = half[..., None] * weights
     h2 = (h * h)[..., None]
@@ -412,18 +397,6 @@ def bootstrap_means_chunked_ref(sample, n_resamples, key0, key1, domain):
             acc += src[idx[:, j]]
         means[start:stop] = acc / n
     return means
-
-
-def times_factorial_ratio_ref(s, exp10, n):
-    """s n! / n^n as (s', exp10') by the scalar loop the accumulate runs
-    replaced: one factor j / n at a time, scaling s up by 1e140 whenever it
-    falls below 1e-140."""
-    for j in range(1, n + 1):
-        s *= j / n
-        if s < 1e-140:
-            s *= 1e140
-            exp10 -= 140
-    return s, exp10
 
 
 def run_log_text_ref(steps, returns):

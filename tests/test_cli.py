@@ -528,6 +528,16 @@ class TestFitVerify:
         assert err.startswith(f"error: validation: fit record converged: {converged} contradicts")
 
 
+    @pytest.mark.parametrize("reported", ["nan", "inf", "-inf"])
+    def test_verify_rejects_a_non_finite_reported_value(self, reported, tmp_path, capsys):
+        path = tmp_path / "fit.yaml"
+        path.write_text(VALID_RECORD)
+        assert main(["verify", str(path), f"--reported={reported}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: validation: reported value must be finite")
+
+
 class TestSynth:
     def test_deterministic_outputs(self, workspace, tmp_path):
         out_a = tmp_path / "a"
@@ -598,6 +608,73 @@ class TestSynth:
         err = capsys.readouterr().err
         assert err.startswith("error: validation: synth-00:") and "non-finite" in err
         assert list(out.iterdir()) == []
+
+
+def _spoil(path, marker):
+    """Write a Latin-1 e-acute, which is not UTF-8, over the first byte of
+    `marker` in the file at `path`, and return that byte's offset."""
+    data = path.read_bytes()
+    at = data.index(marker)
+    path.write_bytes(data[:at] + "é".encode("latin-1") + data[at + 1:])
+    return at
+
+
+class TestNotUtf8:
+    """Each input that is not UTF-8 is a validation error that names the
+    file and the offset of its first bad byte, not a traceback."""
+
+    @staticmethod
+    def _expect(capsys, path, at):
+        out, err = capsys.readouterr()
+        assert err == f"error: validation: {path}: not UTF-8: byte 0xe9 at offset {at}\n"
+        return out
+
+    def test_config_and_validate_goes_on(self, workspace, capsys):
+        bad = workspace / "bad.yaml"
+        bad.write_text(CONFIG_TEXT)
+        at = _spoil(bad, b"demo")
+        good = workspace / "config.yaml"
+        assert main(["validate", str(bad), str(good)]) == 1
+        assert self._expect(capsys, bad, at).endswith(f"  {good}\n")
+
+    def test_run_log(self, workspace, capsys):
+        runs = _run_paths(workspace)
+        at = _spoil(Path(runs[0]), b"step")
+        code = main(["curves", str(workspace / "config.yaml"), *runs,
+                     "--out", str(workspace / "curves")])
+        assert code == 1
+        assert self._expect(capsys, runs[0], at) == ""
+
+    def test_sidecar(self, workspace, capsys):
+        sidecar = workspace / "runs" / "synth-00.meta.yaml"
+        at = _spoil(sidecar, b"seed")
+        code = main(["analyze", str(workspace / "config.yaml"), *_run_paths(workspace),
+                     "--seed", "7", "--out", str(workspace / "bundle")])
+        assert code == 1
+        assert self._expect(capsys, sidecar, at) == ""
+
+    def test_means(self, tmp_path, capsys):
+        means = tmp_path / "means.csv"
+        means.write_text("mean\n1.0\n2.0\nx\n")
+        at = _spoil(means, b"x")
+        assert main(["fit", str(means), "--family", "normal", "--seed", "1"]) == 1
+        assert self._expect(capsys, means, at) == ""
+
+    def test_fit_record(self, tmp_path, capsys):
+        record = tmp_path / "fit.yaml"
+        record.write_text(VALID_RECORD)
+        at = _spoil(record, b"normal")
+        assert main(["verify", str(record), "--reported", "95.0"]) == 1
+        assert self._expect(capsys, record, at) == ""
+
+    def test_synth_spec(self, tmp_path, capsys):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(SPEC_TEXT)
+        at = _spoil(spec, b"run_count")
+        out = tmp_path / "runs"
+        assert main(["synth", str(spec), "--seed", "1", "--out", str(out)]) == 1
+        assert self._expect(capsys, spec, at) == ""
+        assert not out.exists()
 
 
 def test_inputs_never_mutated(workspace):

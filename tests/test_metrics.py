@@ -38,7 +38,7 @@ class TestLearningCurve:
     def test_constant_returns(self):
         run = RunLog("t", [200 * i for i in range(1, 40)], [7.5] * 39)
         curve = learning_curve(run)
-        assert all(v == 7.5 for v in curve.values)
+        assert all(v == 7.5 for _, v in curve.points)
 
     def test_matches_bruteforce_oracle_bitwise(self):
         rng = np.random.default_rng(99)
@@ -98,14 +98,12 @@ class TestAverageReturn:
             oracles.mean_fraction_ref(values), abs=5e-16 * max(1.0, abs(values[0]))
         )
 
-    def test_curve_points_mode_differs_and_is_named(self):
+    def test_episodes_is_the_only_mode(self):
         run = RunLog("t", (500, 1500), (0.0, 30.0))
-        episodes_mode = run_average_return(run, mode="episodes")
-        curve_mode = run_average_return(run, mode="curve_points", window=5000, stride=1000)
-        assert episodes_mode == 15.0
-        assert curve_mode == pytest.approx((0.0 + 15.0) / 2)
-        with pytest.raises(ValidationError):
-            run_average_return(run, mode="bogus")
+        assert run_average_return(run, mode="episodes", window=5000, stride=1000) == 15.0
+        for mode in ("curve_points", "bogus"):
+            with pytest.raises(ValidationError):
+                run_average_return(run, mode=mode)
 
 
 class TestBand:
