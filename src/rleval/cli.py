@@ -64,10 +64,10 @@ def _fail(category: str, message: str, code: int) -> int:
     return code
 
 
-def _read_config(path):
+def _parse_config(path, text):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ConfigWarning)
-        config = parse_config(read_text(path))
+        config = parse_config(text)
     for item in caught:
         print(f"warning: {path}: {item.message}", file=sys.stderr)
     return config
@@ -76,16 +76,17 @@ def _read_config(path):
 def cmd_validate(args) -> int:
     status = EXIT_OK
     for path in args.configs:
+        where = ""  # read_text's errors name the file, the parser's do not
         try:
-            config = _read_config(path)
+            text = read_text(path)
+            where = f"{path}: "
+            config = _parse_config(path, text)
         except OSError as exc:
             print(f"error: io: {path}: {exc}", file=sys.stderr)
             status = EXIT_IO if status == EXIT_OK else status
             continue
         except RlevalError as exc:
-            message = str(exc)  # a file that is not UTF-8 is named in the message already
-            where = "" if message.startswith(f"{path}: ") else f"{path}: "
-            print(f"error: validation: {where}{message}", file=sys.stderr)
+            print(f"error: validation: {where}{exc}", file=sys.stderr)
             status = EXIT_VALIDATION
             continue
         print(f"{config_hash(config)}  {path}")
@@ -96,7 +97,7 @@ def cmd_curves(args) -> int:
     from .ingest import check_runs, read_run_log_path, refuse_stale_files
     from .report import curve_files
 
-    config = _read_config(args.config)
+    config = _parse_config(args.config, read_text(args.config))
     runs = [read_run_log_path(p) for p in args.runs]
     check_runs(runs, config)
     out = Path(args.out)
@@ -133,7 +134,7 @@ def cmd_analyze(args) -> int:
     from .pipeline import run_analysis
     from .report import bundle_files, emit_bundle, render_probability_table, render_summary_table
 
-    config = _read_config(args.config)
+    config = _parse_config(args.config, read_text(args.config))
     runs = [read_run_log_path(p) for p in args.runs]
     kept = apply_exclusions(runs, config).runs
     refuse_stale_files(args.out, bundle_files([run.run_id for run in kept],

@@ -86,9 +86,8 @@ def learning_curve(run, window: int = DEFAULT_WINDOW, stride: int = DEFAULT_STRI
 
 def run_average_return(run, mode: str = "episodes", window: int = DEFAULT_WINDOW,
                        stride: int = DEFAULT_STRIDE) -> float:
-    """The mean of every episode return in the run, its one scalar summary.
-    `mode` accepts only "episodes"; `window` and `stride` are accepted and
-    unused, for the callers that still pass them."""
+    """The mean of every episode return in the run. `mode` accepts only
+    "episodes"; `window` and `stride` are unused, for callers that pass them."""
     if mode != "episodes":
         raise ValidationError(f"unknown average-return mode {mode!r}")
     if not run.returns.size:

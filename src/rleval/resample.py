@@ -49,6 +49,9 @@ def empirical_quantile(values, p: float) -> float:
     lo = int(math.floor(pos))
     hi = min(lo + 1, m - 1)
     frac = pos - lo
+    mid = (float(arr[lo]) + float(arr[hi])) / 2.0  # np.median's, for an even count
+    if p == 0.5 and frac and math.isfinite(mid):  # halving first can drop a subnormal's bit
+        return mid
     return float(arr[lo] * (1.0 - frac) + arr[hi] * frac)
 
 

@@ -550,10 +550,9 @@ def _owens_quad(h, a):
 
 
 def owens_t(h, a):
-    """Owen's T(h, a) at points h for one slope a, extended to all real h
-    and a by its symmetries: T is even in h and odd in a; for |a| > 1 the
-    complement identity
-    T(h, a) = Phi(h)/2 + Phi(ah)/2 - Phi(h) Phi(ah) - T(ah, 1/a) applies."""
+    """Owen's T(h, a) at points h for one slope a, extended to all real h and
+    a by its symmetries: T is even in h and odd in a; for |a| > 1 the complement
+    identity T(h, a) = Phi(h)/2 + Phi(ah)/2 - Phi(h) Phi(ah) - T(ah, 1/a) applies."""
     arr, scalar = _wrap(h)
     hh = np.minimum(np.abs(np.atleast_1d(arr)), _OWENS_H_MAX)
     av = abs(float(a))
@@ -561,8 +560,7 @@ def owens_t(h, a):
         out = _owens_quad(hh, av)
     else:
         ah = av * hh
-        phi_h = std_normal_cdf(hh)
-        phi_ah = std_normal_cdf(ah)
+        phi_h, phi_ah = std_normal_cdf(hh), std_normal_cdf(ah)
         out = 0.5 * (phi_h + phi_ah) - phi_h * phi_ah - _owens_quad(ah, 1.0 / av)
     return _unwrap((np.sign(a) * out).reshape(arr.shape), scalar)
 
