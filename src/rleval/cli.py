@@ -2,9 +2,9 @@
 
 Subcommands mirror the pipeline stages so every intermediate artifact is an
 inspectable file: validate, curves, analyze, fit, verify, synth. Commands
-never mutate their inputs and write only under --out. Any command that
-consumes randomness requires an explicit --seed; there is no silent
-time-based seeding.
+never mutate their inputs: they write only under --out, and refuse one that
+would write over an input, through a link too. Any command that consumes
+randomness requires an explicit --seed; there is no silent time-based seeding.
 
 Exit codes: 0 success, 1 validation error, 2 numeric failure, 3 I/O error.
 
@@ -37,20 +37,17 @@ import io
 import os
 import sys
 import warnings
-from pathlib import Path
 
 from . import __version__
 from ._fmt import fmt_shortest
 from ._yamlio import dump_canonical, load_strict, read_text
 from .config import config_hash, parse_config
-from .errors import ConfigWarning, NumericError, RlevalError, ValidationError
+from .errors import ConfigWarning, NumericError, RlevalError
 from .metrics import (
     DEFAULT_STRIDE,
     DEFAULT_WINDOW,
     curve_band,
     learning_curve,
-    write_band_csv,
-    write_curve_csv,
 )
 
 EXIT_OK = 0
@@ -94,29 +91,19 @@ def cmd_validate(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    from .ingest import check_runs, read_run_log_path, refuse_stale_files
-    from .report import curve_files
+    from .ingest import check_runs, read_run_log_path, write_files
+    from .report import curve_texts
 
     config = _parse_config(args.config, read_text(args.config))
     runs = [read_run_log_path(p) for p in args.runs]
     check_runs(runs, config)
-    out = Path(args.out)
-    names = curve_files([run.run_id for run in runs])
-    if len(set(names)) < len(names):
-        raise ValidationError("a run with id 'band' would have its curve overwritten by "
-                              "the band in band.csv; rename its log")
-    refuse_stale_files(out, names, what="curves call")
-    out.mkdir(parents=True, exist_ok=True)
-    curves = []
-    for run in runs:
-        curve = learning_curve(run, args.window, args.stride)
-        curves.append(curve)
-        with open(out / f"{run.run_id}.csv", "w", encoding="utf-8", newline="\n") as fh:
-            write_curve_csv(curve, fh)
-    if len(curves) >= 2:
-        with open(out / "band.csv", "w", encoding="utf-8", newline="\n") as fh:
-            write_band_csv(curve_band(curves), fh)
-    print(f"wrote {len(curves)} curve file(s) under {out} (config {config_hash(config)[:12]})")
+    curves = [(run.run_id, learning_curve(run, args.window, args.stride)) for run in runs]
+    band = curve_band([curve for _, curve in curves]) if len(curves) >= 2 else None
+    texts = curve_texts(curves, band)
+    write_files(args.out, list(texts), texts.values(), "curves call",
+                inputs=[args.config, *args.runs])
+    print(f"wrote {len(curves)} curve file(s) under {args.out} "
+          f"(config {config_hash(config)[:12]})")
     return EXIT_OK
 
 
@@ -137,8 +124,8 @@ def cmd_analyze(args) -> int:
     config = _parse_config(args.config, read_text(args.config))
     runs = [read_run_log_path(p) for p in args.runs]
     kept = apply_exclusions(runs, config).runs
-    refuse_stale_files(args.out, bundle_files([run.run_id for run in kept],
-                                              args.reported is not None))
+    names = bundle_files([run.run_id for run in kept], args.reported is not None)
+    refuse_stale_files(args.out, names, inputs=[args.config, *args.runs])
     families = args.families.split(",") if args.families else list(FAMILY_NAMES)
     report = run_analysis(
         config,
@@ -165,15 +152,18 @@ def cmd_analyze(args) -> int:
 
 def cmd_fit(args) -> int:
     from .distributions import fit_record, get_family
+    from .ingest import refuse_inputs, write_file
     from .pipeline import fit_families
     from .resample import read_means_csv
 
     get_family(args.family)  # an unknown family fails before the means are read
     means = read_means_csv(io.StringIO(read_text(args.means), newline=None))
+    if args.out:
+        refuse_inputs([args.out], [args.means], "fit call")
     text = dump_canonical(fit_record(fit_families([args.family], means, args.seed)[0]))
     print(text, end="")
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        write_file(args.out, text)
         print(f"fit record written to {args.out}")
     return EXIT_OK
 
@@ -202,7 +192,7 @@ def cmd_synth(args) -> int:
     doc = load_strict(read_text(args.spec))
     spec = SynthSpec.from_mapping(doc)
     runs = synthesize_runs(spec, seed=args.seed)
-    written = write_run_dir(runs, args.out)
+    written = write_run_dir(runs, args.out, inputs=[args.spec])
     print(f"wrote {len(written)} file(s) under {args.out}")
     return EXIT_OK
 

@@ -7,9 +7,9 @@ Before any analysis, `check_runs` rejects run logs that would count one
 run twice or that name another config; `apply_exclusions` also requires a
 sidecar seed to match the config's seed for the run's position.
 Non-monotone logs are rejected outright; they indicate upstream corruption
-that silent sorting would hide. `refuse_stale_files` holds the rule that
-every writing command keeps: an output directory that holds a file the
-command would not write is refused; `write_run_dir` keeps it for `synth`.
+that silent sorting would hide. Every file a command writes goes through
+`write_files` and `write_file`, once `refuse_stale_files` passes: no other
+file may be in the directory, and none of the files may be an input.
 """
 
 import io
@@ -210,11 +210,11 @@ def read_run_log_path(path) -> RunLog:
     return read_run_log(read_text(path, data), path.stem, **fields)
 
 
-def write_run_log(run: RunLog, stream) -> None:
-    """Emit the CSV form in one write; numbers round-trip exactly."""
+def run_log_csv(run: RunLog) -> str:
+    """The run log's CSV text; numbers round-trip exactly."""
     rows = zip(run.steps.tolist(), run.returns.tolist())
     body = "".join([f"{step},{fmt_shortest(ret)}\n" for step, ret in rows])
-    stream.write(f"{RUN_LOG_HEADER}\n{body}")
+    return f"{RUN_LOG_HEADER}\n{body}"
 
 
 def check_runs(runs, config) -> None:
@@ -367,10 +367,10 @@ def synthesize_runs(spec: SynthSpec, seed: int):
     return runs
 
 
-def refuse_stale_files(directory, names, what="bundle") -> None:
+def refuse_stale_files(directory, names, what="bundle", inputs=()) -> None:
     """Raise ValidationError if `directory` holds a file whose relative path
-    is not in `names`, naming up to three of them; a missing directory
-    passes. Nothing is deleted."""
+    is not in `names`, naming up to three of them, or holds one of `inputs`
+    under a name of `names` (`refuse_inputs`); a missing directory passes."""
     directory = Path(directory)
     stale = sorted({p.relative_to(directory).as_posix() for p in directory.rglob("*")
                     if p.is_file()} - set(names))
@@ -378,13 +378,39 @@ def refuse_stale_files(directory, names, what="bundle") -> None:
         more = f" and {len(stale) - 3} more" if len(stale) > 3 else ""
         raise ValidationError(f"{directory} holds files this {what} would not write: "
                               f"{', '.join(stale[:3])}{more}; use a new or empty directory")
+    refuse_inputs([directory / name for name in names], inputs, what)
 
 
-def write_run_dir(runs, directory) -> list:
-    """Write run CSVs plus sidecars; returns the relative file names. A
-    directory that holds any other file is refused before a file is
-    written, so no run of an earlier call sits beside these."""
-    directory = Path(directory)
+def refuse_inputs(targets, inputs, what) -> None:
+    """Raise ValidationError if a path of `targets` is the same file as one of `inputs`."""
+    for target in map(Path, targets):
+        if target.exists() and any(target.samefile(path) for path in inputs):
+            raise ValidationError(f"this {what} would write over its input {target}; "
+                                  "use another output path")
+
+
+def write_files(directory, names, texts, what="bundle", inputs=()) -> None:
+    """Write each of `texts`, a generator too, to its path of `names` under
+    `directory`, making directories as needed, once `refuse_stale_files` passes."""
+    refuse_stale_files(directory, names, what, inputs)
+    for name, text in zip(names, texts, strict=True):
+        path = Path(directory, name)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_file(path, text)
+
+
+def write_file(path, text) -> None:
+    """Write `text` to `path` as UTF-8 with "\\n" line ends, naming it in an OSError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+
+
+def write_run_dir(runs, directory, inputs=()) -> list:
+    """Write run CSVs plus sidecars (`write_files`), none of them one of
+    `inputs`, one log's text at a time; returns the relative file names."""
     files = {}  # name -> the run of a log, or a sidecar's text
     for run in runs:
         files[f"{run.run_id}.csv"] = run
@@ -395,12 +421,7 @@ def write_run_dir(runs, directory) -> list:
             meta["config_hash"] = run.config_hash
         if meta:
             files[f"{run.run_id}{META_SUFFIX}"] = dump_canonical(meta)
-    refuse_stale_files(directory, files, what="synth call")
-    directory.mkdir(parents=True, exist_ok=True)
-    for name, content in files.items():
-        with open(directory / name, "w", encoding="utf-8", newline="\n") as fh:
-            if isinstance(content, RunLog):
-                write_run_log(content, fh)
-            else:
-                fh.write(content)
+    texts = (run_log_csv(content) if isinstance(content, RunLog) else content
+             for content in files.values())
+    write_files(directory, files, texts, "synth call", inputs)
     return list(files)

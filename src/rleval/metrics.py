@@ -120,13 +120,12 @@ def curve_band(curves) -> CurveBand:
     return CurveBand(points=tuple(points))
 
 
-def write_curve_csv(curve: LearningCurve, stream) -> None:
-    stream.write("eval_step,value\n")
-    for step, value in curve.points:
-        stream.write(f"{step},{fmt_shortest(float(value))}\n")
+def curve_csv(curve: LearningCurve) -> str:
+    return "eval_step,value\n" + "".join(
+        [f"{step},{fmt_shortest(float(value))}\n" for step, value in curve.points])
 
 
-def write_band_csv(band: CurveBand, stream) -> None:
-    stream.write("eval_step,mean,se,n\n")
-    for step, mean, se, n in band.points:
-        stream.write(f"{step},{fmt_shortest(float(mean))},{fmt_shortest(float(se))},{n}\n")
+def band_csv(band: CurveBand) -> str:
+    return "eval_step,mean,se,n\n" + "".join(
+        [f"{step},{fmt_shortest(float(mean))},{fmt_shortest(float(se))},{n}\n"
+         for step, mean, se, n in band.points])

@@ -7,22 +7,21 @@ reproducibility verdicts, and a provenance block naming every setting that
 influenced a number. Emitting the same report twice yields byte-identical
 files; the manifest lists each file with its SHA-256 digest.
 
-`curves` imports this module for its file names, so `distributions` and
+`curves` imports this module for its curve files, so `distributions` and
 `inference`, which load `special`, are imported only by the functions that
 write fits and verdicts.
 """
 
-import io
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from . import __version__
 from ._digest import sha256_hex
 from ._fmt import fmt_fixed, fmt_shortest
 from ._yamlio import dump_canonical
-from .ingest import refuse_stale_files
-from .metrics import EMPTY_WINDOW_POLICY, write_band_csv, write_curve_csv
-from .resample import CI_METHOD, write_means_csv
+from .errors import ValidationError
+from .ingest import write_files
+from .metrics import EMPTY_WINDOW_POLICY, band_csv, curve_csv
+from .resample import CI_METHOD, means_csv
 from .tabular import Table
 
 MANIFEST_NAME = "manifest.txt"
@@ -109,6 +108,19 @@ def curve_files(run_ids, curve_dir="", band_dir="") -> list:
     return names
 
 
+def curve_texts(curves, band, curve_dir="", band_dir="") -> dict:
+    """The texts of the `curve_files` of `curves`, ((run_id, LearningCurve),
+    ...), by name: each run's curve, then the band's where `band` is given."""
+    names = curve_files([run_id for run_id, _ in curves], curve_dir, band_dir)
+    if len(set(names)) < len(names):
+        raise ValidationError("a run with id 'band' would have its curve overwritten by "
+                              f"the band in {band_dir}band.csv; rename its log")
+    texts = [curve_csv(curve) for _, curve in curves]
+    if band is not None:
+        texts.append(band_csv(band))
+    return dict(zip(names, texts, strict=True))
+
+
 def bundle_files(run_ids, with_probabilities: bool) -> list:
     """Every file, manifest included, that `emit_bundle` writes for the kept
     runs `run_ids`; `probabilities.csv` is there when there are verdicts,
@@ -125,18 +137,13 @@ def emit_bundle(report: AnalysisReport, directory) -> list:
 
     Layout: summary.csv, probabilities.csv, normality.csv, fits.yaml,
     curves/<run>.csv, bands/band.csv, bootstrap_means/means.csv,
-    provenance.yaml, manifest.txt (`bundle_files`). A directory holding any
-    other file is refused before a file is written, so no stale file sits
-    beside the bundle; `analyze` makes the same check before any stage.
+    provenance.yaml, manifest.txt (`bundle_files`), the manifest last. A
+    directory holding any other file is refused before a file is written, so
+    no stale file sits beside the bundle; `analyze` checks it before any stage.
     """
     from .distributions import fit_record
 
-    directory = Path(directory)
-    refuse_stale_files(directory, bundle_files([run_id for run_id, _ in report.curves],
-                                               bool(report.verdicts)))
-    files = {}
-
-    files["summary.csv"] = render_summary_table(report).to_csv()
+    files = {"summary.csv": render_summary_table(report).to_csv()}
 
     if report.verdicts:
         rows = []
@@ -168,33 +175,11 @@ def emit_bundle(report: AnalysisReport, directory) -> list:
 
     files["fits.yaml"] = dump_canonical({"fits": [fit_record(f) for f in report.fits]})
 
-    means_buf = io.StringIO()
-    write_means_csv(report.bootstrap, means_buf)
-    files["bootstrap_means/means.csv"] = means_buf.getvalue()
-
-    for run_id, curve in report.curves:
-        buf = io.StringIO()
-        write_curve_csv(curve, buf)
-        files[f"curves/{run_id}.csv"] = buf.getvalue()
-    if report.band is not None:
-        buf = io.StringIO()
-        write_band_csv(report.band, buf)
-        files["bands/band.csv"] = buf.getvalue()
-
+    files["bootstrap_means/means.csv"] = means_csv(report.bootstrap)
+    files.update(curve_texts(report.curves, report.band, "curves/", "bands/"))
     files["provenance.yaml"] = dump_canonical(report.provenance)
 
-    manifest = []
-    for rel in sorted(files):
-        data = files[rel].encode("utf-8")
-        target = directory / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            with open(target, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(files[rel])
-        except OSError as exc:
-            raise OSError(f"{target}: {exc}") from exc
-        manifest.append((sha256_hex(data), rel))
-    manifest_text = "".join(f"{digest}  {rel}\n" for digest, rel in manifest)
-    with open(directory / MANIFEST_NAME, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(manifest_text)
+    manifest = [(sha256_hex(files[rel].encode("utf-8")), rel) for rel in sorted(files)]
+    files[MANIFEST_NAME] = "".join(f"{digest}  {rel}\n" for digest, rel in manifest)
+    write_files(directory, list(files), files.values())
     return manifest

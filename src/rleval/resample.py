@@ -8,6 +8,7 @@ A BootstrapDistribution holds the means, their average and the percentile
 CI; the bundle's provenance records the seed and the confidence.
 """
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -97,15 +98,17 @@ def bootstrap_means(
     )
 
 
-def write_means_csv(boot: BootstrapDistribution, stream) -> None:
-    """Single-column audit dump of the full means vector."""
-    stream.write("mean\n")
-    for value in boot.means:
-        stream.write(fmt_shortest(float(value)) + "\n")
+def means_csv(boot: BootstrapDistribution) -> str:
+    """Single-column audit dump of the full means vector, written line by line
+    into a StringIO: a list of its 10k lines would add ~0.2 MB to peak RSS."""
+    buf = io.StringIO()
+    buf.write("mean\n")
+    buf.writelines(fmt_shortest(float(value)) + "\n" for value in boot.means)
+    return buf.getvalue()
 
 
 def read_means_csv(stream):
-    """Read a single-column means vector as written by write_means_csv."""
+    """Read a single-column means vector as `means_csv` renders it."""
     header = stream.readline().strip()
     if header != "mean":
         raise ValidationError(f"means CSV must start with a 'mean' header, got {header!r}")

@@ -559,7 +559,8 @@ def owens_t(h, a):
     if av <= 1.0:
         out = _owens_quad(hh, av)
     else:
-        ah = av * hh
+        # At a = inf, h = 0 gives ah = 0, the limit T(0, a) takes, not inf * 0.
+        ah = np.where(hh == 0.0, 0.0, math.inf) if math.isinf(av) else av * hh
         phi_h, phi_ah = std_normal_cdf(hh), std_normal_cdf(ah)
         out = 0.5 * (phi_h + phi_ah) - phi_h * phi_ah - _owens_quad(ah, 1.0 / av)
     return _unwrap((np.sign(a) * out).reshape(arr.shape), scalar)

@@ -142,6 +142,29 @@ class TestCurves:
                      "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["band.csv"]
 
+    def test_out_holding_its_inputs_exit_1(self, workspace, capsys):
+        """Logs without sidecars, curved into their own directory, would
+        each be replaced by its curve: exit 1, no byte written."""
+        logs = workspace / "logs"
+        logs.mkdir()
+        for path in _run_paths(workspace):
+            shutil.copy(path, logs)
+        before = {p: p.read_bytes() for p in logs.iterdir()}
+        paths = sorted(str(p) for p in logs.iterdir())
+        assert main(["curves", str(workspace / "config.yaml"), *paths,
+                     "--out", str(logs)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: validation: this curves call would write over its input "
+            f"{logs / 'synth-00.csv'}; use another output path\n"
+        )
+        assert {p: p.read_bytes() for p in logs.iterdir()} == before
+
+    def test_bad_window_creates_no_out(self, workspace):
+        out = workspace / "new"
+        assert main(["curves", str(workspace / "config.yaml"), *_run_paths(workspace),
+                     "--window", "0", "--out", str(out)]) == 1
+        assert not out.exists()
+
 
     def test_runs_ending_at_step_zero_give_header_only_files(self, tmp_path, capsys):
         """Two logs whose last episode ends at step 0, the first valid end
@@ -238,6 +261,25 @@ class TestAnalyze:
             f"error: validation: {bundle} holds files this bundle would not write: "
             "curves/synth-04.csv; use a new or empty directory\n"
         )
+        assert calls == []
+
+    def test_out_holding_its_inputs_exit_1(self, workspace, capsys, monkeypatch):
+        """Logs kept where the bundle puts their curves, <out>/curves/<id>.csv,
+        are refused before any stage; none is written over."""
+        calls = []
+        monkeypatch.setattr(pipeline, "run_analysis", lambda *a, **k: calls.append(a))
+        bundle = workspace / "bundle"
+        (bundle / "curves").mkdir(parents=True)
+        paths = _run_paths(workspace)
+        for path in paths[:4]:  # run 4 is excluded: it has no curve in the bundle
+            shutil.copy(path, bundle / "curves")
+        kept = sorted(str(p) for p in (bundle / "curves").iterdir())
+        before = {p: p.read_bytes() for p in (bundle / "curves").iterdir()}
+        code = main(["analyze", str(workspace / "config.yaml"), *kept, paths[4],
+                     "--seed", "7", "--resamples", "500", "--out", str(bundle)])
+        assert code == 1
+        assert "would write over its input" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in bundle.rglob("*") if p.is_file()} == before
         assert calls == []
 
     def test_no_family_exit_1(self, workspace, capsys):
@@ -449,6 +491,25 @@ class TestFitVerify:
         record = load_strict(text)
         assert fit_record(fit_from_record(record)) == record
 
+    @pytest.mark.parametrize("link", [None, "symlink", "hardlink"])
+    def test_out_that_is_the_means_exit_1(self, tmp_path, capsys, link):
+        """--out naming the means file, or a link to it, would write the
+        record over the means: exit 1, nothing printed or written."""
+        means = tmp_path / "means.csv"
+        means.write_text("mean\n" + "".join(f"{100 + i % 7}.5\n" for i in range(50)))
+        before = means.read_bytes()
+        out = means if link is None else tmp_path / "out.yaml"
+        if link == "symlink":
+            out.symlink_to(means)
+        elif link == "hardlink":
+            out.hardlink_to(means)
+        assert main(["fit", str(means), "--family", "normal", "--seed", "7",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: validation: this fit call would write over its input {out}; "
+            "use another output path\n"))
+        assert means.read_bytes() == before
+
     def test_verify_bad_record_exit_1(self, workspace):
         bad = workspace / "bad_fit.yaml"
         bad.write_text(dump_canonical({"family": "beta"}))
@@ -569,6 +630,18 @@ class TestSynth:
         assert {p: p.read_bytes() for p in out.iterdir()} == before
         assert main(first) == 0
         assert {p: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_out_holding_its_spec_exit_1(self, tmp_path, capsys):
+        """A spec kept where its first run's sidecar goes would be written
+        over: exit 1, the spec as it was."""
+        out = tmp_path / "runs"
+        out.mkdir()
+        spec = out / "synth-00.meta.yaml"
+        spec.write_text(SPEC_TEXT)
+        assert main(["synth", str(spec), "--seed", "1", "--out", str(out)]) == 1
+        assert "would write over its input" in capsys.readouterr().err
+        assert list(out.iterdir()) == [spec]
+        assert spec.read_text() == SPEC_TEXT
 
     def test_seed_required(self, workspace):
         with pytest.raises(SystemExit) as exit_info:

@@ -35,7 +35,7 @@ from rleval.report import (
     render_probability_table,
     render_summary_table,
 )
-from rleval.resample import bootstrap_means, write_means_csv
+from rleval.resample import bootstrap_means, means_csv
 
 scipy_stats = pytest.importorskip("scipy.stats")
 
@@ -393,8 +393,7 @@ def test_cli_fit_rederives_analyze_fit(family, quickstart_analysis, workload_mea
     """`rleval fit --seed 7` on the bundle's means writes the record that
     `analyze --seed 7` wrote for the same family."""
     means = tmp_path / "means.csv"
-    with open(means, "w", encoding="utf-8", newline="\n") as fh:
-        write_means_csv(quickstart_analysis().bootstrap, fh)
+    means.write_text(means_csv(quickstart_analysis().bootstrap), encoding="utf-8")
     out = tmp_path / "fit.yaml"
     assert main(["fit", str(means), "--family", family, "--seed", str(WORKLOAD_SEED),
                  "--out", str(out)]) == 0

@@ -1,11 +1,9 @@
 """Run-log ingestion, exclusions, and the synthetic generator."""
 
 import hashlib
-import io
 import itertools
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,9 +20,9 @@ from rleval.ingest import (
     apply_exclusions,
     read_run_log,
     read_run_log_path,
+    run_log_csv,
     synthesize_runs,
     write_run_dir,
-    write_run_log,
 )
 
 
@@ -62,9 +60,7 @@ class TestReadWrite:
 
     def test_lossless_roundtrip(self):
         run = RunLog("r", (1, 2, 5), (0.1, 1.0 / 3.0, -7.25e-12))
-        buf = io.StringIO()
-        write_run_log(run, buf)
-        again = read_run_log(buf.getvalue(), "r")
+        again = read_run_log(run_log_csv(run), "r")
         assert np.array_equal(again.steps, run.steps)
         assert np.array_equal(again.returns, run.returns)
 
@@ -72,10 +68,9 @@ class TestReadWrite:
         # Each of the first five takes fmt_shortest's exponent branch.
         returns = (1e-05, 1e+16, -0.0, 5e-324, 1.7976931348623157e+308, 0.1, -7.25e-12, 3.0)
         run = RunLog("r", tuple(range(10, 10 * len(returns) + 1, 10)), returns)
-        writes = []
-        write_run_log(run, SimpleNamespace(write=writes.append))
-        assert writes == [oracles.run_log_text_ref(run.steps.tolist(), run.returns.tolist())]
-        assert "10,1.0e-05\n20,1.0e+16\n30,-0.0\n40,5.0e-324\n" in writes[0]
+        text = run_log_csv(run)
+        assert text == oracles.run_log_text_ref(run.steps.tolist(), run.returns.tolist())
+        assert "10,1.0e-05\n20,1.0e+16\n30,-0.0\n40,5.0e-324\n" in text
 
     def test_sidecar_metadata(self, tmp_path):
         run = RunLog("run_00", (100,), (1.0,), seed=7, config_hash="ab" * 32,
@@ -187,9 +182,7 @@ class TestSynth:
                          noise_scale=4.0)
         digest = hashlib.sha256()
         for run in synthesize_runs(spec, seed=11):
-            buf = io.StringIO()
-            write_run_log(run, buf)
-            digest.update(buf.getvalue().encode("utf-8"))
+            digest.update(run_log_csv(run).encode("utf-8"))
         assert digest.hexdigest() == (
             "58f1145c50f57bc9c0806c154b31908882d086c64a0f3ad67c504c512a27ccb4"
         )
@@ -246,9 +239,7 @@ class TestRunLogProperties:
     @settings(max_examples=60, deadline=None)
     @given(episodes=_episodes)
     def test_write_read_roundtrip_is_bitwise(self, episodes):
-        buf = io.StringIO()
-        write_run_log(RunLog("r", *zip(*episodes)), buf)
-        run = read_run_log(buf.getvalue(), "r")
+        run = read_run_log(run_log_csv(RunLog("r", *zip(*episodes))), "r")
         back = list(zip(run.steps.tolist(), run.returns.tolist()))
         assert [step for step, _ in back] == [step for step, _ in episodes]
         assert [ret.hex() for _, ret in back] == [ret.hex() for _, ret in episodes]
@@ -256,9 +247,7 @@ class TestRunLogProperties:
     @settings(max_examples=60, deadline=None)
     @given(episodes=_episodes, data=st.data())
     def test_malformed_row_reports_its_line(self, episodes, data):
-        buf = io.StringIO()
-        write_run_log(RunLog("r", *zip(*episodes)), buf)
-        lines = buf.getvalue().splitlines()
+        lines = run_log_csv(RunLog("r", *zip(*episodes))).splitlines()
         at = data.draw(st.integers(min_value=1, max_value=len(lines)), label="line index")
         lines.insert(at, data.draw(st.sampled_from(MALFORMED_ROWS), label="row"))
         with pytest.raises(DataError) as err:
@@ -371,9 +360,7 @@ class TestFastParser:
     @settings(max_examples=60, deadline=None)
     @given(episodes=_episodes)
     def test_written_logs_take_the_numpy_parse(self, episodes):
-        buf = io.StringIO()
-        write_run_log(RunLog("r", *zip(*episodes)), buf)
-        assert ingest._parse_columns(buf.getvalue()) is not None
+        assert ingest._parse_columns(run_log_csv(RunLog("r", *zip(*episodes)))) is not None
 
     def test_steps_beyond_int64_are_refused(self):
         for text in (f"step,return\n5,1.0\n{2**63},2.0\n", f"step,return\n{-2**63 - 1},1.0\n"):

@@ -1,6 +1,5 @@
 """Learning-curve metrics against the brute-force rescan oracle."""
 
-import io
 import math
 
 import numpy as np
@@ -14,11 +13,11 @@ from rleval.ingest import RunLog
 from rleval.metrics import (
     CurveBand,
     LearningCurve,
+    band_csv,
     curve_band,
+    curve_csv,
     learning_curve,
     run_average_return,
-    write_band_csv,
-    write_curve_csv,
 )
 
 
@@ -155,15 +154,11 @@ class TestRepeatability:
 class TestCsv:
     def test_curve_csv(self):
         curve = LearningCurve(((1000, 1.5), (2000, 2.5)), 5000, 1000)
-        buf = io.StringIO()
-        write_curve_csv(curve, buf)
-        assert buf.getvalue() == "eval_step,value\n1000,1.5\n2000,2.5\n"
+        assert curve_csv(curve) == "eval_step,value\n1000,1.5\n2000,2.5\n"
 
     def test_band_csv(self):
         band = CurveBand(((1000, 1.0, 0.5, 4),))
-        buf = io.StringIO()
-        write_band_csv(band, buf)
-        assert buf.getvalue() == "eval_step,mean,se,n\n1000,1.0,0.5,4\n"
+        assert band_csv(band) == "eval_step,mean,se,n\n1000,1.0,0.5,4\n"
 
 
 @settings(max_examples=40, deadline=None)

@@ -21,7 +21,7 @@ from rleval.distributions import FAMILY_NAMES, fit_record
 from rleval.errors import NumericError
 from rleval.metrics import run_average_return
 from rleval.report import emit_bundle
-from rleval.resample import bootstrap_means, write_means_csv
+from rleval.resample import bootstrap_means, means_csv
 
 needs_child = pytest.mark.skipif(
     not pipeline._fork_pays(), reason="a child needs os.fork, two usable CPUs and one thread")
@@ -141,8 +141,7 @@ def test_cli_fit_same_with_and_without_the_child(forks, monkeypatch, tmp_path, c
     boot = bootstrap_means([run_average_return(run) for run in runs], WORKLOAD_RESAMPLES,
                            seed=WORKLOAD_SEED)
     means = tmp_path / "means.csv"
-    with open(means, "w", encoding="utf-8", newline="\n") as fh:
-        write_means_csv(boot, fh)
+    means.write_text(means_csv(boot), encoding="utf-8")
     printed = []
     for side in ("child", "inline"):
         if side == "inline":

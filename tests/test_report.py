@@ -11,6 +11,7 @@ from rleval.errors import ValidationError
 from rleval.ingest import SynthSpec, synthesize_runs
 from rleval.pipeline import run_analysis
 from rleval.report import (
+    bundle_files,
     emit_bundle,
     render_probability_table,
     render_summary_table,
@@ -91,6 +92,19 @@ class TestBundle:
             if p.is_file()
         }
         assert on_disk == names | {"manifest.txt"}
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("reported", [True, False])
+    def test_writes_exactly_bundle_files(self, report, tmp_path, runs, reported):
+        """`analyze` checks its --out against `bundle_files` before any
+        stage, so the files `emit_bundle` writes must be those."""
+        fewer = dataclasses.replace(
+            report, curves=report.curves[:runs], band=report.band if runs > 1 else None,
+            verdicts=report.verdicts if reported else ())
+        emit_bundle(fewer, tmp_path)
+        written = sorted(p.relative_to(tmp_path).as_posix()
+                         for p in tmp_path.rglob("*") if p.is_file())
+        assert written == sorted(bundle_files([run_id for run_id, _ in fewer.curves], reported))
 
     def test_byte_determinism(self, report, tmp_path):
         m1 = emit_bundle(report, tmp_path / "a")

@@ -15,9 +15,9 @@ from rleval.resample import (
     BootstrapDistribution,
     bootstrap_means,
     empirical_quantile,
+    means_csv,
     percentile_ci,
     read_means_csv,
-    write_means_csv,
 )
 
 SAMPLE = [135.7, 128.4, 141.9, 120.3, 150.8, 133.3, 137.2, 126.5, 144.0, 131.1]
@@ -115,9 +115,7 @@ class TestBootstrap:
 class TestMeansCsv:
     def test_roundtrip(self):
         boot = bootstrap_means(SAMPLE, 100, seed=9)
-        buf = io.StringIO()
-        write_means_csv(boot, buf)
-        back = read_means_csv(io.StringIO(buf.getvalue()))
+        back = read_means_csv(io.StringIO(means_csv(boot)))
         assert np.array_equal(back, boot.means)
 
     def test_header_required(self):

@@ -441,6 +441,20 @@ class TestOwensT:
         assert np.array_equal(mine[:5], ref[:5])
         assert abs(mine[5] - ref[5]) <= 1e-12
 
+    @pytest.mark.parametrize("a", [math.inf, -math.inf])
+    def test_infinite_slope_vs_scipy(self, a):
+        """T(h, +-inf) = sign(a) (1 - Phi(|h|)) / 2, so +-1/4 at h = 0, with
+        no warning: the complement identity's a h is 0 there, not inf * 0."""
+        stats = pytest.importorskip("scipy.stats")
+        h = np.array([0.0, -0.0, 1e-300, 1.0, 40.0, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mine = sp.owens_t(h, a)
+            scalar = sp.owens_t(0.0, a)
+        ref = math.copysign(1.0, a) * stats.norm.sf(np.abs(h)) / 2
+        assert mine == pytest.approx(ref, rel=1e-14, abs=0.0)
+        assert scalar == math.copysign(0.25, a)
+
     def test_gauss_legendre_table(self):
         """`_GL_NODES` and `_GL_WEIGHTS` are numpy's leggauss(48) within
         2 ulp, exactly symmetric, and near mpmath's rule at 50 digits: the
