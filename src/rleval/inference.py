@@ -35,13 +35,11 @@ class Decision(enum.Enum):
 class NormalityResult:
     statistic: float
     pvalue: float
-    decision: Decision
     alpha: float
 
-    def __post_init__(self):
-        expected = Decision.REJECTED if self.pvalue < self.alpha else Decision.FAILED_TO_REJECT
-        if self.decision is not expected:
-            raise ValidationError("decision inconsistent with pvalue and alpha")
+    @property
+    def decision(self) -> Decision:
+        return Decision.REJECTED if self.pvalue < self.alpha else Decision.FAILED_TO_REJECT
 
 
 def _skew_z(g1, n):
@@ -88,8 +86,7 @@ def dagostino_pearson(data, alpha: float = DEFAULT_ALPHA) -> NormalityResult:
     b2 = float(np.mean(centered**4)) / m2**2
     k2 = _skew_z(g1, n) ** 2 + _kurt_z(b2, n) ** 2
     pvalue = math.exp(-0.5 * k2)  # chi-squared(2) survival
-    decision = Decision.REJECTED if pvalue < alpha else Decision.FAILED_TO_REJECT
-    return NormalityResult(statistic=k2, pvalue=pvalue, decision=decision, alpha=alpha)
+    return NormalityResult(statistic=k2, pvalue=pvalue, alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -97,19 +94,19 @@ class ReproducibilityVerdict:
     reported_value: float
     fit: FittedDistribution
     p_v: float
-    p_d: float
-    combined: float
     alpha: float
-    decision: Decision
 
-    def __post_init__(self):
-        if abs(self.combined - self.p_d * self.p_v) > 1e-12:
-            raise ValidationError("combined probability must equal p_d * p_v")
-        expected = (
-            Decision.FAILED_TO_REJECT if self.combined >= self.alpha else Decision.REJECTED
-        )
-        if self.decision is not expected:
-            raise ValidationError("decision inconsistent with combined and alpha")
+    @property
+    def p_d(self) -> float:
+        return float(self.fit.ks_pvalue)
+
+    @property
+    def combined(self) -> float:
+        return self.p_d * self.p_v
+
+    @property
+    def decision(self) -> Decision:
+        return Decision.FAILED_TO_REJECT if self.combined >= self.alpha else Decision.REJECTED
 
 
 def make_verdict(fit, reported, alpha: float = DEFAULT_ALPHA) -> ReproducibilityVerdict:
@@ -120,13 +117,7 @@ def make_verdict(fit, reported, alpha: float = DEFAULT_ALPHA) -> Reproducibility
     if not math.isfinite(reported):
         raise ValidationError(f"reported value must be finite, got {reported}")
     p_v = float(survival(fit, reported))
-    p_d = float(fit.ks_pvalue)
-    combined = p_d * p_v
-    decision = Decision.FAILED_TO_REJECT if combined >= alpha else Decision.REJECTED
-    return ReproducibilityVerdict(
-        reported_value=float(reported), fit=fit, p_v=p_v, p_d=p_d,
-        combined=combined, alpha=alpha, decision=decision,
-    )
+    return ReproducibilityVerdict(reported_value=float(reported), fit=fit, p_v=p_v, alpha=alpha)
 
 
 def verify_reproducibility(
@@ -154,8 +145,12 @@ def significance_summary(verdict_matrix, family_names=None, config_names=None) -
         raise ValidationError("ragged verdict matrix")
     if family_names is None:
         family_names = [row[0].fit.family.name for row in rows]
+    elif len(family_names) != len(rows):
+        raise ValidationError(f"{len(family_names)} family names for {len(rows)} rows")
     if config_names is None:
         config_names = [f"c{i + 1}" for i in range(width)]
+    elif len(config_names) != width:
+        raise ValidationError(f"{len(config_names)} config names for {width} columns")
     cells = []
     rejected = 0
     for name, row in zip(family_names, rows):

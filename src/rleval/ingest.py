@@ -14,6 +14,7 @@ file may be in the directory, and none of the files may be an input.
 
 import io
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -91,14 +92,6 @@ class TrialSet:
     config: object
     runs: tuple
     exclusion_reasons: tuple = ()
-
-    def __post_init__(self):
-        expected = self.config.run_count - len(self.config.excluded_runs)
-        if len(self.runs) != expected:
-            raise ValidationError(
-                f"trial set holds {len(self.runs)} runs, expected {expected} "
-                "after exclusions"
-            )
 
 
 MAX_STEP = 2**63 - 1  # the largest end step an int64 column holds
@@ -372,13 +365,28 @@ def refuse_stale_files(directory, names, what="bundle", inputs=()) -> None:
     is not in `names`, naming up to three of them, or holds one of `inputs`
     under a name of `names` (`refuse_inputs`); a missing directory passes."""
     directory = Path(directory)
-    stale = sorted({p.relative_to(directory).as_posix() for p in directory.rglob("*")
-                    if p.is_file()} - set(names))
+    stale = sorted(set(_files_under(directory)) - set(names))
     if stale:
         more = f" and {len(stale) - 3} more" if len(stale) > 3 else ""
         raise ValidationError(f"{directory} holds files this {what} would not write: "
                               f"{', '.join(stale[:3])}{more}; use a new or empty directory")
     refuse_inputs([directory / name for name in names], inputs, what)
+
+
+def _files_under(directory):
+    """The relative paths of the files under `directory` as a writer reaches
+    them: through links to directories too, each directory once."""
+    seen = set()
+    for root, dirs, files in os.walk(directory, followlinks=True):
+        info = os.stat(root)
+        if (info.st_dev, info.st_ino) in seen:  # a link back to a directory walked
+            dirs.clear()
+            continue
+        seen.add((info.st_dev, info.st_ino))
+        for name in files:
+            path = Path(root, name)
+            if path.is_file():
+                yield path.relative_to(directory).as_posix()
 
 
 def refuse_inputs(targets, inputs, what) -> None:

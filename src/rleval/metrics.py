@@ -30,15 +30,6 @@ class LearningCurve:
     window: int
     stride: int
 
-    def __post_init__(self):
-        if self.window <= 0 or self.stride <= 0:
-            raise ValidationError("window and stride must be positive")
-        for step, _ in self.points:
-            if step % self.stride != 0:
-                raise ValidationError(
-                    f"eval step {step} is not a multiple of stride {self.stride}"
-                )
-
     @property
     def eval_steps(self):
         return tuple(s for s, _ in self.points)

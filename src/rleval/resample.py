@@ -28,15 +28,14 @@ CI_METHOD = "percentile (linear interpolation between closest ranks, Hyndman-Fan
 class BootstrapDistribution:
     """Empirical distribution of the resampled mean."""
 
-    resample_count: int
     means: np.ndarray
     empirical_mean: float
     ci_low: float
     ci_high: float
 
-    def __post_init__(self):
-        if len(self.means) != self.resample_count:
-            raise ValidationError("means vector length must equal resample_count")
+    @property
+    def resample_count(self) -> int:
+        return len(self.means)
 
 
 def empirical_quantile(values, p: float) -> float:
@@ -90,7 +89,6 @@ def bootstrap_means(
     means = rng.bootstrap_means(arr, resample_count, key0, key1, rng.DOMAIN_BOOTSTRAP)
     ci_low, ci_high = percentile_ci(means, confidence)
     return BootstrapDistribution(
-        resample_count=resample_count,
         means=means,
         empirical_mean=float(math.fsum(means) / len(means)),
         ci_low=ci_low,

@@ -3,21 +3,12 @@
 import io
 from dataclasses import dataclass
 
-from .errors import ValidationError
-
 
 @dataclass
 class Table:
     columns: list
     rows: list
     footer: str = None
-
-    def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValidationError(
-                    f"row width {len(row)} != column count {len(self.columns)}"
-                )
 
     def render(self) -> str:
         widths = [len(str(c)) for c in self.columns]

@@ -263,6 +263,23 @@ class TestAnalyze:
         )
         assert calls == []
 
+    def test_stale_file_behind_a_linked_curves_dir_exit_1(self, workspace, capsys):
+        """The bundle's curves would go through a link to another directory,
+        which holds a file the bundle would not write: exit 1, none written."""
+        elsewhere = workspace / "elsewhere"
+        elsewhere.mkdir()
+        (elsewhere / "old.csv").write_text("eval_step,value\n")
+        bundle = workspace / "bundle"
+        bundle.mkdir()
+        (bundle / "curves").symlink_to(elsewhere, target_is_directory=True)
+        code = main(["analyze", str(workspace / "config.yaml"), *_run_paths(workspace),
+                     "--seed", "7", "--resamples", "500", "--families", "normal",
+                     "--out", str(bundle)])
+        assert code == 1
+        assert "curves/old.csv" in capsys.readouterr().err
+        assert [p.name for p in bundle.iterdir()] == ["curves"]
+        assert [p.name for p in elsewhere.iterdir()] == ["old.csv"]
+
     def test_out_holding_its_inputs_exit_1(self, workspace, capsys, monkeypatch):
         """Logs kept where the bundle puts their curves, <out>/curves/<id>.csv,
         are refused before any stage; none is written over."""

@@ -6,7 +6,8 @@ attribute somewhere in the package, or each is kept in the allowlist below
 for a stated reason. A read is a load that resolves to the binding: a
 parameter or local of the same name reads that, not the module's. Every
 top-level function of `tests/oracles.py` is read by a test module, a data
-script under `tests/data/` or another oracle."""
+script under `tests/data/` or another oracle. An allowlisted entry kept
+because `perfbench/tracing.py` uses it is still passed or read there."""
 
 import ast
 from pathlib import Path
@@ -15,6 +16,7 @@ import rleval
 
 PACKAGE = Path(rleval.__file__).parent
 TESTS = Path(__file__).parent
+TRACING = TESTS.parent / "perfbench" / "tracing.py"
 
 # name -> why it stays although no module of the package reads it. A
 # parameter is written module.function(parameter), or for a method
@@ -229,3 +231,48 @@ def test_every_oracle_is_called():
     oracles = {f"oracles.{node.name}" for node in trees["oracles.py"].body
                if isinstance(node, ast.FunctionDef)}
     assert sorted(oracles & _unread_names(trees)) == []
+
+
+def _slot(entry):
+    """(callee, name, position) of a parameter or field entry of KEPT: the
+    function or class a caller calls, the name it passes, and the position
+    at which a positional argument passes it."""
+    path, _, param = entry.rstrip(")").partition("(")
+    parts = path.split(".")
+    owner, name = (parts[-1], param) if param else parts[1:]
+    node = next(n for n in ast.walk(_trees()[f"{parts[0]}.py"])
+                if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == owner)
+    if param:
+        slots = _positional(node, method=len(parts) > 2)
+    else:
+        slots = [n.target.id for n in node.body if isinstance(n, ast.AnnAssign)]
+    return owner, name, slots.index(name)
+
+
+def _used_by(tree, entry):
+    """Whether `tree` passes the parameter or field `entry` to its callee,
+    by keyword or position, or, for a field, loads it as an attribute."""
+    callee, name, position = _slot(entry)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) == callee and (
+                    len(node.args) > position or any(k.arg == name for k in node.keywords)):
+                return True
+        elif ("(" not in entry and isinstance(node, ast.Attribute) and node.attr == name
+              and isinstance(node.ctx, ast.Load)):
+            return True
+    return False
+
+
+def test_entries_kept_for_perfbench_are_used_there():
+    cited = [entry for entry, why in KEPT.items() if "perfbench/tracing.py" in why]
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    assert [entry for entry in cited if not _used_by(tree, entry)] == []
+    # the check tells a use from none, in each form
+    window = "metrics.run_average_return(window)"
+    assert _used_by(ast.parse("run_average_return(r, 'episodes', 5)"), window)
+    assert not _used_by(ast.parse("run_average_return(r, mode='episodes')"), window)
+    digest = "report.AnalysisReport.config_digest"
+    assert _used_by(ast.parse("report.config_digest"), digest)
+    assert not _used_by(ast.parse("AnalysisReport(config=c)"), digest)

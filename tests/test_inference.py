@@ -66,9 +66,11 @@ class TestDagostinoPearson:
         with pytest.raises(NumericError):
             dagostino_pearson([3.0] * 30)
 
-    def test_decision_consistency_enforced(self):
-        with pytest.raises(ValidationError):
-            NormalityResult(statistic=1.0, pvalue=0.9, decision=Decision.REJECTED, alpha=0.05)
+    def test_pvalue_equal_to_alpha_fails_to_reject(self):
+        at = NormalityResult(statistic=-2.0 * math.log(0.05), pvalue=0.05, alpha=0.05)
+        assert at.decision is Decision.FAILED_TO_REJECT
+        below = dataclasses.replace(at, pvalue=math.nextafter(0.05, 0.0))
+        assert below.decision is Decision.REJECTED
 
 
 def _fit_with_p(family, *params, ks_p):
@@ -114,6 +116,13 @@ class TestVerdicts:
         assert verdict.decision is Decision.FAILED_TO_REJECT
         above = make_verdict(fit, reported, alpha=verdict.combined * (1 + 1e-9))
         assert above.decision is Decision.REJECTED
+
+    def test_combined_equal_to_alpha_fails_to_reject(self):
+        # 0.5 * 0.1 == 0.05 in doubles: halving is exact
+        fit = _fit_with_p("normal", 0.0, 1.0, ks_p=0.5)
+        verdict = ReproducibilityVerdict(reported_value=0.0, fit=fit, p_v=0.1, alpha=0.05)
+        assert verdict.p_d == 0.5 and verdict.combined == 0.05
+        assert verdict.decision is Decision.FAILED_TO_REJECT
 
     def test_requires_ks_pvalue(self):
         with pytest.raises(ValidationError):
@@ -177,6 +186,12 @@ class TestSummary:
         matrix.append(matrix[0][:1])
         with pytest.raises(ValidationError):
             significance_summary(matrix)
+
+    def test_names_must_match_the_matrix(self):
+        with pytest.raises(ValidationError, match="1 config names for 2 columns"):
+            significance_summary(self._matrix([[0.5, 0.5]]), config_names=["c"])
+        with pytest.raises(ValidationError, match="1 family names for 2 rows"):
+            significance_summary(self._matrix([[0.5], [1e-9]]), family_names=["normal"])
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):

@@ -20,6 +20,7 @@ from rleval.ingest import (
     apply_exclusions,
     read_run_log,
     read_run_log_path,
+    refuse_stale_files,
     run_log_csv,
     synthesize_runs,
     write_run_dir,
@@ -436,3 +437,14 @@ def test_runlog_names_the_first_fault_in_episode_order(steps, message):
 def test_runlog_columns_must_have_one_length():
     with pytest.raises(DataError, match="of one length"):
         RunLog("r", (1, 2), (1.0,))
+
+
+def test_stale_file_check_ends_on_a_link_cycle(tmp_path):
+    """A link back to the directory is walked once: the check ends, and it
+    names each stale file once."""
+    (tmp_path / "a.csv").write_text("")
+    (tmp_path / "loop").symlink_to(".", target_is_directory=True)
+    refuse_stale_files(tmp_path, ["a.csv"])
+    (tmp_path / "old.csv").write_text("")
+    with pytest.raises(ValidationError, match=r"would not write: old\.csv; "):
+        refuse_stale_files(tmp_path, ["a.csv"])
