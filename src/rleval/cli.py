@@ -15,10 +15,10 @@ numpy-free modules: `config` with its YAML and number formatting,
 when it runs, so `validate`, `--help`, `--version` and usage errors never
 load numpy. `synth` loads numpy with `ingest` and `rng`, which holds the
 normal quantile, and `curves` with `ingest`, `metrics` and `report`;
-neither loads `special`. `analyze` and `fit` load `special`,
-`distributions` and `pipeline`, but neither numpy.ma nor numpy.polynomial:
-the fits take medians as the type-7 quantile, by sorting, and Owen's T
-reads its Gauss-Legendre nodes from a table. Every input file is decoded
+neither loads `special`. `analyze` loads `special`, `distributions` and
+`pipeline`, and `fit` the first two, but neither loads numpy.ma or
+numpy.polynomial: the fits take medians as the type-7 quantile, by
+sorting, and Owen's T reads its Gauss-Legendre nodes from a table. Every input file is decoded
 by `_yamlio.read_text`, so a file that is not UTF-8 is a validation error.
 No command loads OpenSSL for inputs under 1 MiB:
 `_digest` hashes them with CPython's own SHA-256, since loading libcrypto
@@ -107,12 +107,17 @@ def cmd_curves(args) -> int:
     return EXIT_OK
 
 
-def _warn_if_unconverged(fit):
+def _warn_about(fit):
     """A stderr warning for a fit whose `converged` is false, with its
-    score norm when it has one."""
+    score norm when it has one, and one for a fit at its family's shape
+    cap (loggamma's c = 1e6), beyond which its normal limit lies."""
+    name, cap = fit.family.name, fit.family.shape_cap
     if not fit.converged:
         norm = "" if fit.score_norm is None else f": score norm {fit.score_norm:.3g}"
-        print(f"warning: {fit.family.name} fit not converged{norm}", file=sys.stderr)
+        print(f"warning: {name} fit not converged{norm}", file=sys.stderr)
+    if cap is not None and fit.shapes[0] == cap:
+        print(f"warning: {name} fit at its shape cap c = {cap:g}; its normal limit lies beyond",
+              file=sys.stderr)
 
 
 def cmd_analyze(args) -> int:
@@ -140,7 +145,7 @@ def cmd_analyze(args) -> int:
     )
     emit_bundle(report, args.out)
     for fit in report.fits:
-        _warn_if_unconverged(fit)
+        _warn_about(fit)
     analyzed = report.provenance["runs_analyzed"]
     total = report.provenance["runs_total"]
     print(f"{analyzed} of {total} runs analyzed; bundle written to {args.out}")
@@ -151,16 +156,15 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    from .distributions import fit_record, get_family
+    from .distributions import fit_mle, fit_record, get_family, with_gof
     from .ingest import refuse_inputs, write_file
-    from .pipeline import fit_families
     from .resample import read_means_csv
 
     get_family(args.family)  # an unknown family fails before the means are read
     means = read_means_csv(io.StringIO(read_text(args.means), newline=None))
     if args.out:
         refuse_inputs([args.out], [args.means], "fit call")
-    text = dump_canonical(fit_record(fit_families([args.family], means, args.seed)[0]))
+    text = dump_canonical(fit_record(with_gof(fit_mle(args.family, means), means)))
     print(text, end="")
     if args.out:
         write_file(args.out, text)
@@ -175,7 +179,7 @@ def cmd_verify(args) -> int:
     doc = load_strict(read_text(args.fit))
     fit = fit_from_record(doc)
     verdict = make_verdict(fit, args.reported, alpha=args.alpha)
-    _warn_if_unconverged(fit)
+    _warn_about(fit)
     print(f"family: {fit.family.name}")
     print(f"reported_value: {fmt_shortest(verdict.reported_value)}")
     print(f"p_v: {fmt_shortest(verdict.p_v)}")
@@ -230,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("runs", nargs="+")
     p.add_argument("--resamples", type=int, default=10000)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True,
+                   help="the bootstrap's seed; no fit reads one")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--reported", type=float, default=None)
     p.add_argument("--families", default=None, help="comma-separated family names")
@@ -242,10 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit one family to a means vector")
     p.add_argument("means")
     p.add_argument("--family", required=True, help="one of the families analyze fits")
-    p.add_argument(
-        "--seed", type=int, required=True,
-        help="analyze's --seed; only loggamma's fit reads it, for its jittered starts",
-    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_fit)
 

@@ -9,8 +9,8 @@ A fit searches from the moment-based start (`Family.init_params`), in the
 family's search coordinates (`Family.to_search` and `from_search`, given
 the data's mean m and sd s), and the fit reports the decoded (shapes, loc,
 scale). By default they are the shapes as they are, (loc - m)/s and
-log(scale/s). Three families have likelihoods that rise along curved
-ridges in their raw parameters, and search other coordinates:
+log(scale/s). Four families search other coordinates, in which their
+likelihoods do not rise along curved ridges toward a limit:
 
 - johnsonsu searches (a/b, 1/b, (mean - m)/s, log(sd/s)), with the
   distribution's closed-form mean and sd. Its normal limit b -> inf is the
@@ -18,28 +18,31 @@ ridges in their raw parameters, and search other coordinates:
 - johnsonsb searches (a/b, 1/b, (median - m)/s, log(spread/s)), the
   spread being dx/du at the median; its normal limit is 1/b = 0 too.
 - beta searches (log a, log b, (loc - m)/s, log(scale/s)).
+- loggamma searches (u, (mu - m)/s, log(sigma/s)) for x = mu + sigma w,
+  w = sqrt(c) (log G - log c), G ~ Gamma(c) and c = u^-2. Its normal
+  limit c -> inf is the point u = 0, and it keeps to u >= 1e-3 (c <= 1e6).
 
-Six families are fitted by `bfgs` on the negative log-likelihood and its
-analytic score. Each writes its log-density once, in
-`Family.logpdf_z_score`, which returns it and its derivatives at every
-point; `_loglik_score` alone sums them, and `search_score` chains the score
-through the Jacobian of `from_search`. The fit path sums with np.sum and
-never calls BLAS, whose kernel and thread count would move a sum's last
-bits. The line search halves the step until the log-likelihood rises
-enough, or, within its rounding noise, until the slope has flattened; a
-point outside the support has an infinite negative log-likelihood, so such
-a step is cut back too. loggamma, whose supremum on right-skewed data is
-its c -> inf normal limit, keeps the Nelder-Mead simplex on its raw
-parameters (`Family.simplex`) with large finite penalties for invalid
-parameters and non-finite log-densities. It alone also searches from two
-jitters of the moment start, drawn from the fitting seed, and reports the
-best of its three searches; the simplex's own tolerance decides only when
-a search stops.
+Every family is fitted by `bfgs` on the negative log-likelihood and its
+analytic score in search coordinates, `Family.search_loglik`. Six families
+write their log-density once, in `Family.logpdf_z_score`, which returns it
+and its derivatives at every point; `_loglik_score` alone sums them, and
+`search_score` chains the score through the Jacobian of `from_search`.
+loggamma writes its log-likelihood and score directly in its search
+coordinates. The fit path sums with np.sum and never calls BLAS, whose
+kernel and thread count would move a sum's last bits. The line search
+halves the step until the log-likelihood rises enough, or, within its
+rounding noise, until the slope has flattened; a point outside the domain
+has an infinite negative log-likelihood, so such a step is cut back too.
+A family with a floor on its first search coordinate (`search_floor`,
+loggamma's u) is searched on the floor first; where the log-likelihood
+falls toward the floor there, that is the fit, at the family's
+`shape_cap`. Otherwise one search runs over every coordinate.
 
 Every fit records the iterations of the search it came from and the score
-norm at its result, max |d loglik / d t_i| / n over the search coordinates
-t (loggamma's raw parameters). For every family, `converged` means that
-norm is at most _SCORE_TOL = 1e-9. Zero-variance data is an error.
+norm at its result, max |d loglik / d t_i| / n over the free search
+coordinates t (a fit on the floor leaves out the first). For every
+family, `converged` means that norm is at most _SCORE_TOL = 1e-9.
+Zero-variance data is an error.
 """
 
 import dataclasses
@@ -51,11 +54,9 @@ import numpy as np
 from . import special
 from .errors import NumericError, ValidationError
 from .resample import empirical_quantile
-from .rng import DOMAIN_FIT, SeededRng
+from .rng import SeededRng, horner
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_POINT_PENALTY = 1e9
-_INVALID_PENALTY = 1e12
 
 
 class Family:
@@ -64,18 +65,14 @@ class Family:
     name = ""
     shape_names: tuple = ()
     bounded = False  # True when support of z is the unit interval
-    simplex = False  # True to fit by Nelder-Mead instead of the score search
+    shape_cap = None  # the largest shape a fit reports, where one is capped
+    search_floor = None  # a lower bound on the first search coordinate
 
     def shapes_valid(self, shapes):
         return True
 
     def logpdf_z(self, z, shapes):
         return self.logpdf_z_score(z, shapes)[0]
-
-    def logpdf_z_into(self, z, shapes, tmp):
-        """`logpdf_z` for the simplex's objective, which may write it over
-        the float64 vector z, with `tmp` a scratch vector of z's shape."""
-        return self.logpdf_z(z, shapes)
 
     def logpdf_z_score(self, z, shapes):
         """(log-density, its d/dz, and a tuple of its d/d shape, one per
@@ -113,6 +110,14 @@ class Family:
         out[-2] *= s
         out[-1] *= theta[-1]
         return out
+
+    def search_loglik(self, data, t, m, s):
+        """The log-likelihood at the search point t and its gradient in t,
+        or (-inf, None) outside the domain: `_loglik_score` at
+        from_search(t), its score chained through `search_score`."""
+        theta = self.from_search(t, m, s)
+        ll, score = _loglik_score(self, data, theta)
+        return ll, None if score is None else self.search_score(t, theta, score, s)
 
     def __repr__(self):
         return f"Family({self.name})"
@@ -364,45 +369,101 @@ class JohnsonSU(Family):
         ])
 
 
+# loggamma's h functions of v = u w: h1 = expm1(v)/v, h2 = (expm1 v - v)/v^2
+# and h3 = dh2/dv = (v expm1 v - 2 (expm1 v - v))/v^3. For |v| <= 1/2 they
+# are summed from their series, sum v^k/(k+1)!, v^k/(k+2)! and
+# (k+1) v^k/(k+3)!, whose terms past k = 17 are below 1e-20 there.
+_H2_SERIES = tuple(1.0 / math.factorial(k + 2) for k in range(18))
+_H3_SERIES = tuple((k + 1) / math.factorial(k + 3) for k in range(18))
+
+
+def _loggamma_h(v):
+    """(h1, h2, h3) at each element of the array v, each without
+    cancellation near v = 0; h1 = 1 + v h2 there."""
+    h2 = horner(v, _H2_SERIES)
+    h3 = horner(v, _H3_SERIES)
+    h1 = 1.0 + v * h2
+    far = np.flatnonzero(np.abs(v) > 0.5)
+    if far.size:
+        vf = v[far]
+        e = np.expm1(vf)
+        d = e - vf
+        h1[far] = e / vf
+        h2[far] = d / (vf * vf)
+        h3[far] = (vf * e - 2.0 * d) / (vf * vf * vf)
+    return h1, h2, h3
+
+
+def _stirling_remainder(c):
+    """delta(c) = lgamma(c) - (c - 1/2) ln c + c - ln sqrt(2 pi), and its
+    derivative psi(c) - ln c + 1/(2c), for a float c > 0: above 15 and 10
+    their asymptotic series, below them the closed forms."""
+    if c > 15.0:
+        delta = float(special._stirlerr(c))
+    else:
+        delta = math.lgamma(c) - (c - 0.5) * math.log(c) + c - _LOG_SQRT_2PI
+    if c >= 10.0:
+        inv2 = 1.0 / (c * c)
+        slope = -horner(inv2, special._PSI_ASYMPTOTIC) * inv2
+    else:
+        slope = special.digamma(c) - math.log(c) + 0.5 / c
+    return delta, slope
+
+
 class LogGamma(Family):
     name = "loggamma"
     shape_names = ("c",)
-    # On right-skewed data its supremum is the c -> inf normal limit, which a
-    # score search in raw parameters stops short of; the simplex stays until
-    # a parametrization with a finite normal point replaces both.
-    simplex = True
+    # Its search coordinates t = (u, (mu - m)/s, log(sigma/s)) write the
+    # law as x = mu + sigma w, w = sqrt(c) (log G - log c), G ~ Gamma(c)
+    # and c = u^-2: (c, loc, scale) = (u^-2, mu - (sigma/u) log c, sigma/u).
+    # The normal limit c -> inf is the point u = 0; the search keeps to
+    # u >= 1e-3, c <= 1e6, and a fit with c = 1e6 sits at that cap.
+    shape_cap = 1e6
+    search_floor = shape_cap**-0.5  # 1e-3, which decodes to shape_cap exactly
 
     def shapes_valid(self, shapes):
         return shapes[0] > 0
 
-    # The simplex evaluates the value alone, at every vertex, thousands of
-    # times per fit: written over z, with e^z left in exp_z, it allocates
-    # nothing. Each point is rounded as c * z - e^z - lgamma(c) reads.
-    def logpdf_z_into(self, z, shapes, exp_z):
-        c = shapes[0]
-        np.exp(z, out=exp_z)
-        np.multiply(z, c, out=z)
-        np.subtract(z, exp_z, out=z)
-        return np.subtract(z, math.lgamma(c), out=z)
-
+    # Only the quantile's Newton steps read the raw log-density; the fit
+    # reads `search_loglik`.
     def logpdf_z(self, z, shapes):
-        z = np.array(z, dtype=np.float64)
-        return self.logpdf_z_into(z, shapes, np.empty_like(z))
+        c = shapes[0]
+        return c * z - np.exp(z) - math.lgamma(c)
 
-    def logpdf_z_score(self, z, shapes):
-        exp_z = np.empty_like(z)
-        lp = self.logpdf_z_into(z.copy(), shapes, exp_z)
-        return lp, shapes[0] - exp_z, (z - special.digamma(shapes[0]),)
-
-    # The simplex searches the raw parameters.
     def to_search(self, theta, m, s):
-        return theta
+        c, loc, scale = theta
+        u = 1.0 / math.sqrt(c)
+        return np.array([u, (loc + scale * math.log(c) - m) / s, math.log(scale * u / s)])
 
     def from_search(self, t, m, s):
-        return t
+        u, mu, log_sigma = t
+        c = 1.0 / (u * u)
+        scale = s * np.exp(log_sigma) / u
+        return np.array([c, m + s * mu - scale * np.log(c), scale])
 
-    def search_score(self, t, theta, score, s):
-        return np.asarray(score, dtype=np.float64)
+    def search_loglik(self, data, t, m, s):
+        """In t, log f = -ln sqrt(2 pi) - delta(c) - log sigma - w^2 h2(u w),
+        with delta Stirling's remainder, and the score is
+        (2 n delta'(c) / u^3 - sum w^3 h3, s sum w h1 / sigma, sum w^2 h1 - n):
+        no term cancels, and no trigamma is needed."""
+        u, mu, log_sigma = map(float, t)
+        c = 1.0 / (u * u) if u >= self.search_floor else 0.0  # u = inf or nan gives 0
+        sigma = s * float(np.exp(log_sigma))
+        if not (c > 0.0 and math.isfinite(mu) and 0.0 < sigma < math.inf):
+            return -math.inf, None
+        w = (data - (m + s * mu)) / sigma
+        h1, h2, h3 = _loggamma_h(u * w)
+        n = w.size
+        delta, slope = _stirling_remainder(c)
+        w2 = w * w
+        ll = -n * (_LOG_SQRT_2PI + delta + math.log(sigma)) - float(np.sum(w2 * h2))
+        if not math.isfinite(ll):
+            return -math.inf, None
+        return ll, np.array([
+            2.0 * n * slope / (u * u * u) - float(np.sum(w2 * w * h3)),
+            s * float(np.sum(w * h1)) / sigma,
+            float(np.sum(w2 * h1)) - n,
+        ])
 
     # Below this z, e^z < 1e-300 and P(c, e^z) = e^(c z) / Gamma(c + 1) to
     # double precision; evaluated in z, it neither underflows with e^z nor
@@ -423,22 +484,12 @@ class LogGamma(Family):
         return np.where(z < self._TINY_Z, tail, special.reg_inc_gamma_upper(c, np.exp(z)))
 
     def init_params(self, data):
-        # Profile a few shape candidates; psi/psi' are approximated, the
-        # search only needs a feasible starting frame.
-        mean = float(np.mean(data))
-        sd = float(np.std(data)) or 1.0
-        best = None
-        for c in (0.5, 1.0, 2.0, 5.0, 20.0, 100.0):
-            psi = math.log(c) - 0.5 / c
-            psi1 = 1.0 / c + 0.5 / (c * c)
-            scale = sd / math.sqrt(psi1)
-            loc = mean - scale * psi
-            z = (data - loc) / scale
-            with np.errstate(over="ignore"):
-                ll = float(np.sum(self.logpdf_z(np.minimum(z, 500.0), (c,))))
-            if best is None or ll > best[0]:
-                best = (ll, (c,), loc, scale)
-        return best[1], best[2], best[3]
+        # t = (u0, 0, 0): the data's mean and sd, and u0 = -g1, since w's
+        # skewness is -u to first order, but no less than the floor.
+        m, s = float(np.mean(data)), float(np.std(data))
+        u = max(-float(np.mean((data - m) ** 3)) / s**3, self.search_floor)
+        c = 1.0 / (u * u)
+        return (c,), m - s / u * math.log(c), s / u
 
 
 class PowerNormal(Family):
@@ -543,7 +594,7 @@ class FittedDistribution:
     ks_statistic: float = None
     ks_pvalue: float = None
     post_fit_ks: bool = False
-    iterations: int = None  # of its search (loggamma's best of three)
+    iterations: int = None  # of the search it came from
     score_norm: float = None  # max |score| / n in search coordinates
 
     def __post_init__(self):
@@ -679,7 +730,7 @@ def sample(fit, count, rng: SeededRng):
 
 
 # ---------------------------------------------------------------------------
-# maximum-likelihood fitting: BFGS on the score, Nelder-Mead for loggamma
+# maximum-likelihood fitting: BFGS on the score
 # ---------------------------------------------------------------------------
 
 
@@ -691,67 +742,12 @@ class SearchResult:
     iterations: int
 
 
-_NM_MAX_ITER = 5000
-_NM_FTOL_REL = 1e-8
-_NM_XTOL = 1e-6
-_SIMPLEX_STARTS = 3  # loggamma's moment start plus two jittered ones
-
 _SCORE_TOL = 1e-9  # on max |score| / n in search coordinates
 _BFGS_MAX_ITER = 500
 _WOLFE_C1 = 1e-4
 _WOLFE_C2 = 0.9
 _LINE_MAX_EVALS = 40
 _F_NOISE = 1e-12  # rounding noise of a summed log-likelihood, relative to |f| + n
-
-
-def nelder_mead(fn, x0):
-    """Plain simplex search (reflection 1, expansion 2, contraction 0.5,
-    shrink 0.5). Converged when the objective spread falls under
-    _NM_FTOL_REL relative and the vertex spread under _NM_XTOL relative,
-    within _NM_MAX_ITER iterations. The vertices are lists of Python floats,
-    stepped as the array form would be: the centroid adds the rows in order
-    and divides by n, as np.mean(axis=0) does, and the sort by f is stable
-    with nan last, as np.argsort(kind="stable") is."""
-    x0 = np.asarray(x0, dtype=np.float64).tolist()
-    n = len(x0)
-    f = lambda v: float(fn(np.array(v)))
-    simplex = [x0] + [
-        x0[:i] + [x0[i] + (0.05 * abs(x0[i]) if x0[i] != 0.0 else 0.00025)] + x0[i + 1:]
-        for i in range(n)
-    ]
-    verts = [(f(v), v) for v in simplex]
-    iterations = 0
-    converged = False
-    while iterations < _NM_MAX_ITER:
-        verts.sort(key=lambda fv: (fv[0] != fv[0], fv[0]))
-        (f0, best), (f1, worst) = verts[0], verts[-1]
-        if abs(f1 - f0) <= _NM_FTOL_REL * (abs(f0) + 1e-12) and all(
-            abs(x - b) <= _NM_XTOL * (1.0 + abs(b)) for _, v in verts[1:] for x, b in zip(v, best)
-        ):
-            converged = True
-            break
-        iterations += 1
-        centroid = best
-        for _, v in verts[1:-1]:
-            centroid = [c + x for c, x in zip(centroid, v)]
-        centroid = [c / n for c in centroid]
-        reflected = [c + (c - w) for c, w in zip(centroid, worst)]
-        fr = f(reflected)
-        if fr < f0:
-            expanded = [c + 2.0 * (c - w) for c, w in zip(centroid, worst)]
-            fe = f(expanded)
-            verts[-1] = (fe, expanded) if fe < fr else (fr, reflected)
-        elif fr < verts[-2][0]:
-            verts[-1] = (fr, reflected)
-        else:
-            contracted = [c + 0.5 * (w - c) for c, w in zip(centroid, worst)]
-            fc = f(contracted)
-            if fc < f1:
-                verts[-1] = (fc, contracted)
-            else:
-                shrunk = [[b + 0.5 * (x - b) for b, x in zip(best, v)] for _, v in verts]
-                verts = [(f0, shrunk[0])] + [(f(v), v) for v in shrunk[1:]]
-    return SearchResult(np.array(verts[0][1]), verts[0][0], converged, iterations)
 
 
 def _backtrack(fn, x, f0, d0, p, alpha, f_noise):
@@ -844,46 +840,6 @@ def _loglik_score(family, data, theta):
     ])
 
 
-def _penalized_nll(family, data, theta, scratch=None):
-    """Negative log-likelihood of an unbounded family, with finite
-    penalties for invalid parameters and non-finite log-densities, for the
-    simplex. `scratch` is a pair of float64 vectors of data's shape that z
-    and the log-density are written into; `_simplex_searches` allocates it
-    once for its searches, and a call without it allocates its own. Called
-    inside the fit's np.errstate."""
-    theta = list(map(float, theta))
-    if not all(map(math.isfinite, theta)):
-        return _INVALID_PENALTY
-    shapes, loc, scale = tuple(theta[:-2]), theta[-2], theta[-1]
-    if scale <= 0.0:
-        return _INVALID_PENALTY * (1.0 + abs(scale))
-    if not family.shapes_valid(shapes):
-        bad = sum(abs(min(s, 0.0)) for s in shapes)
-        return _INVALID_PENALTY * (1.0 + bad)
-    if scratch is None:
-        scratch = (np.empty(np.shape(data)), np.empty(np.shape(data)))
-    z, tmp = scratch
-    np.subtract(data, loc, out=z)
-    np.divide(z, scale, out=z)
-    lp = family.logpdf_z_into(z, shapes, tmp)
-    total = float(lp.sum())
-    if not math.isfinite(total):
-        total = float(np.sum(np.where(np.isfinite(lp), lp, -_POINT_PENALTY)))
-    return -(total - z.size * math.log(scale))
-
-
-def _jitter_start(family, theta0, eta):
-    """A jittered simplex start: each parameter moved by 15% of itself and
-    0.01, times eta; a scale or shape left invalid is reflected."""
-    theta = theta0 * (1.0 + 0.15 * eta) + 0.01 * eta
-    k = len(family.shape_names)
-    theta[k + 1] = abs(theta[k + 1]) or 1.0
-    for i in range(k):
-        if not family.shapes_valid(tuple(theta[:k])):
-            theta[i] = abs(theta[i]) or 0.5
-    return theta
-
-
 def _fit_sample(family, data):
     """`data` as the flat float64 array a fit of `family` accepts."""
     arr = np.asarray(data, dtype=np.float64)
@@ -901,77 +857,49 @@ def _moment_start(family, arr):
     return np.array([*shapes0, loc0, scale0], dtype=np.float64)
 
 
-def _jittered_starts(family, theta0, fitting_seed):
-    rng = SeededRng(fitting_seed, domain=DOMAIN_FIT)
-    return [
-        _jitter_start(family, theta0, rng.standard_normal(theta0.size))
-        for _ in range(_SIMPLEX_STARTS - 1)
-    ]
-
-
-def _simplex_searches(family, arr, starts):
-    """`nelder_mead` on the penalized negative log-likelihood from each
-    start in turn, with one scratch pair for all their objective calls.
-    Called inside the fit's np.errstate."""
-    m, s = float(np.mean(arr)), float(np.std(arr))
-    scratch = (np.empty_like(arr), np.empty_like(arr))
-
-    def objective(t):
-        return _penalized_nll(family, arr, family.from_search(t, m, s), scratch)
-
-    return [nelder_mead(objective, family.to_search(start, m, s)) for start in starts]
-
-
-def jittered_searches(family, data, fitting_seed):
-    """The simplex searches of a `fit_mle` of a simplex family from its two
-    jittered starts, drawn from `fitting_seed`, in order. `pipeline` runs
-    them in a child process while the parent fits other families and
-    searches from the moment start; without a child `fit_mle` calls this
-    itself."""
-    family = get_family(family)
-    arr = _fit_sample(family, data)
-    theta0 = _moment_start(family, arr)
-    with np.errstate(all="ignore"):
-        return _simplex_searches(family, arr, _jittered_starts(family, theta0, fitting_seed))
-
-
-def fit_mle(family, data, fitting_seed=0, jittered=None):
+def fit_mle(family, data, fitting_seed=0):
     """Maximum-likelihood fit of one family (the module docstring), with
     the `iterations` of the search it came from, the score norm at its
     result, and `converged` when that norm is at most _SCORE_TOL (false
-    where it is undefined). `fitting_seed` draws loggamma's two jittered
-    simplex starts; no other family reads it. `jittered`, when given, is a
-    callable that returns `jittered_searches(family, data, fitting_seed)`;
-    the fit calls it after its moment-start search. Without it the fit
-    calls `jittered_searches` itself.
+    where it is undefined). No fit draws a random number: `fitting_seed`
+    is read by none.
 
     Non-convergence is reported through the `converged` flag, never raised.
     Zero-variance data raises NumericError for every family.
     """
     family = get_family(family)
     arr = _fit_sample(family, data)
-    theta0 = _moment_start(family, arr)
     m, s = float(np.mean(arr)), float(np.std(arr))
+    t0 = family.to_search(_moment_start(family, arr), m, s)
+    gtol = _SCORE_TOL * arr.size
+
+    def objective(t):
+        ll, score = family.search_loglik(arr, t, m, s)
+        if score is None:
+            return math.inf, None
+        return -ll, -score
 
     with np.errstate(all="ignore"):
-        if family.simplex:
-            searches = _simplex_searches(family, arr, [theta0])
-            searches += jittered() if jittered else jittered_searches(family, arr, fitting_seed)
-            best = min(searches, key=lambda result: result.fval)
-        else:
-            def objective(t):
-                theta = family.from_search(t, m, s)
-                ll, score = _loglik_score(family, arr, theta)
-                if score is None:
-                    return math.inf, None
-                return -ll, -family.search_score(t, theta, score, s)
+        best, pinned = None, 0
+        floor = family.search_floor
+        if floor is not None:
+            def on_floor(rest):
+                f, g = objective(np.concatenate(([floor], rest)))
+                return f, None if g is None else g[1:]
 
-            best = bfgs(objective, family.to_search(theta0, m, s), _SCORE_TOL * arr.size, arr.size)
+            capped = bfgs(on_floor, t0[1:], gtol, arr.size)
+            capped.x = np.concatenate(([floor], capped.x))
+            _, g = objective(capped.x)
+            if g is not None and g[0] >= 0.0:  # d loglik / d t[0] <= 0: it rises only below
+                best, pinned = capped, 1
+        if best is None:
+            best = bfgs(objective, t0, gtol, arr.size)
         theta = family.from_search(best.x, m, s)
-        _, score = _loglik_score(family, arr, theta)
-        # max |score| / n in search coordinates, nan where the score is undefined
+        _, score = family.search_loglik(arr, best.x, m, s)
+        # max |score| / n over the free search coordinates, nan where the
+        # score is undefined
         score_norm = math.nan if score is None else float(
-            np.max(np.abs(family.search_score(best.x, theta, score, s)))) / arr.size
+            np.max(np.abs(score[pinned:]))) / arr.size
     shapes, loc, scale = tuple(map(float, theta[:-2])), float(theta[-2]), float(theta[-1])
     if not np.all(np.isfinite(theta)) or scale <= 0.0 or not family.shapes_valid(shapes):
         raise NumericError(f"{family.name} fit ended outside the valid domain")

@@ -15,8 +15,9 @@ into the two 32-bit Philox key words. Counter layout:
     word2 = stream id   (e.g. bootstrap resample index, run index)
     word3 = domain tag  (keeps unrelated consumers on disjoint streams)
 
-Domain tag 3 belonged to a consumer that was removed; it is never reused,
-so no stream drawn today repeats one that an older release drew.
+Domain tags 3 and 4 belonged to consumers that were removed; they are
+never reused, so no stream drawn today repeats one that an older release
+drew.
 
 The uniforms and the bootstrap means are integer arithmetic plus IEEE-754
 double operations in a defined order, so they are bit-identical across
@@ -40,8 +41,7 @@ MAX_SEED = 2**64 - 1
 # Domain tags. Values are part of the on-disk reproducibility contract.
 DOMAIN_GENERIC = 0
 DOMAIN_BOOTSTRAP = 1
-DOMAIN_SYNTH = 2
-DOMAIN_FIT = 4  # tag 3 is retired and never reused
+DOMAIN_SYNTH = 2  # tags 3 and 4 are retired and never reused
 
 _M64 = (1 << 64) - 1
 

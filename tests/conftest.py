@@ -7,10 +7,10 @@ import pytest
 
 from rleval import distributions as D
 from rleval.config import parse_config
-from rleval.distributions import FAMILY_NAMES, fit_mle
+from rleval.distributions import fit_mle
 from rleval.ingest import SynthSpec, synthesize_runs
 from rleval.metrics import run_average_return
-from rleval.pipeline import fitting_seed_for, run_analysis
+from rleval.pipeline import run_analysis
 from rleval.resample import bootstrap_means
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -89,8 +89,8 @@ def workload_means():
 
 
 def _logging_search(search, log):
-    """`search` (D.bfgs or D.nelder_mead), appending (iterations, objective
-    calls, converged, fval as float.hex) of each search to `log`."""
+    """`search` (D.bfgs), appending (iterations, objective calls,
+    converged, fval as float.hex) of each search to `log`."""
 
     def logged(fn, x0, *args):
         calls = 0
@@ -111,19 +111,16 @@ def _logging_search(search, log):
 def workload_fit(workload_means):
     """workload_fit(workload, family): the fit `analyze` makes on those
     means, computed once per session. workload_fit.starts[workload, family]
-    logs its searches, one per start (`_logging_search`)."""
+    logs its searches in order (`_logging_search`): loggamma's search on
+    its floor, and its search over every coordinate where it runs."""
     cache = {}
 
     def fit(workload, family):
         if (workload, family) not in cache:
-            seed = fitting_seed_for(WORKLOAD_SEED, FAMILY_NAMES.index(family))
             log = fit.starts[workload, family] = []
             with pytest.MonkeyPatch.context() as patch:
-                for name in ("bfgs", "nelder_mead"):
-                    patch.setattr(D, name, _logging_search(getattr(D, name), log))
-                cache[workload, family] = fit_mle(
-                    family, workload_means[workload], fitting_seed=seed
-                )
+                patch.setattr(D, "bfgs", _logging_search(D.bfgs, log))
+                cache[workload, family] = fit_mle(family, workload_means[workload])
         return cache[workload, family]
 
     fit.starts = {}

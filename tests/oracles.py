@@ -3,8 +3,8 @@
 Everything here is deliberately written against the mathematical
 definitions (mpmath arbitrary precision, exact rational arithmetic, or
 naive full rescans) and shares no code with the implementations it checks.
-The reference copies at the end keep earlier forms of the fit loop, of
-loggamma's simplex objective, of Owen's T quadrature, of the incomplete
+The reference copies at the end keep earlier forms of Owen's T
+quadrature, of the incomplete
 gamma series and continued fraction, of the bootstrap kernel, of the
 exact KS product loop, of the run-log writer and of the polynomial loops
 of erfc, the normal quantile, digamma and Temme's expansion, which the
@@ -38,6 +38,32 @@ def erfc_ref(x: float) -> float:
 
 def digamma_ref(x: float) -> float:
     return float(mp.digamma(mp.mpf(x)))
+
+
+def loggamma_loglik_ref(data, t, m, s):
+    """loggamma's log-likelihood at the search point t = (u, (mu - m)/s,
+    log(sigma/s)), summed at 40 digits from the raw log-density
+    c y - e^y - log Gamma(c) - log scale, y = (x - loc)/scale, with
+    (c, loc, scale) = (u^-2, mu - (sigma/u) log c, sigma/u)."""
+    u, mu, log_sigma = (mp.mpf(float(v)) for v in t)
+    c = 1 / (u * u)
+    scale = mp.mpf(s) * mp.exp(log_sigma) / u
+    loc = mp.mpf(m) + mp.mpf(s) * mu - scale * mp.log(c)
+    total = mp.mpf(0)
+    for x in data:
+        y = (mp.mpf(float(x)) - loc) / scale
+        total += c * y - mp.exp(y) - mp.loggamma(c) - mp.log(scale)
+    return float(total)
+
+
+def loggamma_h_ref(v):
+    """(expm1(v)/v, (expm1 v - v)/v^2, (v expm1 v - 2 (expm1 v - v))/v^3)
+    for v != 0, at 60 digits more than the three terms of h3's numerator
+    cancel, about 3 log10(1/|v|)."""
+    with mp.workdps(60 + 3 * max(0, -math.floor(math.log10(abs(v))))):
+        v = mp.mpf(float(v))
+        e = mp.expm1(v)
+        return float(e / v), float((e - v) / v**2), float((v * e - 2 * (e - v)) / v**3)
 
 
 def quantile_grid():
@@ -188,124 +214,6 @@ def quantile_rule_ref(values, p):
     hi = min(lo + 1, m - 1)
     frac = pos - lo
     return ordered[lo] * (1 - frac) + ordered[hi] * frac
-
-
-# Reference copies of the fit loop before it skipped the passes that cannot
-# change a value: the simplex on float64 arrays and the objective that masks
-# and clips every point. The fast forms must agree with them to the bit.
-
-_NM_MAX_ITER = 5000
-_NM_FTOL_REL = 1e-8
-_NM_XTOL = 1e-6
-_POINT_PENALTY = 1e9
-_INVALID_PENALTY = 1e12
-
-
-def nelder_mead_ref(fn, x0):
-    """The array-form simplex; returns (x, fval, converged, iterations,
-    {branch: times taken})."""
-    taken = dict.fromkeys(("reflect", "expand", "contract", "shrink"), 0)
-    x0 = np.asarray(x0, dtype=np.float64)
-    n = x0.size
-    simplex = [x0]
-    for i in range(n):
-        step = 0.05 * abs(x0[i]) if x0[i] != 0.0 else 0.00025
-        vertex = x0.copy()
-        vertex[i] += step
-        simplex.append(vertex)
-    simplex = np.asarray(simplex)
-    fvals = np.array([fn(v) for v in simplex])
-    iterations = 0
-    converged = False
-    while iterations < _NM_MAX_ITER:
-        order = np.argsort(fvals, kind="stable")
-        simplex = simplex[order]
-        fvals = fvals[order]
-        fspread = abs(fvals[-1] - fvals[0])
-        xspread = np.max(np.abs(simplex[1:] - simplex[0]), axis=0)
-        if fspread <= _NM_FTOL_REL * (abs(fvals[0]) + 1e-12) and np.all(
-            xspread <= _NM_XTOL * (1.0 + np.abs(simplex[0]))
-        ):
-            converged = True
-            break
-        iterations += 1
-        centroid = np.mean(simplex[:-1], axis=0)
-        reflected = centroid + (centroid - simplex[-1])
-        fr = fn(reflected)
-        if fr < fvals[0]:
-            expanded = centroid + 2.0 * (centroid - simplex[-1])
-            fe = fn(expanded)
-            if fe < fr:
-                simplex[-1], fvals[-1] = expanded, fe
-                taken["expand"] += 1
-            else:
-                simplex[-1], fvals[-1] = reflected, fr
-                taken["reflect"] += 1
-        elif fr < fvals[-2]:
-            simplex[-1], fvals[-1] = reflected, fr
-            taken["reflect"] += 1
-        else:
-            contracted = centroid + 0.5 * (simplex[-1] - centroid)
-            fc = fn(contracted)
-            if fc < fvals[-1]:
-                simplex[-1], fvals[-1] = contracted, fc
-                taken["contract"] += 1
-            else:
-                best = simplex[0]
-                simplex = best + 0.5 * (simplex - best)
-                fvals = np.array([fvals[0]] + [fn(v) for v in simplex[1:]])
-                taken["shrink"] += 1
-    return simplex[0].copy(), float(fvals[0]), converged, iterations, taken
-
-
-def penalized_nll_ref(family, data, theta):
-    """The objective with every point masked, clipped and checked."""
-    if not np.all(np.isfinite(theta)):
-        return _INVALID_PENALTY
-    k = len(family.shape_names)
-    shapes = tuple(theta[:k])
-    loc = theta[k]
-    scale = theta[k + 1]
-    if scale <= 0.0:
-        return _INVALID_PENALTY * (1.0 + abs(scale))
-    if not family.shapes_valid(shapes):
-        bad = sum(abs(min(s, 0.0)) for s in shapes)
-        return _INVALID_PENALTY * (1.0 + bad)
-    z = (data - loc) / scale
-    penalty = 0.0
-    if family.bounded:
-        below = np.maximum(-z, 0.0)
-        above = np.maximum(z - 1.0, 0.0)
-        outside = (z <= 0.0) | (z >= 1.0)
-        n_out = int(np.count_nonzero(outside))
-        if n_out:
-            penalty = _POINT_PENALTY * (n_out + float(np.sum(below + above)))
-            z = z[~outside]
-            if z.size == 0:
-                return penalty
-    with np.errstate(all="ignore"):
-        lp = family.logpdf_z(z, shapes)
-    lp = np.where(np.isfinite(lp), lp, -_POINT_PENALTY)
-    return float(-(np.sum(lp) - z.size * math.log(scale)) + penalty)
-
-
-def loggamma_nll_ref(data, theta):
-    """loggamma's simplex objective in the plain allocating form that the
-    scratch-vector one replaced: each temporary a new array, the
-    log-density c z - e^z - lgamma(c) in one expression."""
-    c, loc, scale = theta
-    if not all(map(math.isfinite, theta)):
-        return _INVALID_PENALTY
-    if scale <= 0.0:
-        return _INVALID_PENALTY * (1.0 + abs(scale))
-    if c <= 0.0:
-        return _INVALID_PENALTY * (1.0 + abs(c))
-    z = (data - loc) / scale
-    lp = c * z - np.exp(z) - math.lgamma(c)
-    total = lp.sum()
-    if not math.isfinite(total):
-        total = np.sum(np.where(np.isfinite(lp), lp, -_POINT_PENALTY))
-    return float(-(total - z.size * math.log(scale)))
 
 
 def owens_quad_matrix_ref(h, a):

@@ -1,7 +1,8 @@
 """The calls the benchmark's traced run makes into rleval
 (perfbench/tracing.py) still work: the stage-by-stage analysis writes the
-same bundle as `run_analysis`, except for a subset of the families, whose
-fits the traced run seeds by their place in the subset (strict xfail)."""
+same bundle as `run_analysis`, for all seven families and for a subset,
+whose fits the traced run seeds by their place in the subset, a seed no
+fit reads."""
 
 import sys
 from pathlib import Path
@@ -48,10 +49,6 @@ def test_traced_bundle_equals_run_analysis_bundle(tracing, tmp_path):
     assert untraced == traced
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "tracing.py seeds each fit by the family's index in the list it is given, "
-    "run_analysis by its index in FAMILY_NAMES; only loggamma reads the seed (ROADMAP item 5)"
-))
 def test_traced_bundle_equals_run_analysis_bundle_for_a_subset(tracing, tmp_path):
     untraced, traced = _manifests(tracing, tmp_path, ("normal", "loggamma"))
     assert untraced == traced

@@ -1,5 +1,6 @@
 """Command-line behavior: happy paths, exit codes, determinism, seed policy."""
 
+import dataclasses
 import os
 import pkgutil
 import random
@@ -324,9 +325,20 @@ class TestAnalyze:
         assert err.startswith("error: validation:") and setting[2:] in err
         assert not bundle.exists()
 
-    def test_warns_for_each_unconverged_fit(self, workspace, capsys):
+    def test_warns_for_each_unconverged_fit(self, workspace, capsys, monkeypatch):
         """One stderr warning per fit whose `converged` is false, naming the
-        family and its score norm; loggamma's simplex stops short here."""
+        family and its score norm, beside loggamma's warning about its
+        shape cap. Every fit here converges, so loggamma's is marked
+        unconverged on its way out of `fit_mle`."""
+        fit_mle = pipeline.fit_mle
+
+        def unconverged_loggamma(family, means):
+            fit = fit_mle(family, means)
+            if fit.family.name != "loggamma":
+                return fit
+            return dataclasses.replace(fit, converged=False, score_norm=0.0037)
+
+        monkeypatch.setattr(pipeline, "fit_mle", unconverged_loggamma)
         bundle = workspace / "warn"
         assert main([
             "analyze", str(workspace / "config.yaml"), *_run_paths(workspace),
@@ -334,10 +346,25 @@ class TestAnalyze:
             "--out", str(bundle),
         ]) == 0
         fits = load_strict((bundle / "fits.yaml").read_text())["fits"]
-        unconverged = [fit for fit in fits if not fit["converged"]]
-        assert [fit["family"] for fit in unconverged] == ["loggamma"]
+        assert [fit["family"] for fit in fits if not fit["converged"]] == ["loggamma"]
         assert capsys.readouterr().err.splitlines() == [
-            f"warning: loggamma fit not converged: score norm {unconverged[0]['score_norm']:.3g}"
+            "warning: loggamma fit not converged: score norm 0.0037",
+            "warning: loggamma fit at its shape cap c = 1e+06; its normal limit lies beyond",
+        ]
+
+    def test_warns_for_a_fit_at_the_shape_cap(self, workspace, capsys):
+        """loggamma's fit on these means sits at its shape cap c = 1e6, short
+        of its normal limit: one stderr line says so, and none other."""
+        bundle = workspace / "cap"
+        assert main([
+            "analyze", str(workspace / "config.yaml"), *_run_paths(workspace),
+            "--seed", "7", "--resamples", "1000", "--families", "normal,loggamma",
+            "--out", str(bundle),
+        ]) == 0
+        fits = load_strict((bundle / "fits.yaml").read_text())["fits"]
+        assert [(fit["converged"], fit["parameters"][0]) for fit in fits[1:]] == [(True, 1e6)]
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: loggamma fit at its shape cap c = 1e+06; its normal limit lies beyond"
         ]
 
     def test_duplicate_run_exit_1(self, workspace, capsys):
@@ -428,7 +455,7 @@ class TestAnalyze:
         else:
             means = workspace / "means.csv"
             means.write_text("mean\n" + "".join(f"{100 + i % 7}.5\n" for i in range(50)))
-            args = ["fit", str(means), "--family", "normal", "--seed", "7"]
+            args = ["fit", str(means), "--family", "normal"]
         with pytest.raises(SystemExit) as exit_info:
             main([*args, flag, value, "--out", str(out)])
         assert exit_info.value.code == 1
@@ -453,8 +480,7 @@ class TestFitVerify:
         capsys.readouterr()
         means = bundle / "bootstrap_means" / "means.csv"
         record = workspace / "fit.yaml"
-        assert main(["fit", str(means), "--family", "normal", "--seed", "3",
-                     "--out", str(record)]) == 0
+        assert main(["fit", str(means), "--family", "normal", "--out", str(record)]) == 0
         out = capsys.readouterr().out
         assert "family: normal" in out
         assert "ks_pvalue" in out
@@ -463,16 +489,19 @@ class TestFitVerify:
         assert "decision:" in out
         assert "combined:" in out
 
-    def test_fit_seed_required(self, workspace):
+    def test_fit_takes_no_seed(self, workspace, capsys):
+        """No fit reads a seed, so `fit --seed` is a usage error (exit 1)
+        that names it, raised before the means file is opened."""
         with pytest.raises(SystemExit) as exit_info:
-            main(["fit", "whatever.csv", "--family", "normal"])
+            main(["fit", "whatever.csv", "--family", "normal", "--seed", "7"])
         assert exit_info.value.code == 1
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
     def test_unknown_family_exit_1_before_reading_means(self, tmp_path, capsys):
         """An unknown family is a validation error that lists the known
         ones, raised before the means file is opened: here it does not
         exist, and the exit is still 1, not 3."""
-        code = main(["fit", str(tmp_path / "missing.csv"), "--family", "gamma", "--seed", "1"])
+        code = main(["fit", str(tmp_path / "missing.csv"), "--family", "gamma"])
         assert code == 1
         out, err = capsys.readouterr()
         assert out == ""
@@ -487,7 +516,7 @@ class TestFitVerify:
         means = workspace / "degenerate.csv"
         means.write_text("mean\n" + "5.0\n" * 30)
         for family in ("beta", "normal"):
-            code = main(["fit", str(means), "--family", family, "--seed", "1"])
+            code = main(["fit", str(means), "--family", family])
             assert code == 2
             out, err = capsys.readouterr()
             assert out == ""
@@ -501,8 +530,7 @@ class TestFitVerify:
         means = tmp_path / "means.csv"
         means.write_text("mean\n" + "".join(f"{rng.gauss(100.0, 5.0)!r}\n" for _ in range(200)))
         path = tmp_path / "fit.yaml"
-        assert main(["fit", str(means), "--family", family, "--seed", "7",
-                     "--out", str(path)]) == 0
+        assert main(["fit", str(means), "--family", family, "--out", str(path)]) == 0
         text = path.read_text(encoding="utf-8")
         assert capsys.readouterr().out == text + f"fit record written to {path}\n"
         record = load_strict(text)
@@ -520,8 +548,7 @@ class TestFitVerify:
             out.symlink_to(means)
         elif link == "hardlink":
             out.hardlink_to(means)
-        assert main(["fit", str(means), "--family", "normal", "--seed", "7",
-                     "--out", str(out)]) == 1
+        assert main(["fit", str(means), "--family", "normal", "--out", str(out)]) == 1
         assert capsys.readouterr() == ("", (
             f"error: validation: this fit call would write over its input {out}; "
             "use another output path\n"))
@@ -747,7 +774,7 @@ class TestNotUtf8:
         means = tmp_path / "means.csv"
         means.write_text("mean\n1.0\n2.0\nx\n")
         at = _spoil(means, b"x")
-        assert main(["fit", str(means), "--family", "normal", "--seed", "1"]) == 1
+        assert main(["fit", str(means), "--family", "normal"]) == 1
         assert self._expect(capsys, means, at) == ""
 
     def test_fit_record(self, tmp_path, capsys):

@@ -33,6 +33,10 @@ KEPT = {
                                           "removes it",
     "metrics.run_average_return(stride)": "perfbench/tracing.py passes it; ROADMAP item 5 "
                                           "removes it",
+    "pipeline.fitting_seed_for": "perfbench/tracing.py calls it, though no fit reads a seed; "
+                                 "ROADMAP item 5 removes it",
+    "distributions.fit_mle(fitting_seed)": "perfbench/tracing.py passes it, though no fit "
+                                           "reads it; ROADMAP item 5 removes it",
 }
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -251,7 +255,12 @@ def _slot(entry):
 
 def _used_by(tree, entry):
     """Whether `tree` passes the parameter or field `entry` to its callee,
-    by keyword or position, or, for a field, loads it as an attribute."""
+    by keyword or position, or, for a field, loads it as an attribute; for
+    a name, whether it loads the name."""
+    if "(" not in entry and entry.count(".") == 1:
+        name = entry.split(".")[1]
+        return any(getattr(node, "id", getattr(node, "attr", None)) == name
+                   and isinstance(getattr(node, "ctx", None), ast.Load) for node in ast.walk(tree))
     callee, name, position = _slot(entry)
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
@@ -276,3 +285,6 @@ def test_entries_kept_for_perfbench_are_used_there():
     digest = "report.AnalysisReport.config_digest"
     assert _used_by(ast.parse("report.config_digest"), digest)
     assert not _used_by(ast.parse("AnalysisReport(config=c)"), digest)
+    seeds = "pipeline.fitting_seed_for"
+    assert _used_by(ast.parse("fit_mle(f, x, fitting_seed=fitting_seed_for(7, 0))"), seeds)
+    assert not _used_by(ast.parse("from rleval.pipeline import fitting_seed_for"), seeds)

@@ -10,11 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import WORKLOAD_SEED
 from rleval import distributions as D
 from rleval import special
 from rleval.errors import NumericError, ValidationError
-from rleval.pipeline import fitting_seed_for
 from rleval.resample import empirical_quantile
 from rleval.rng import SeededRng
 
@@ -172,23 +170,23 @@ class TestFit:
         data = D.sample(truth, 2000, SeededRng(7))
         family = D.get_family("skewnorm")
         shapes0, loc0, scale0 = family.init_params(data)
-        init_nll = D._penalized_nll(family, data, np.array([*shapes0, loc0, scale0]))
+        init_ll, _ = D._loglik_score(family, data, np.array([*shapes0, loc0, scale0]))
         fit = D.fit_mle("skewnorm", data, fitting_seed=2)
-        assert fit.log_likelihood >= -init_nll - 1e-9
+        assert fit.log_likelihood >= init_ll - 1e-9
 
     def test_one_errstate_per_fit(self, monkeypatch):
-        """loggamma's simplex calls its objective thousands of times inside
-        the fit's np.errstate; only init_params enters others. Without a
-        child, `jittered_searches` redoes the moment start and enters its
-        own."""
+        """loggamma's fit calls its objective many times, in its search on
+        the floor and its search over every coordinate, all inside the
+        fit's one np.errstate; nothing else in the fit enters one."""
         data = D.sample(D.make_fit("loggamma", 10.59, 92.24, 20.53), 500, SeededRng(5))
         entered, calls = [], []
-        errstate, objective = np.errstate, D._penalized_nll
+        errstate, objective = np.errstate, D.LogGamma.search_loglik
         monkeypatch.setattr(np, "errstate", lambda **kw: entered.append(kw) or errstate(**kw))
-        monkeypatch.setattr(D, "_penalized_nll", lambda *a: calls.append(1) or objective(*a))
-        D.fit_mle("loggamma", data, fitting_seed=1)
-        assert len(calls) > 1000
-        assert len(entered) == 14  # twice: six shape candidates in init_params, one fit
+        monkeypatch.setattr(D.LogGamma, "search_loglik",
+                            lambda *a: calls.append(1) or objective(*a))
+        D.fit_mle("loggamma", data)
+        assert len(calls) > 5
+        assert entered == [{"all": "ignore"}]
 
     @pytest.mark.parametrize("family", D.FAMILY_NAMES)
     def test_zero_variance_rejected(self, family):
@@ -219,63 +217,6 @@ def _rosenbrock(x):
     return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
 
 
-# Objectives searched from (-1.2, 1): the branches the array-form reference
-# simplex takes on each, and the (x, fval) as float.hex, iterations and
-# converged that nelder_mead returned before its vertices became Python floats.
-SIMPLEX_CASES = {
-    # smooth: reflects, expands and contracts down the valley to (1, 1)
-    "rosenbrock": (
-        _rosenbrock,
-        {"reflect": 52, "expand": 19, "contract": 81, "shrink": 0},
-        (["0x1.000000001e85ep+0", "0x1.000000003a9adp+0"], "0x1.7de4f89a00000p-70", 152, True),
-    ),
-    # rounded to 0.1: on its plateaus no contraction improves, so it shrinks
-    "rounded": (
-        lambda x: round(_rosenbrock(x), 1),
-        {"reflect": 2, "expand": 2, "contract": 6, "shrink": 14},
-        (["-0x1.049851eb851ecp+0", "0x1.0b4fffffffffep+0"], "0x1.0666666666666p+2", 24, True),
-    ),
-    # nan on a band of x[0], which the first simplex straddles: nan vertices
-    # sort last, and the search takes every branch
-    "nan_band": (
-        lambda x: math.nan if -1.15 < x[0] < -1.0 else _rosenbrock(x),
-        {"reflect": 29, "expand": 7, "contract": 45, "shrink": 1},
-        (["-0x1.2666666981714p+0", "0x1.528f9f5443806p+0"], "0x1.27d70a427f8a3p+2", 82, True),
-    ),
-}
-
-
-def _logged(fn, calls):
-    def logged(v):
-        calls.append([float(t).hex() for t in v])
-        return fn(v)
-    return logged
-
-
-class TestSimplex:
-    @pytest.mark.parametrize("case", sorted(SIMPLEX_CASES))
-    def test_steps_match_array_form(self, case):
-        """nelder_mead asks for the same points in the same order as the
-        array-form reference, and ends where it ended."""
-        fn, taken, (x, fval, iterations, converged) = SIMPLEX_CASES[case]
-        calls, ref_calls = [], []
-        result = D.nelder_mead(_logged(fn, calls), (-1.2, 1.0))
-        ref_x, ref_fval, ref_converged, ref_iterations, ref_taken = oracles.nelder_mead_ref(
-            _logged(fn, ref_calls), (-1.2, 1.0)
-        )
-        assert ref_taken == taken
-        assert calls == ref_calls
-        assert isinstance(result.x, np.ndarray)
-        assert [v.hex() for v in result.x.tolist()] == x == [v.hex() for v in ref_x.tolist()]
-        assert float(result.fval).hex() == fval == ref_fval.hex()
-        assert result.iterations == iterations == ref_iterations
-        assert result.converged is converged is ref_converged
-
-    def test_every_branch_is_covered(self):
-        for branch in ("reflect", "expand", "contract", "shrink"):
-            assert any(taken[branch] for _, taken, _ in SIMPLEX_CASES.values()), branch
-
-
 def _numeric_score(family, data, t, m, s):
     """Central differences of the log-likelihood in search coordinates."""
     out = np.empty(t.size)
@@ -284,7 +225,7 @@ def _numeric_score(family, data, t, m, s):
         up, down = t.copy(), t.copy()
         up[i] += h
         down[i] -= h
-        lls = [D._loglik_score(family, data, family.from_search(v, m, s))[0] for v in (up, down)]
+        lls = [family.search_loglik(data, v, m, s)[0] for v in (up, down)]
         out[i] = (lls[0] - lls[1]) / (2.0 * h)
     return out
 
@@ -292,9 +233,10 @@ def _numeric_score(family, data, t, m, s):
 class TestScore:
     @pytest.mark.parametrize("name", sorted(REFERENCE))
     def test_matches_central_differences(self, name):
-        """The log-likelihood is the sum of logpdf_z less n log scale, and its
-        score in search coordinates, Jacobian of from_search included,
-        matches central differences at three points."""
+        """The log-likelihood at a search point (`search_loglik`) is the sum
+        of logpdf_z less n log scale at from_search of it, and its score in
+        search coordinates, Jacobian of from_search included, matches
+        central differences at three points."""
         fit, _ = _pair(name)
         family = fit.family
         data = D.sample(fit, 500, SeededRng(3))
@@ -304,12 +246,11 @@ class TestScore:
         for shift in (0.0, 0.003, -0.005):
             t = t0 + shift * np.arange(1, t0.size + 1)
             theta = family.from_search(t, m, s)
-            ll, score = D._loglik_score(family, data, theta)
+            ll, analytic = family.search_loglik(data, t, m, s)
             z = (data - theta[-2]) / theta[-1]
             direct = math.fsum(family.logpdf_z(z, tuple(theta[:-2]))) - z.size * math.log(theta[-1])
             assert ll == pytest.approx(direct, rel=1e-12, abs=1e-9)
             numeric = _numeric_score(family, data, t, m, s)
-            analytic = family.search_score(t, theta, score, s)
             assert np.max(np.abs(analytic - numeric)) <= 1e-6 * max(1.0, np.max(np.abs(numeric)))
 
     @pytest.mark.parametrize("name", ["johnsonsb", "johnsonsu"])
@@ -338,6 +279,49 @@ class TestScore:
                     assert D._loglik_score(D.get_family(name), data, theta) == (-math.inf, None)
         assert D._loglik_score(D.get_family("normal"), data, [0.0, 0.0]) == (-math.inf, None)
         assert D._loglik_score(D.get_family("beta"), data, [2.0, math.nan, 0.5, 3.0])[1] is None
+
+
+class TestLogGammaSearch:
+    @pytest.mark.parametrize("c", [0.5, 5.0, 337.0, 1e6])
+    def test_loglik_matches_mpmath(self, c):
+        """`search_loglik`, written in the search coordinates with Stirling's
+        remainder and the h functions, is the 40-digit sum of the raw
+        log-density at the decoded (c, loc, scale), within 1e-9 nats."""
+        family = D.get_family("loggamma")
+        truth = D.make_fit("loggamma", *family.from_search([c**-0.5, 0.0, 0.0], 100.0, 5.0))
+        data = D.sample(truth, 200, SeededRng(11))
+        m, s = float(np.mean(data)), float(np.std(data))
+        t = family.to_search(np.array(truth.params), m, s) + np.array([0.0, 0.01, -0.02])
+        ll, _ = family.search_loglik(data, t, m, s)
+        assert ll == pytest.approx(oracles.loggamma_loglik_ref(data, t, m, s), rel=0, abs=1e-9)
+
+    def test_h_functions_match_mpmath(self):
+        """h1, h2 and h3 within 1e-14 relative of mpmath on both sides of
+        |v| = 1/2, where the series hands over to the closed forms, and at
+        the series' small and the closed forms' large arguments. The
+        closed form of h3 just past 1/2 cancels most, to ~4e-15."""
+        half = 0.5
+        v = np.array([1e-300, 1e-8, 0.1, 0.25, math.nextafter(half, 0.0), half,
+                      math.nextafter(half, 1.0), 0.6, 2.0, 30.0, 700.0])
+        v = np.concatenate([v, -v])
+        found = np.array(D._loggamma_h(v)).T
+        for x, row in zip(v, found):
+            assert row == pytest.approx(oracles.loggamma_h_ref(x), rel=1e-14, abs=0), x
+
+    def test_floor_decodes_to_the_cap(self):
+        """The search floor u = 1e-3 decodes to c = 1e6 exactly, so a fit on
+        the floor records the cap that `analyze` warns about."""
+        family = D.get_family("loggamma")
+        assert family.from_search([family.search_floor, 0.0, 0.0], 0.0, 1.0)[0] == family.shape_cap
+        assert family.shape_cap == 1e6
+
+    def test_outside_the_domain_is_rejected(self):
+        family = D.get_family("loggamma")
+        data = np.linspace(1.0, 3.0, 41)
+        for t in ([0.5e-3, 0.0, 0.0], [math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0],
+                  [0.1, math.inf, 0.0], [0.1, 0.0, -800.0], [0.1, 0.0, 800.0]):
+            with np.errstate(over="ignore"):
+                assert family.search_loglik(data, np.array(t), 2.0, 0.5) == (-math.inf, None)
 
 
 def _rosenbrock_with_gradient(x):
@@ -478,35 +462,6 @@ def _same(a, b):
     return a == b and (a == 0.0 or np.float64(a).tobytes() == np.float64(b).tobytes())
 
 
-class SpikyNormal(D.Normal):
-    """A normal whose log-density is +inf above z = 1, nan below z = -1, and
-    -1e308 at z = 0, so that finite terms can overflow the sum."""
-
-    def logpdf_z(self, z, shapes):
-        lp = super().logpdf_z(z, shapes)
-        lp = np.where(z > 1.0, np.inf, lp)
-        lp = np.where(z < -1.0, np.nan, lp)
-        return np.where(z == 0.0, -1e308, lp)
-
-
-# (family, data, theta) on which the objective takes its rare paths.
-_UNIT = np.linspace(1.0, 3.0, 41)
-OBJECTIVE_CASES = {
-    "beta inside": ("beta", _UNIT, [2.0, 3.0, 0.5, 3.0]),
-    "loggamma past z = 710": ("loggamma", np.array([0.0, 1.0, 720.0, 800.0]), [2.0, 0.0, 1.0]),
-    "+inf and nan terms": (SpikyNormal(), np.linspace(-3.0, 3.0, 13), [0.0, 1.0]),
-    "finite terms only": (SpikyNormal(), np.linspace(-0.9, 0.9, 7), [0.0, 1.0]),
-    "finite terms overflow the sum": (SpikyNormal(), np.array([-0.5, 0.0, 0.0, 0.5]), [0.0, 1.0]),
-    "nan theta": ("beta", _UNIT, [2.0, math.nan, 0.5, 3.0]),
-    "inf theta": ("normal", _UNIT, [math.inf, 1.0]),
-    "zero scale": ("normal", _UNIT, [0.0, 0.0]),
-    "negative scale": ("beta", _UNIT, [2.0, 3.0, 0.5, -2.0]),
-    "invalid beta shapes": ("beta", _UNIT, [-1.0, 0.0, 0.5, 3.0]),
-    "invalid johnsonsb shape": ("johnsonsb", _UNIT, [0.3, -0.5, 0.5, 3.0]),
-    "invalid loggamma shape": ("loggamma", _UNIT, [0.0, 0.0, 1.0]),
-}
-
-
 class TestObjective:
     @settings(max_examples=400, deadline=None)
     @given(st.lists(_finite, min_size=1, max_size=40), _finite, _scale)
@@ -520,65 +475,6 @@ class TestObjective:
             hi = (float(np.max(x)) - loc) / scale
         assert _same(float(np.min(z)), lo)
         assert _same(float(np.max(z)), hi)
-
-    @pytest.mark.parametrize("case", sorted(OBJECTIVE_CASES))
-    def test_matches_masking_every_point(self, case):
-        family, data, theta = OBJECTIVE_CASES[case]
-        family = D.get_family(family)
-        theta = np.array(theta)
-        with np.errstate(over="ignore"):  # a sum that overflows warns in both forms
-            expected = oracles.penalized_nll_ref(family, data, theta).hex()
-            assert D._penalized_nll(family, data, theta).hex() == expected
-            assert D._penalized_nll(family, data, list(theta)).hex() == expected
-
-    @staticmethod
-    def _assert_matches_plain_formula(data, theta):
-        """loggamma's objective at theta is the plain allocating formula's
-        float bit for bit: with a scratch pair of its own, and with a passed
-        one whatever the pair held before."""
-        family = D.get_family("loggamma")
-        expected = oracles.loggamma_nll_ref(data, theta).hex()
-        scratch = (np.full_like(data, np.nan), np.full_like(data, -np.inf))
-        for value in (D._penalized_nll(family, data, theta),
-                      D._penalized_nll(family, data, theta, scratch),
-                      D._penalized_nll(family, data, theta, scratch)):
-            assert type(value) is float
-            assert value.hex() == expected
-
-    @pytest.mark.parametrize("theta", [
-        [math.nan, 150.0, 10.0], [2.0, math.inf, 10.0],
-        [2.0, 150.0, 0.0], [2.0, 150.0, -3.0],
-        [0.0, 150.0, 10.0], [-1.5, 150.0, 10.0],
-    ], ids=["nan shape", "inf loc", "zero scale", "negative scale", "zero c", "negative c"])
-    def test_loggamma_penalties_match_plain_formula(self, theta):
-        self._assert_matches_plain_formula(np.linspace(120.0, 180.0, 41), theta)
-
-    def test_loggamma_overflowing_exp_matches_plain_formula(self):
-        """Past z = 710, e^z is inf and its points take -_POINT_PENALTY."""
-        data = np.array([0.0, 1.0, 720.0, 800.0])
-        with np.errstate(over="ignore"):
-            assert not math.isfinite(float(np.sum(np.exp(data))))
-            self._assert_matches_plain_formula(data, [2.0, 0.0, 1.0])
-
-    @pytest.mark.parametrize("workload", ["quickstart", "skewed-runs"])
-    def test_loggamma_starts_match_plain_formula(self, workload, workload_means, monkeypatch):
-        """At the three starts of the simplex that `analyze` runs on each
-        benchmark input, the objective is the plain formula's float, through
-        the fit's own closure and scratch pair too."""
-        means = workload_means[workload]
-        starts = []
-
-        def first_vertex(fn, x0):
-            starts.append((np.array(x0), fn(x0)))
-            return D.SearchResult(np.array(x0), starts[-1][1], False, 0)
-
-        monkeypatch.setattr(D, "nelder_mead", first_vertex)
-        D.fit_mle("loggamma", means,
-                  fitting_seed=fitting_seed_for(WORKLOAD_SEED, D.FAMILY_NAMES.index("loggamma")))
-        assert len(starts) == 3
-        for theta, value in starts:
-            assert value.hex() == oracles.loggamma_nll_ref(means, theta).hex()
-            self._assert_matches_plain_formula(means, theta)
 
 
 class TestGof:

@@ -16,11 +16,6 @@ from rleval.ingest import write_file
 
 PACKAGE = Path(rleval.__file__).parent
 
-# (module, function, call) -> why it may write although it is not the writer
-KEPT = {
-    ("pipeline", "_in_child", "open"): "opens the write end of the pipe that carries the "
-                                       "forked child's result to the parent, not a file",
-}
 WRITER = {("ingest", "write_file", "open"), ("ingest", "write_files", "mkdir")}
 
 _WRITING_METHODS = {"write_text", "write_bytes", "mkdir", "makedirs"}
@@ -70,10 +65,10 @@ def _package_calls():
 def test_only_the_writer_writes():
     calls = _package_calls()
     outside = [f"{module}.{function}:{line} {name}" for module, function, name, line in calls
-               if (module, function, name) not in WRITER | set(KEPT)]
+               if (module, function, name) not in WRITER]
     assert outside == []
-    # the writer and each allowlisted call are still there, each once
-    assert sorted((m, f, n) for m, f, n, _ in calls) == sorted(WRITER | set(KEPT))
+    # the writer's calls are still there, each once
+    assert sorted((m, f, n) for m, f, n, _ in calls) == sorted(WRITER)
 
 
 def test_the_finder_sees_each_form():
